@@ -23,8 +23,10 @@ every credential is bound to one U, credentials issued to different users
 (or to the same user in a different request) cannot be mixed.
 
 Passing ``blinded=None`` selects the unblinded legacy form credential =
-g^(a_i), kept for tests; it verifies the bare equation
-prod e(cred_i, transferor_i) = plcy and is collusion-prone by design.
+g^(a_i); it verifies the bare equation prod e(cred_i, transferor_i) = plcy
+and is collusion-prone by design.  Only the worked vectors use it: an
+``actors.Authority`` refuses to sign it and the server refuses a search
+request without a blinding.
 """
 
 from __future__ import annotations

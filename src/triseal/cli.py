@@ -16,11 +16,10 @@ import random
 import sys
 from pathlib import Path
 
-from . import abe, wire
+from . import abe, recovery, wire
 from .actors import Authority, AuthorityPublic, ConsentGrant, Owner, User, UserSession
-from .errors import ProtocolError
-from .pairing import PairingContext, Side, context_from_header
-from .recovery import OwnerRecoveryKey, RecoveryAttributeKeyPair
+from .errors import BadRecord, ProtocolError
+from .pairing import PairingContext, Side
 from .server import (
     EscrowServer,
     record_to_wire,
@@ -42,8 +41,16 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_bytes(wire.canonical_json(obj) + b"\n")
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text())
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise BadRecord(f"cannot read {path}: {exc}") from exc
+
+
+def _load(path: Path, kind: str, decode, ctx: PairingContext | None = None):
+    """Decode one envelope file (see ``wire.open_envelope``)."""
+    return wire.open_envelope(_read_json(path), kind, decode, ctx)
 
 
 def _rng(seed: str | None) -> random.Random:
@@ -68,49 +75,45 @@ def _server_paths(home: str) -> tuple[Path, Path]:
     return root / "public.json", root / STORE_NAME
 
 
-def _load_server_public(home: str) -> tuple[PairingContext, SetPublicKeys]:
-    public = _read_json(_server_paths(home)[0])
-    ctx = context_from_header(public["params"])
-    return ctx, wire.pks_from_wire(ctx, public["pks"])
+def _load_server_public(home: str, ctx: PairingContext | None = None):
+    def decode(ctx: PairingContext, obj) -> tuple[PairingContext, SetPublicKeys]:
+        return ctx, wire.pks_from_wire(ctx, obj["pks"])
+
+    return _load(_server_paths(home)[0], "server-public", decode, ctx)
 
 
 def _open_server(home: str) -> EscrowServer:
     return EscrowServer.open(_server_paths(home)[1])
 
 
-def _load_owner(home: str) -> Owner:
-    state = _read_json(Path(home) / "owner.json")
-    ctx = context_from_header(state["params"])
+def _owner_from_wire(ctx: PairingContext, state) -> Owner:
     return Owner(
         ctx=ctx,
         owner_id=state["owner_id"],
         sse_key=OwnerSseKey(int(state["sk"], 16)),
-        recovery_key=OwnerRecoveryKey(int(state["sk_dtk"], 16)),
+        recovery_key=recovery.OwnerRecoveryKey(int(state["sk_dtk"], 16)),
         update_id=state["update_id"],
         rng=_rng(None),
     )
 
 
-def _load_authority(home: str) -> Authority:
-    state = _read_json(Path(home) / "aa.json")
-    ctx = context_from_header(state["params"])
-    ask = int(state["ask"], 16)
-    ask_dtk = int(state["ask_dtk"], 16)
+def _load_owner(home: str) -> Owner:
+    return _load(Path(home) / "owner.json", "owner-secret", _owner_from_wire)
+
+
+def _authority_from_wire(ctx: PairingContext, state) -> Authority:
+    attr, ask = state["attribute_id"], int(state["ask"], 16)
     return Authority(
         ctx=ctx,
-        attribute_id=state["attribute_id"],
-        kp=abe.aa_setup(ctx, state["attribute_id"], ask=ask),
-        kp_dtk=RecoveryAttributeKeyPair(
-            attribute_id=state["attribute_id"],
-            ask_dtk=ask_dtk,
-            apk_dtk=ctx.g_right ** ctx.scalar_inverse(ask_dtk),
+        attribute_id=attr,
+        kp=abe.aa_setup(ctx, attr, ask=ask),
+        kp_dtk=recovery.recovery_aa_setup(
+            ctx, attr, ask=int(state["ask_dtk"], 16), distinct_from=(ask,)
         ),
     )
 
 
-def _load_authority_public(home: str) -> AuthorityPublic:
-    state = _read_json(Path(home) / "public.json")
-    ctx = context_from_header(state["params"])
+def _authority_public_from_wire(ctx: PairingContext, state) -> AuthorityPublic:
     return AuthorityPublic(
         attribute_id=state["attribute_id"],
         apk=wire.dec_elem(ctx, state["apk"], Side.RIGHT),
@@ -118,24 +121,22 @@ def _load_authority_public(home: str) -> AuthorityPublic:
     )
 
 
+def _load_user(home: str, ctx: PairingContext) -> str:
+    """The user's global identity, from a file under ``ctx``."""
+    return _load(Path(home) / "user.json", "user", lambda _ctx, obj: obj["gid"], ctx)
+
+
 def _consent_to_file(ctx: PairingContext, grant: ConsentGrant, path: Path) -> None:
-    _write_json(
-        path,
-        {
-            "format": wire.WIRE_FORMAT_VERSION,
-            "kind": "consent",
-            "params": ctx.param_header(),
-            "search_token": wire.token_to_wire(ctx, grant.search_token),
-            "owner_decrypt_token": wire.enc_elem(ctx, grant.owner_decrypt_token),
-            "subset": list(grant.subset),
-        },
-    )
+    body = {
+        "search_token": wire.token_to_wire(ctx, grant.search_token),
+        "owner_decrypt_token": wire.enc_elem(ctx, grant.owner_decrypt_token),
+        "subset": list(grant.subset),
+    }
+    _write_json(path, wire.envelope("consent", ctx, body))
 
 
-def _consent_from_file(path: Path) -> tuple[PairingContext, ConsentGrant]:
-    obj = _read_json(path)
-    ctx = context_from_header(obj["params"])
-    return ctx, ConsentGrant(
+def _consent_from_wire(ctx: PairingContext, obj) -> ConsentGrant:
+    return ConsentGrant(
         search_token=wire.token_from_wire(ctx, obj["search_token"]),
         owner_decrypt_token=wire.dec_elem(ctx, obj["owner_decrypt_token"], Side.LEFT),
         subset=tuple(obj["subset"]),
@@ -150,29 +151,21 @@ def _session_path(home: str) -> Path:
 
 
 def _session_to_file(ctx: PairingContext, session: UserSession, used: bool, home: str) -> None:
-    _write_json(
-        _session_path(home),
-        {
-            "format": wire.WIRE_FORMAT_VERSION,
-            "kind": "session",
-            "params": ctx.param_header(),
-            "used": used,
-            "blinded": wire.blinded_to_wire(ctx, session.blinded),
-            "blinded_r": wire.blinded_to_wire(ctx, session.blinded_r),
-            "credentials": {
-                a: wire.credential_to_wire(ctx, c)
-                for a, c in sorted(session.credentials.items())
-            },
-            "decrypt_tokens": {
-                a: wire.enc_elem(ctx, t) for a, t in sorted(session.decrypt_tokens.items())
-            },
+    body = {
+        "used": used,
+        "blinded": wire.blinded_to_wire(ctx, session.blinded),
+        "blinded_r": wire.blinded_to_wire(ctx, session.blinded_r),
+        "credentials": {
+            a: wire.credential_to_wire(ctx, c) for a, c in sorted(session.credentials.items())
         },
-    )
+        "decrypt_tokens": {
+            a: wire.enc_elem(ctx, t) for a, t in sorted(session.decrypt_tokens.items())
+        },
+    }
+    _write_json(_session_path(home), wire.envelope("session", ctx, body))
 
 
-def _session_from_file(home: str) -> tuple[PairingContext, UserSession, bool]:
-    obj = _read_json(_session_path(home))
-    ctx = context_from_header(obj["params"])
+def _session_from_wire(ctx: PairingContext, obj) -> tuple[PairingContext, UserSession, bool]:
     session = UserSession(
         blinded=wire.blinded_from_wire(ctx, obj["blinded"]),
         blinded_r=wire.blinded_from_wire(ctx, obj["blinded_r"]),
@@ -186,13 +179,8 @@ def _session_from_file(home: str) -> tuple[PairingContext, UserSession, bool]:
     return ctx, session, obj["used"]
 
 
-# -- request / response wire files --------------------------------------------
-
-
-def _response_from_file(path: Path):
-    obj = _read_json(path)
-    ctx = context_from_header(obj["params"])
-    return ctx, search_response_from_wire(ctx, obj)
+def _load_session(home: str, ctx: PairingContext | None = None):
+    return _load(_session_path(home), "session", _session_from_wire, ctx)
 
 
 # -- commands ---------------------------------------------------------------
@@ -207,15 +195,8 @@ def _cmd_setup_server(args) -> int:
     public_path, store_path = _server_paths(args.home)
     store_path.parent.mkdir(parents=True, exist_ok=True)
     EscrowServer(ctx, pks, store_path=store_path).close()
-    _write_json(
-        public_path,
-        {
-            "format": wire.WIRE_FORMAT_VERSION,
-            "kind": "server-public",
-            "params": ctx.param_header(),
-            "pks": wire.pks_to_wire(ctx, pks),
-        },
-    )
+    body = {"pks": wire.pks_to_wire(ctx, pks)}
+    _write_json(public_path, wire.envelope("server-public", ctx, body))
     print(f"server ready: backend={args.backend} sets={args.sets} home={args.home}")
     return EXIT_OK
 
@@ -225,29 +206,19 @@ def _cmd_setup_aa(args) -> int:
     rng = _rng(args.seed)
     authority = Authority.create(ctx, args.attr, rng)
     home = Path(args.home)
-    _write_json(
-        home / "aa.json",
-        {
-            "format": wire.WIRE_FORMAT_VERSION,
-            "kind": "aa-secret",
-            "params": ctx.param_header(),
-            "attribute_id": authority.attribute_id,
-            "ask": format(authority.kp.ask, "x"),
-            "ask_dtk": format(authority.kp_dtk.ask_dtk, "x"),
-        },
-    )
+    secret = {
+        "attribute_id": authority.attribute_id,
+        "ask": format(authority.kp.ask, "x"),
+        "ask_dtk": format(authority.kp_dtk.ask_dtk, "x"),
+    }
+    _write_json(home / "aa.json", wire.envelope("aa-secret", ctx, secret))
     public = authority.public()
-    _write_json(
-        home / "public.json",
-        {
-            "format": wire.WIRE_FORMAT_VERSION,
-            "kind": "aa-public",
-            "params": ctx.param_header(),
-            "attribute_id": public.attribute_id,
-            "apk": wire.enc_elem(ctx, public.apk),
-            "apk_dtk": wire.enc_elem(ctx, public.apk_dtk),
-        },
-    )
+    body = {
+        "attribute_id": public.attribute_id,
+        "apk": wire.enc_elem(ctx, public.apk),
+        "apk_dtk": wire.enc_elem(ctx, public.apk_dtk),
+    }
+    _write_json(home / "public.json", wire.envelope("aa-public", ctx, body))
     print(f"authority ready: attr={args.attr} home={args.home}")
     return EXIT_OK
 
@@ -256,18 +227,13 @@ def _cmd_setup_owner(args) -> int:
     ctx, _ = _load_server_public(args.server)
     rng = _rng(args.seed)
     owner = Owner.create(ctx, args.owner_id, rng)
-    _write_json(
-        Path(args.home) / "owner.json",
-        {
-            "format": wire.WIRE_FORMAT_VERSION,
-            "kind": "owner-secret",
-            "params": ctx.param_header(),
-            "owner_id": owner.owner_id,
-            "sk": format(owner.sse_key.sk, "x"),
-            "sk_dtk": format(owner.recovery_key.sk_dtk, "x"),
-            "update_id": owner.update_id,
-        },
-    )
+    secret = {
+        "owner_id": owner.owner_id,
+        "sk": format(owner.sse_key.sk, "x"),
+        "sk_dtk": format(owner.recovery_key.sk_dtk, "x"),
+        "update_id": owner.update_id,
+    }
+    _write_json(Path(args.home) / "owner.json", wire.envelope("owner-secret", ctx, secret))
     print(f"owner ready: id={args.owner_id} home={args.home}")
     return EXIT_OK
 
@@ -275,7 +241,7 @@ def _cmd_setup_owner(args) -> int:
 def _authority_publics(ctx: PairingContext, homes) -> dict[str, AuthorityPublic]:
     publics = {}
     for home in homes or []:
-        public = _load_authority_public(home)
+        public = _load(Path(home) / "public.json", "aa-public", _authority_public_from_wire, ctx)
         publics[public.attribute_id] = public
     return publics
 
@@ -303,7 +269,7 @@ def _cmd_publish(args) -> int:
 
 def _cmd_consent(args) -> int:
     owner = _load_owner(args.home)
-    _ctx, pks = _load_server_public(args.server)
+    _, pks = _load_server_public(args.server, owner.ctx)
     grant = owner.consent(args.keyword, _parse_subset(args.subset), pks)
     _consent_to_file(owner.ctx, grant, Path(args.out))
     print(f"consent written: {args.out}")
@@ -311,35 +277,23 @@ def _cmd_consent(args) -> int:
 
 
 def _cmd_issue(args) -> int:
-    home = Path(args.home)
-    user_file = home / "user.json"
+    authority = _load(Path(args.aa) / "aa.json", "aa-secret", _authority_from_wire)
+    ctx = authority.ctx
+    user_file = Path(args.home) / "user.json"
     if user_file.exists():
-        state = _read_json(user_file)
-        gid = state["gid"]
-        ctx = context_from_header(state["params"])
+        gid = _load_user(args.home, ctx)
     else:
         if args.gid is None:
             raise ProtocolError("first issue for this home needs --gid")
-        authority_probe = _load_authority(args.aa)
-        ctx, gid = authority_probe.ctx, args.gid
-        _write_json(
-            user_file,
-            {
-                "format": wire.WIRE_FORMAT_VERSION,
-                "kind": "user",
-                "params": ctx.param_header(),
-                "gid": gid,
-            },
-        )
+        gid = args.gid
+        _write_json(user_file, wire.envelope("user", ctx, {"gid": gid}))
     user = User(ctx, gid, _rng(args.seed))
-    session_file = _session_path(args.home)
-    if session_file.exists():
-        _, session, used = _session_from_file(args.home)
+    if _session_path(args.home).exists():
+        _, session, used = _load_session(args.home, ctx)
         if used:
             session = user.new_session()
     else:
         session = user.new_session()
-    authority = _load_authority(args.aa)
     user.collect(session, authority)
     _session_to_file(ctx, session, used=False, home=args.home)
     print(f"issued {authority.attribute_id} credentials into session")
@@ -347,12 +301,9 @@ def _cmd_issue(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    ctx, session, _used = _session_from_file(args.home)
-    consent_ctx, grant = _consent_from_file(Path(args.consent))
-    if consent_ctx.fingerprint != ctx.fingerprint:
-        raise ProtocolError("consent and session use different parameters")
-    state = _read_json(Path(args.home) / "user.json")
-    user = User(ctx, state["gid"], _rng(args.seed))
+    ctx, session, _used = _load_session(args.home)
+    grant = _load(Path(args.consent), "consent", _consent_from_wire, ctx)
+    user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))
     request = user.build_search_request(session, grant)
 
     outbox = Path(args.home) / "outbox"
@@ -377,14 +328,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    ctx, session, _used = _session_from_file(args.home)
-    consent_ctx, grant = _consent_from_file(Path(args.consent))
-    response_ctx, response = _response_from_file(Path(args.results))
-    if len({ctx.fingerprint, consent_ctx.fingerprint, response_ctx.fingerprint}) != 1:
-        raise ProtocolError("session, consent, and results use different parameters")
-    _, pks = _load_server_public(args.server)
-    state = _read_json(Path(args.home) / "user.json")
-    user = User(ctx, state["gid"], _rng(args.seed))
+    ctx, session, _used = _load_session(args.home)
+    grant = _load(Path(args.consent), "consent", _consent_from_wire, ctx)
+    response = search_response_from_wire(ctx, _read_json(Path(args.results)))
+    _, pks = _load_server_public(args.server, ctx)
+    user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))
     results = user.decrypt_matches(session, grant, response, pks)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -60,7 +60,8 @@ class AuthenticationFailure(ProtocolError):
 
 
 class BadRecord(ProtocolError):
-    """Structurally invalid record (missing layer, bad set index, ...)."""
+    """Structurally invalid record, message or file: missing layer or field,
+    bad set index, wrong envelope kind, unreadable or non-JSON input, ..."""
 
 
 class UpdateRejected(ProtocolError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .abe import BlindedIdentity
-from .errors import BadAttribute, EmptySubset, IncompleteTokens, InvalidBlinding, NonceReuse
+from .errors import BadAttribute, IncompleteTokens, InvalidBlinding, NonceReuse
 from .pairing import GroupElement, GtElement, PairingContext
 from .sse import SetPublicKeys
 
@@ -167,19 +167,10 @@ def consent_decrypt_token(
     owner: OwnerRecoveryKey,
     subset: Iterable[int],
     pks: SetPublicKeys,
-    *,
-    basic: bool = False,
 ) -> GroupElement:
     """owner_token = (prod_{i in S} pk_i * g)^(sk'); issued alongside the
     search consent."""
-    subset = tuple(subset)
-    if basic:
-        if subset:
-            raise ValueError("basic mode carries no subset")
-    else:
-        if not subset:
-            raise EmptySubset("data-set subset must be non-empty")
-        subset = pks.check_subset(subset)
+    subset = pks.check_subset(subset)
     return (pks.left_product(subset) * ctx.g_left) ** owner.sk_dtk
 
 
@@ -209,11 +200,10 @@ def recover_key(
     missing = [a for a in elems.attrs if a not in tokens.aa_tokens]
     if missing:
         raise IncompleteTokens(f"no decryption token for: {', '.join(missing)}")
-    owner_part = ctx.pair(tokens.owner_token, elems.dtk_transferor)
-    if tokens.subset:
-        owner_part = owner_part / ctx.pair(
-            pks.left_product(pks.check_subset(tokens.subset)), elems.dtk_owner_modifier
-        )
+    subset = pks.check_subset(tokens.subset)
+    owner_part = ctx.pair(tokens.owner_token, elems.dtk_transferor) / ctx.pair(
+        pks.left_product(subset), elems.dtk_owner_modifier
+    )
     aa_part = ctx.gt_identity()
     for attr, transferor, modifier in zip(
         elems.attrs, elems.dtk_aa_transferors, elems.dtk_aa_modifiers

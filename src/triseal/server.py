@@ -44,6 +44,7 @@ from .errors import (
     BadSetIndex,
     EmptySubset,
     IncompletePolicy,
+    InvalidBlinding,
     InvalidElement,
     UpdateRejected,
 )
@@ -89,7 +90,7 @@ def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
             recovery=wire.recovery_from_wire(ctx, obj["recovery"]),
             payload=wire.payload_from_wire(obj["payload"]),
         )
-    except (KeyError, ValueError, TypeError, InvalidElement) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, InvalidElement) as exc:
         raise BadRecord(f"malformed record: {exc}") from exc
 
 
@@ -112,7 +113,7 @@ class SearchRequest:
 
     token: SearchToken
     credentials: tuple[AttributeCredential, ...]
-    blinded: BlindedIdentity | None
+    blinded: BlindedIdentity
 
 
 @dataclass(frozen=True)
@@ -157,30 +158,28 @@ class UpdateRequest:
 
 
 def search_request_to_wire(ctx: PairingContext, req: SearchRequest) -> dict:
-    return {
-        "format": wire.WIRE_FORMAT_VERSION,
-        "kind": "search-request",
-        "params": ctx.param_header(),
+    body = {
         "token": wire.token_to_wire(ctx, req.token),
         "credentials": [wire.credential_to_wire(ctx, c) for c in req.credentials],
-        "blinded": None if req.blinded is None else wire.blinded_to_wire(ctx, req.blinded),
+        "blinded": wire.blinded_to_wire(ctx, req.blinded),
     }
+    return wire.envelope("search-request", ctx, body)
 
 
-def search_request_from_wire(ctx: PairingContext, obj: Mapping) -> SearchRequest:
-    blinded = obj["blinded"]
+def _search_request_body(ctx: PairingContext, obj: Mapping) -> SearchRequest:
     return SearchRequest(
         token=wire.token_from_wire(ctx, obj["token"]),
         credentials=tuple(wire.credential_from_wire(ctx, c) for c in obj["credentials"]),
-        blinded=None if blinded is None else wire.blinded_from_wire(ctx, blinded),
+        blinded=wire.blinded_from_wire(ctx, obj["blinded"]),
     )
 
 
+def search_request_from_wire(ctx: PairingContext, obj: Mapping) -> SearchRequest:
+    return wire.open_envelope(obj, "search-request", _search_request_body, ctx)
+
+
 def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
-    return {
-        "format": wire.WIRE_FORMAT_VERSION,
-        "kind": "search-response",
-        "params": ctx.param_header(),
+    body = {
         "subset": list(resp.subset),
         "matches": [
             {
@@ -200,9 +199,10 @@ def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
             "matched": resp.stats.matched,
         },
     }
+    return wire.envelope("search-response", ctx, body)
 
 
-def search_response_from_wire(ctx: PairingContext, obj: Mapping) -> SearchResponse:
+def _search_response_body(ctx: PairingContext, obj: Mapping) -> SearchResponse:
     return SearchResponse(
         subset=tuple(int(i) for i in obj["subset"]),
         matches=tuple(
@@ -219,11 +219,12 @@ def search_response_from_wire(ctx: PairingContext, obj: Mapping) -> SearchRespon
     )
 
 
+def search_response_from_wire(ctx: PairingContext, obj: Mapping) -> SearchResponse:
+    return wire.open_envelope(obj, "search-response", _search_response_body, ctx)
+
+
 def update_request_to_wire(ctx: PairingContext, req: UpdateRequest) -> dict:
-    return {
-        "format": wire.WIRE_FORMAT_VERSION,
-        "kind": "update-request",
-        "params": ctx.param_header(),
+    body = {
         "record_id": req.record_id,
         "rtk": wire.enc_elem(ctx, req.rtk),
         "subset": list(req.subset),
@@ -236,9 +237,10 @@ def update_request_to_wire(ctx: PairingContext, req: UpdateRequest) -> dict:
             None if req.new_payload is None else wire.payload_to_wire(req.new_payload)
         ),
     }
+    return wire.envelope("update-request", ctx, body)
 
 
-def update_request_from_wire(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
+def _update_request_body(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
     return UpdateRequest(
         record_id=obj["record_id"],
         rtk=wire.dec_elem(ctx, obj["rtk"], Side.LEFT),
@@ -252,6 +254,10 @@ def update_request_from_wire(ctx: PairingContext, obj: Mapping) -> UpdateRequest
             None if obj["new_payload"] is None else wire.payload_from_wire(obj["new_payload"])
         ),
     )
+
+
+def update_request_from_wire(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
+    return wire.open_envelope(obj, "update-request", _update_request_body, ctx)
 
 
 class EscrowServer:
@@ -285,6 +291,8 @@ class EscrowServer:
     def open(cls, store_path: str | Path) -> "EscrowServer":
         """Reload a server from its store log (last frame per id wins)."""
         path = Path(store_path)
+        if not path.is_file():
+            raise BadRecord(f"no store file at {path}")
         # frames are streamed, so superseded ones are never all held at once
         with closing(_read_frames(path)) as frames:
             header = next(frames, None)
@@ -362,6 +370,8 @@ class EscrowServer:
     # -- search ------------------------------------------------------------------
 
     def search(self, req: SearchRequest, *, workers: int = 1) -> SearchResponse:
+        if req.blinded is None or req.blinded.element.is_identity:
+            raise InvalidBlinding("search request carries no blinded identity")
         subset = self.pks.check_subset(req.token.subset)
         with self._lock:
             snapshot = list(self._records.values())

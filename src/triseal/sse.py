@@ -14,10 +14,8 @@ for a data-set subset S, and the server accepts record j as a match iff
 
 Both sides equal e(prod pk_i, g)^r * e(H(w), g)^r exactly when the keyword
 and the declared subset agree with the token, and the server learns nothing
-but the boolean.
-
-The pre-subset variant (no modifier product; token = H(w)^sk) is kept for
-tests behind ``basic=True``.
+but the boolean.  The subset is never empty: tokens and matches both reject
+S = (), so there is no modifier-free form of the equation.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BadSetIndex, EmptySubset
-from .pairing import GroupElement, GtElement, HashDomain, PairingContext, Side
+from .pairing import GroupElement, GtElement, HashDomain, PairingContext
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,8 @@ class SetPublicKeys:
         return normalized
 
     def left_product(self, subset: Iterable[int]) -> GroupElement:
-        """prod_{i in S} pk_i in the LEFT group; identity for S = () (the
-        basic, modifier-free mode)."""
+        """prod_{i in S} pk_i in the LEFT group for a checked, non-empty S."""
         subset = tuple(subset)
-        if not subset:
-            return self.left[0].ctx.group_identity(Side.LEFT)
         product = self.left[subset[0] - 1]
         for i in subset[1:]:
             product = product * self.left[i - 1]
@@ -163,16 +158,9 @@ def consent_search_token(
     keyword: bytes | str,
     subset: Iterable[int],
     pks: SetPublicKeys,
-    *,
-    basic: bool = False,
 ) -> SearchToken:
     """token = (prod_{i in S} pk_i * H(w))^sk; deterministic in (sk, w, S)."""
-    subset = tuple(subset)
-    if basic:
-        if subset:
-            raise ValueError("basic mode carries no subset")
-    else:
-        subset = pks.check_subset(subset)
+    subset = pks.check_subset(subset)
     base = pks.left_product(subset) * ctx.hash_to_group(HashDomain.KEYWORD, keyword)
     return SearchToken(token=base**owner.sk, subset=subset)
 
@@ -201,8 +189,7 @@ def sse_match(
 ) -> bool:
     """True iff tagged keyword ``keyword_index`` matches the token under the
     token's declared subset.  A mismatch is an ordinary False."""
-    if token.subset:
-        pks.check_subset(token.subset)
+    pks.check_subset(token.subset)
     target = _match_target(ctx, elems, token.token, token.subset, pks)
     return target == elems.tagged_keywords[keyword_index]
 
@@ -215,7 +202,6 @@ def sse_match_any(
 ) -> bool:
     """Server-side form: the request does not say which keyword slot to try,
     so every tagged keyword is checked against one precomputed target."""
-    if token.subset:
-        pks.check_subset(token.subset)
+    pks.check_subset(token.subset)
     target = _match_target(ctx, elems, token.token, token.subset, pks)
     return any(target == tag for tag in elems.tagged_keywords)

@@ -1,21 +1,23 @@
 """Layer-level serialization: JSON envelopes with base64url element bytes.
 
-Every top-level artifact embeds the versioned parameter header so a reader
-can rebuild the pairing context before decoding elements.  Canonical bytes
-(sorted keys, compact separators) make equality checks and record ids
-stable.
+Every message and CLI file is an envelope: a ``format`` version, a ``kind``
+naming what it holds, and the versioned parameter header (``params``) so a
+reader can rebuild or check the pairing context before decoding elements.
+:func:`envelope` writes that header and :func:`open_envelope` checks it;
+no other module builds or reads one.  Canonical bytes (sorted keys, compact
+separators) make equality checks and record ids stable.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity
-from .errors import BadRecord
+from .errors import BackendMismatch, BadRecord
 from .pairing import WIRE_FORMAT as WIRE_FORMAT_VERSION
-from .pairing import GroupElement, GtElement, PairingContext, Side
+from .pairing import GroupElement, GtElement, PairingContext, Side, context_from_header
 from .payload import PayloadCiphertext, payload_from_bytes
 from .recovery import DecryptionTokenSet, KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements
@@ -31,6 +33,36 @@ def b64d(text: str) -> bytes:
 
 def canonical_json(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def envelope(kind: str, ctx: PairingContext, body: Mapping) -> dict:
+    """The self-describing header plus ``body``, ready for canonical_json."""
+    return {"format": WIRE_FORMAT_VERSION, "kind": kind, "params": ctx.param_header(), **body}
+
+
+def open_envelope(
+    obj: Any,
+    kind: str,
+    decode: Callable[[PairingContext, Mapping], Any],
+    ctx: PairingContext | None = None,
+) -> Any:
+    """Check the header of a ``kind`` envelope and return ``decode(ctx, obj)``.
+
+    Given ``ctx``, ``params`` must equal its header (else BackendMismatch);
+    without, the context is rebuilt from it.  Any other fault is BadRecord.
+    """
+    try:
+        if obj.get("kind") != kind:
+            raise BadRecord(f"expected a {kind} envelope, got {obj.get('kind')!r}")
+        if obj.get("format") != WIRE_FORMAT_VERSION:
+            raise BadRecord(f"unsupported {kind} envelope format {obj.get('format')!r}")
+        if ctx is None:
+            ctx = context_from_header(obj["params"])
+        elif obj["params"] != ctx.param_header():
+            raise BackendMismatch(f"{kind} envelope uses different parameters")
+        return decode(ctx, obj)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BadRecord(f"malformed {kind} envelope: {type(exc).__name__}: {exc}") from exc
 
 
 def enc_elem(ctx: PairingContext, e: GroupElement) -> str:

@@ -1,6 +1,8 @@
 """Command-line drivers: workflows, exit codes, isolation, replayability."""
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -201,3 +203,110 @@ def test_issue_requires_gid_on_first_use(tmp_path):
     assert run(
         "issue", "--home", tmp_path / "usr2", "--aa", tmp_path / "aa1",
     ) == EXIT_PROTOCOL
+
+
+def walkthrough(root: Path) -> None:
+    """bootstrap, consent, two issues, search and decrypt, every step seeded."""
+    root.mkdir(parents=True)
+    bootstrap(root)
+    assert run("consent", "--home", root / "own", "--server", root / "srv",
+               "--keyword", "bp", "--subset", "1,2", "--out", root / "consent.json") == EXIT_OK
+    assert run("issue", "--home", root / "usr", "--aa", root / "aa1", "--gid", "bob",
+               "--seed", "e1") == EXIT_OK
+    assert run("issue", "--home", root / "usr", "--aa", root / "aa2", "--seed", "e2") == EXIT_OK
+    assert run("search", "--home", root / "usr", "--server", root / "srv",
+               "--consent", root / "consent.json", "--out", root / "results.json") == EXIT_OK
+    assert run("decrypt", "--home", root / "usr", "--server", root / "srv",
+               "--consent", root / "consent.json", "--results", root / "results.json",
+               "--out-dir", root / "plain") == EXIT_OK
+
+
+# SHA-256 of every file the seeded walkthrough writes.  No file holds a path,
+# so the hashes do not depend on where the tree lives.
+WALKTHROUGH_SHA256 = {
+    "aa1/aa.json": "69706b62bc0a9b3bb9f2d59e1a0bcdecbc546331dedb78592fa2e6c919df876d",
+    "aa1/public.json": "073d877d1d6a6b5d777226b2f67715209842c2ce78354830e9d9a68c3674ea88",
+    "aa2/aa.json": "679e47e34a7d1e1fc0199b996ddf7403c37ad207883d945725cd57bd5cd10df1",
+    "aa2/public.json": "4fe0c2ff2bdc2575a6617ef7c66594d05892e27a01fbd785dedf5cf4d56e3e76",
+    "consent.json": "1eac272e28162a76b1dc393e9c206661c6f876c349b37467b86f4f140e8a6668",
+    "data.txt": "df166ef9772bcf42268af58a24b835546241e5b75771983a4b60b9b26b4a643e",
+    "own/owner.json": "e0eeed057de114b24d40b2ac2610406fe69a537723a1c860d783537fdd9e8645",
+    "plain/af09862074729217eb0d1f307fbd9a17.bin":
+        "df166ef9772bcf42268af58a24b835546241e5b75771983a4b60b9b26b4a643e",
+    "results.json": "bd169ce914db78ddd6e711d57a10beb2d36cab2923b950dd6e287902a767ec0d",
+    "srv/public.json": "d37ae5f124c8439bf713be3c0723aec000a0bacab864da04b9188be1012438d8",
+    "srv/store.log": "06deb2c3be629572eacd39d4b7352df974220ed18c37fab5223a9f2bf738c624",
+    "usr/outbox/request-0001.json":
+        "36f5cbd76da5e51510ff6da06a163a3017c918b6e60d1393226ea3e75e7bc020",
+    "usr/session.json": "a9b04b54a93583182fc9e55b92d028e00bccb13e1783461b960f76c8dc028fc9",
+    "usr/user.json": "48cf39cbfe664fe27ed313561afbb6e5fba2d1a7146255ba9e2e757c1725c717",
+}
+
+
+def test_walkthrough_known_answers(tmp_path):
+    root = tmp_path / "tree"
+    walkthrough(root)
+    written = {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+    assert written == WALKTHROUGH_SHA256
+
+
+@pytest.fixture(scope="module")
+def walked(tmp_path_factory):
+    root = tmp_path_factory.mktemp("walked") / "tree"
+    walkthrough(root)
+    return root
+
+
+SEARCH = ("search", "--home", "usr", "--server", "srv", "--consent", "consent.json",
+          "--out", "r.json")
+DECRYPT = ("decrypt", "--home", "usr", "--server", "srv", "--consent", "consent.json",
+           "--results", "results.json", "--out-dir", "out")
+ISSUE = ("issue", "--home", "usr", "--aa", "aa1", "--seed", "e9")
+CONSENT = ("consent", "--home", "own", "--server", "srv", "--keyword", "bp", "--subset", "1",
+           "--out", "c.json")
+PUBLISH = ("publish", "--home", "own", "--server", "srv", "--file", "data.txt",
+           "--keywords", "k", "--policy", "DOCTOR", "--set-index", 1, "--aa", "aa1")
+ALL_FAULTS = ("other-kind", "missing", "not-json")
+
+# (file a command reads, the command, a file of another kind, faults to try)
+READERS = [
+    ("srv/public.json", CONSENT, "aa1/public.json", ALL_FAULTS),
+    ("own/owner.json", CONSENT, "aa1/aa.json", ALL_FAULTS),
+    ("aa1/aa.json", ISSUE, "own/owner.json", ALL_FAULTS),
+    ("aa1/public.json", PUBLISH, "srv/public.json", ALL_FAULTS),
+    ("consent.json", SEARCH, "usr/session.json", ALL_FAULTS),
+    ("usr/session.json", SEARCH, "consent.json", ALL_FAULTS),
+    ("results.json", DECRYPT, "consent.json", ALL_FAULTS),
+    ("usr/user.json", ISSUE, "own/owner.json", ("other-kind", "not-json")),  # absent = first use
+    ("usr/user.json", SEARCH, "own/owner.json", ALL_FAULTS),
+    ("usr/user.json", DECRYPT, "own/owner.json", ALL_FAULTS),
+    ("srv/store.log", SEARCH, None, ("missing",)),
+]
+
+
+@pytest.mark.parametrize(
+    "target, argv, other, fault",
+    [(t, a, o, f) for t, a, o, faults in READERS for f in faults],
+    ids=[f"{a[0]}-{t}-{f}" for t, a, _, faults in READERS for f in faults],
+)
+def test_bad_input_files_exit_1_with_one_error_line(
+    walked, tmp_path, monkeypatch, capsys, target, argv, other, fault
+):
+    root = tmp_path / "tree"
+    shutil.copytree(walked, root)
+    monkeypatch.chdir(root)
+    path = root / target
+    if fault == "other-kind":
+        shutil.copyfile(root / other, path)
+    elif fault == "missing":
+        path.unlink()
+    else:
+        path.write_text("not json\n")
+    capsys.readouterr()
+    assert run(*argv) == EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -1,6 +1,7 @@
 """Key-recovery layer: the full worked vector plus round-trip properties."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -110,8 +111,6 @@ def test_consent_decrypt_token_vectors():
     assert recovery.consent_decrypt_token(ctx, unit, [1], pks).data == 11
     with pytest.raises(EmptySubset):
         recovery.consent_decrypt_token(ctx, owner, [], pks)
-    basic = recovery.consent_decrypt_token(ctx, owner, [], pks, basic=True)
-    assert basic.data == 5  # g^(sk')
 
 
 def test_issue_decrypt_token_vectors():
@@ -209,6 +208,8 @@ def test_recover_incomplete_tokens():
     )
     with pytest.raises(IncompleteTokens):
         recovery.recover_key(ctx, elems, incomplete, pks)
+    with pytest.raises(EmptySubset):  # no subset-free owner equation
+        recovery.recover_key(ctx, elems, replace(tokens, subset=()), pks)
 
 
 def _random_round_trip(ctx, rng, *, sabotage=None):

@@ -6,16 +6,19 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from triseal import sse
+from triseal import abe, sse
 from triseal.actors import Authority, Owner, User
-from triseal.errors import BadRecord, UpdateRejected
+from triseal.errors import BadRecord, InvalidBlinding, UpdateRejected
 from triseal.pairing import OracleContext
 from triseal.server import (
     DataRecord,
     EscrowServer,
+    SearchRequest,
     UpdateRequest,
     record_bytes,
     record_to_wire,
+    search_request_from_wire,
+    search_request_to_wire,
 )
 
 
@@ -133,6 +136,29 @@ def test_search_reports_incomplete_policy_per_record():
     assert resp.incomplete_policy == (rid_full,)
     assert resp.stats.sse_matched == 2
     assert resp.stats.abe_verified == 1  # the two-attribute record never verified
+
+
+def test_search_accepts_only_blinded_requests():
+    """Unblinded credentials g^(a_i) satisfy the bare policy equation, so a
+    request without a blinding is refused before any record is examined."""
+    w = World()
+    w.publish(b"x", ["bp"], ["A1"], 1)
+    _, consent, req = w.request("bp", [1])
+    unblinded = SearchRequest(
+        token=consent.search_token,
+        credentials=(abe.issue_credential(w.ctx, w.authorities["A1"].kp, None),),
+        blinded=None,
+    )
+    with pytest.raises(InvalidBlinding):
+        w.server.search(unblinded)
+    with pytest.raises(InvalidBlinding):
+        w.server.search(replace(req, blinded=abe.BlindedIdentity(w.ctx.g_left**0)))
+    for issue in (w.authorities["A1"].issue_credential, w.authorities["A1"].issue_decrypt_token):
+        with pytest.raises(InvalidBlinding):
+            issue(None)
+    blob = dict(search_request_to_wire(w.ctx, req), blinded=None)
+    with pytest.raises(BadRecord):
+        search_request_from_wire(w.ctx, blob)
 
 
 def test_pipeline_orders_sse_before_abe():

@@ -205,18 +205,15 @@ def test_record_unlinkability(oracle_big):
     assert elements_a.isdisjoint(elements_b)
 
 
-def test_basic_mode_matches_advanced_without_modifier(oracle_big):
-    """token = H(w)^sk with no subset is the modifier-free special case."""
-    ctx = oracle_big
-    rng = random.Random(25)
-    pks = sse.server_setup(ctx, 3, rng)
-    owner = sse.new_sse_key(ctx, rng)
-    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", ctx.random_scalar(rng), owner_id=b"o")
-    basic = sse.consent_search_token(ctx, owner, b"bp", [], pks, basic=True)
-    assert basic.subset == ()
-    assert basic.token == ctx.hash_to_group(HashDomain.KEYWORD, b"bp") ** owner.sk
-    assert sse.sse_match(ctx, elems, basic, 0, pks) is True
-    wrong = sse.consent_search_token(ctx, owner, b"zz", [], pks, basic=True)
-    assert sse.sse_match(ctx, elems, wrong, 0, pks) is False
-    with pytest.raises(ValueError):
-        sse.consent_search_token(ctx, owner, b"bp", [1], pks, basic=True)
+def test_match_rejects_empty_declared_subset():
+    """A token declaring S = () has no modifier-free equation to fall back
+    on: both match forms refuse it instead of checking e(token, .) alone."""
+    ctx = vector_ctx()
+    pks = vector_pks(ctx)
+    owner = sse.OwnerSseKey(sk=7)
+    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 3, owner_id=b"o")
+    bare = sse.SearchToken(token=ctx.hash_to_group(HashDomain.KEYWORD, b"bp") ** 7, subset=())
+    with pytest.raises(EmptySubset):
+        sse.sse_match_any(ctx, elems, bare, pks)
+    with pytest.raises(EmptySubset):
+        sse.sse_match(ctx, elems, bare, 0, pks)

@@ -7,7 +7,7 @@ import pytest
 
 from triseal import abe, recovery, sse, wire
 from triseal.actors import Authority, Owner, User
-from triseal.errors import BadRecord
+from triseal.errors import BadRecord, ProtocolError
 from triseal.pairing import OracleContext, context_from_header
 from triseal.server import (
     EscrowServer,
@@ -61,6 +61,8 @@ def test_record_rejects_corrupted_elements(world):
     del blob2["recovery"]
     with pytest.raises(BadRecord):
         record_from_wire(ctx, blob2)
+    with pytest.raises(BadRecord):  # a number where base64 text belongs
+        record_from_wire(ctx, dict(record_to_wire(ctx, server.fetch(rid)), payload=5))
 
 
 def test_pks_round_trip(world):
@@ -124,13 +126,46 @@ def test_params_header_embedded_everywhere(world):
     consent = owner.consent("bp", [1], pks)
     request = user.build_search_request(session, consent)
     response = server.search(request)
-    for envelope in (
-        record_to_wire(ctx, server.fetch(rid)),
-        search_request_to_wire(ctx, request),
-        search_response_to_wire(ctx, response),
-        update_request_to_wire(ctx, owner.update_request(rid, [1], pks, keywords=["x"])),
-    ):
+    messages = {
+        search_request_from_wire: search_request_to_wire(ctx, request),
+        search_response_from_wire: search_response_to_wire(ctx, response),
+        update_request_from_wire: update_request_to_wire(
+            ctx, owner.update_request(rid, [1], pks, keywords=["x"])
+        ),
+    }
+    for envelope in (record_to_wire(ctx, server.fetch(rid)), *messages.values()):
         assert context_from_header(envelope["params"]).fingerprint == ctx.fingerprint
+
+    # decoders check the header: kind, and the server's own parameters; a
+    # foreign oracle of the same element width would decode every element
+    foreign = OracleContext(2**128 - 159)
+    for decode, envelope in messages.items():
+        wrong_kind = [e for d, e in messages.items() if d is not decode]
+        wrong_kind.append(dict(envelope, kind="consent"))
+        for other in wrong_kind:
+            with pytest.raises(ProtocolError):
+                decode(ctx, roundtrip(other))
+        with pytest.raises(ProtocolError):
+            decode(foreign, roundtrip(envelope))
+
+
+# canonical bytes of the update request built from the ``world`` fixture
+UPDATE_REQUEST_BYTES = (
+    b'{"format":1,"kind":"update-request","new_abe":null,"new_payload":null,'
+    b'"new_recovery":null,"new_sse":{"kw_modifier":"ZArp1wtbvM4qsMxy9yQqyw==",'
+    b'"stk_transferor":"HEypzsQ2rWbSxRSzgcluag==","tagged_keywords":'
+    b'["ankas8oCr519MGY3mEFusQ==","Ipyc7BJwZ3KFqivY1nETtw=="],'
+    b'"update_keyword":"JjPV0cCrHfNlRAkLaxuHGA=="},"params":{"backend":"oracle",'
+    b'"format":1,"q":"7fffffffffffffffffffffffffffffff"},'
+    b'"record_id":"2c94412361c80592002c8621c5fd46b2","rtk":"WVGjPM4XBtq4h4B2_4SwCQ==",'
+    b'"subset":[1]}'
+)
+
+
+def test_update_request_known_answer(world):
+    ctx, pks, _, _, owner, _, rid = world
+    request = owner.update_request(rid, [1], pks, keywords=["rotated"])
+    assert wire.canonical_json(update_request_to_wire(ctx, request)) == UPDATE_REQUEST_BYTES
 
 
 def test_abe_wire_sorts_policy_attributes():
