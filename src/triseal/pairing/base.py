@@ -24,7 +24,7 @@ import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
 
@@ -179,15 +179,29 @@ class PairingContext(ABC):
         self._check(a)
         return GroupElement(self, a.side, self._g_exp(a.data, exponent % self.order))
 
+    def group_inverse(self, a: GroupElement) -> GroupElement:
+        self._check(a)
+        return GroupElement(self, a.side, self._g_inv(a.data))
+
     def pair(self, x: GroupElement, y: GroupElement) -> GtElement:
         """Bilinear map; strictly e(LEFT, RIGHT)."""
-        self._check(x)
-        self._check(y)
-        if x.side is not Side.LEFT or y.side is not Side.RIGHT:
-            raise SideMismatch(
-                f"pair() needs (LEFT, RIGHT), got ({x.side.value}, {y.side.value})"
-            )
-        return GtElement(self, self._pair(x.data, y.data))
+        return self.pairing_product([(x, y)])
+
+    def pairing_product(self, pairs: Iterable[tuple[GroupElement, GroupElement]]) -> GtElement:
+        """prod_i e(x_i, y_i) over (LEFT, RIGHT) pairs, the GT identity if
+        empty.  Equals multiplying ``pair`` results, but the curve backend
+        runs one Miller loop over cached lines of each x_i and one final
+        exponentiation; write e(a, b) / e(c, d) as e(a, b) * e(c^-1, d)."""
+        data = []
+        for x, y in pairs:
+            self._check(x)
+            self._check(y)
+            if x.side is not Side.LEFT or y.side is not Side.RIGHT:
+                raise SideMismatch(
+                    f"a pairing needs (LEFT, RIGHT), got ({x.side.value}, {y.side.value})"
+                )
+            data.append((x.data, y.data))
+        return GtElement(self, self._pair_product(data))
 
     def hash_to_group(self, domain: HashDomain, data: bytes | str) -> GroupElement:
         """Deterministic hash onto the LEFT group; domains are independent."""
@@ -261,7 +275,10 @@ class PairingContext(ABC):
     def _g_exp(self, a: Any, k: int) -> Any: ...
 
     @abstractmethod
-    def _pair(self, x: Any, y: Any) -> Any: ...
+    def _g_inv(self, a: Any) -> Any: ...
+
+    @abstractmethod
+    def _pair_product(self, pairs: list[tuple[Any, Any]]) -> Any: ...
 
     @abstractmethod
     def _hash(self, domain: HashDomain, data: bytes) -> Any: ...

@@ -10,12 +10,17 @@ subgroup of F_{p^2}^*, and the pairing is
 where phi(x, y) = (-x, i*y) is the distortion map into E(F_{p^2}) and
 f_{q,P} is the Miller function.  Every F_p factor of f vanishes under the
 final exponentiation (Barreto-Kim-Lynn-Scott), so the Miller loop skips the
-vertical lines and keeps T in Jacobian coordinates, scaling each line by
-its F_p denominator instead of inverting it (Chatterjee-Sarkar-Barua): the
-loop, which runs over the non-adjacent form of q, makes no field inversion.  After the (p - 1) step
-of the final exponentiation the value has norm 1, and the (p + 1)/q step
-runs as a Lucas ladder over F_p (Scott-Barreto).  F_{p^2} is realised as
-F_p[i] / (i^2 + 1), elements stored as (a, b) for a + b*i.
+vertical lines.  The lines of f_{q,P} depend on P alone: for a LEFT point
+P they are computed once, over the non-adjacent form of q with T in
+Jacobian coordinates (Chatterjee-Sarkar-Barua), made monic with one
+batched inversion, and kept in a small per-process cache (fixed-argument
+precomputation, Scott).  A product of pairings then squares one F_{p^2}
+accumulator per digit, multiplies in each pair's line at phi(Q), and
+shares one final exponentiation (Granger-Smart); a single pairing is the
+one-pair product.  After the (p - 1) step of the final exponentiation the
+value has norm 1, and the (p + 1)/q step runs as a Lucas ladder over F_p
+(Scott-Barreto).  F_{p^2} is realised as F_p[i] / (i^2 + 1), elements
+stored as (a, b) for a + b*i.
 
 Parameters: q is the first prime above a fixed 160-bit hash seed, and
 p = 4k*q - 1 is the first 512-bit prime found scanning k upward from a
@@ -84,12 +89,6 @@ def _fp2_mul(x, y):
 def _fp2_sqr(x):
     a, b = x
     return (a + b) * (a - b) % _P, 2 * a * b % _P
-
-
-def _fp2_inv(x):
-    a, b = x
-    norm_inv = _inv(a * a + b * b, _P)
-    return a * norm_inv % _P, -b * norm_inv % _P
 
 
 def _unitary_pow(x, e):
@@ -223,78 +222,101 @@ def _jac_to_affine(X, Y, Z):
     return X * zi2 % _P, Y * zi2 * zi % _P
 
 
-def _on_curve(pt) -> bool:
-    if pt is None:
-        return True
-    x, y = pt
-    return 0 <= x < CURVE_P and 0 <= y < CURVE_P and (y * y - x * x * x - x) % _P == 0
+def _batch_inv(values):
+    """Inverses of nonzero values mod p with one field inversion
+    (Montgomery's trick)."""
+    prefix = [mpz(1)]
+    for v in values:
+        prefix.append(prefix[-1] * v % _P)
+    inv = _inv(prefix[-1], _P)
+    out = [None] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv % _P
+        inv = inv * values[i] % _P
+    return out
 
 
-def _tangent(X, Y, Z, xq, yq):
-    """Tangent at T = (X, Y, Z) evaluated at (xq, yq*i), and 2T.
+@functools.lru_cache(maxsize=8)
+def _miller_lines(p_pt):
+    """Every line of the Miller loop of P, independent of the other argument.
 
-    The affine line yq*i - y - m*(xq - x), with slope m = M / (2*Y*Z),
-    M = 3*X^2 + Z^4, is scaled by 2*Y*Z^3 to (M*(X - xq*Z^2) - 2*Y^2) +
-    yq*2*Y*Z^3 * i."""
-    xx = X * X % _P
-    yy = Y * Y % _P
-    zz = Z * Z % _P
-    m = (3 * xx + zz * zz) % _P
-    z3 = 2 * Y * Z % _P
-    line = (m * ((X - xq * zz) % _P) - 2 * yy) % _P, yq * (z3 * zz % _P) % _P
-    s = 4 * X * yy % _P
-    x3 = (m * m - 2 * s) % _P
-    return line, x3, (m * (s - x3) - 8 * yy * yy) % _P, z3
-
-
-def _tate_pairing(p_pt, q_pt):
-    """Miller loop over the NAF digits of q with T = [n]P in Jacobian
-    coordinates, lines evaluated at phi(Q).  Each line is scaled by an F_p factor in
-    place of a division, and the final exponentiation removes every such
-    factor.  Line values have imaginary part y_Q times a nonzero scale, so
-    they are never zero."""
-    if p_pt is None or q_pt is None:
-        return _ONE
-    xq = -q_pt[0] % _P
-    yq = q_pt[1]
+    Four slots per NAF digit of q below the leading one: the tangent at T
+    and the chord through T and digit*P, each as (a, b) with value
+    (a + b*x_Q) + y_Q*i at phi(Q), i.e. the affine line divided by its F_p
+    denominator; (None, None) where a step has no chord.  T = [n]P stays in
+    Jacobian coordinates and all denominators share one batched inversion.
+    P has order q, so T = -digit*P (a vertical chord, an F_p factor) happens
+    only at the last digit, and T = +digit*P never."""
     xp, yp0 = p_pt
-    xpq = (xp - xq) % _P
-    f = _ONE
     X, Y, Z = mpz(xp), mpz(yp0), mpz(1)
-    alive = True  # T != infinity
+    nums = []  # (a*D, b*D, D) per line, None for a missing chord
     for digit in _Q_NAF:
-        f = _fp2_sqr(f)
-        if alive:
-            line, X, Y, Z = _tangent(X, Y, Z, xq, yq)
-            f = _fp2_mul(f, line)
-        if digit and alive:
-            # T + digit*P: for digit -1 the chord runs through -P, and the
-            # vertical line at P it also needs is an F_p factor
-            yp = yp0 if digit > 0 else -yp0 % _P
-            zz = Z * Z % _P
-            h = (xp * zz - X) % _P
-            r = (yp * Z * zz - Y) % _P
-            if h == 0:
-                if r:
-                    alive = False  # T = -digit*P, vertical chord: F_p factor, eliminated
-                    continue
-                line, X, Y, Z = _tangent(X, Y, Z, xq, yq)  # T = digit*P
-            else:
-                # chord through (xp, yp) with slope r / (Z*h), scaled by Z*h
-                z3 = Z * h % _P
-                line = (r * xpq - yp * z3) % _P, yq * z3 % _P
-                hh = h * h % _P
-                hhh = h * hh % _P
-                v = X * hh % _P
-                X = (r * r - hhh - 2 * v) % _P
-                Y = (r * (v - X) - Y * hhh) % _P
-                Z = z3
-            f = _fp2_mul(f, line)
+        # tangent slope M / (2*Y*Z), M = 3*X^2 + Z^4; D = 2*Y*Z^3
+        xx = X * X % _P
+        yy = Y * Y % _P
+        zz = Z * Z % _P
+        m = (3 * xx + zz * zz) % _P
+        z3 = 2 * Y * Z % _P
+        nums.append((m * X - 2 * yy, m * zz, z3 * zz))
+        s = 4 * X * yy % _P
+        X = (m * m - 2 * s) % _P
+        Y = (m * (s - X) - 8 * yy * yy) % _P
+        Z = z3
+        if not digit:
+            nums.append(None)
+            continue
+        # chord through (xp, yp) with slope r / (Z*h); D = Z*h
+        yp = yp0 if digit > 0 else -yp0 % _P
+        zz = Z * Z % _P
+        h = (xp * zz - X) % _P
+        if h == 0:
+            nums.append(None)
+            break
+        r = (yp * Z * zz - Y) % _P
+        z3 = Z * h % _P
+        nums.append((r * xp - yp * z3, r, z3))
+        hh = h * h % _P
+        hhh = h * hh % _P
+        v = X * hh % _P
+        X = (r * r - hhh - 2 * v) % _P
+        Y = (r * (v - X) - Y * hhh) % _P
+        Z = z3
+    invs = iter(_batch_inv([n[2] for n in nums if n is not None]))
+    lines = []
+    for n in nums:
+        if n is None:
+            lines += (None, None)
+        else:
+            d = next(invs)
+            lines += (n[0] * d % _P, n[1] * d % _P)
+    return tuple(lines)
+
+
+def _multi_pairing(pairs):
+    """prod e(P, Q) over (P, Q) pairs: one F_{p^2} accumulator squared once
+    per NAF digit, each pair's cached lines of P evaluated at phi(Q), and
+    one final exponentiation for the whole product."""
+    prepared = [(_miller_lines(p), *q) for p, q in pairs if p is not None and q is not None]
+    if not prepared:
+        return _ONE
+    f0, f1 = mpz(1), mpz(0)
+    for s in range(0, 4 * len(_Q_NAF), 4):
+        f0, f1 = (f0 + f1) * (f0 - f1) % _P, 2 * f0 * f1 % _P
+        for lines, xq, yq in prepared:
+            for k in (s, s + 2):
+                a = lines[k]
+                if a is not None:
+                    # f * (re + yq*i) with three multiplications
+                    re = (a + lines[k + 1] * xq) % _P
+                    t0 = f0 * re
+                    t1 = f1 * yq
+                    f0, f1 = (t0 - t1) % _P, ((f0 + f1) * (re + yq) - t0 - t1) % _P
     # final exponentiation (p^2 - 1)/q as (p - 1) then (p + 1)/q; the
-    # Frobenius on F_{p^2} is conjugation since p = 3 (mod 4), and the
-    # result of the first step has norm 1
-    f = _fp2_mul((f[0], -f[1] % _P), _fp2_inv(f))
-    return _unitary_pow(f, _FINAL_EXP)
+    # Frobenius on F_{p^2} is conjugation since p = 3 (mod 4), so
+    # f^(p-1) = conj(f) / f = conj(f)^2 / norm(f), which has norm 1
+    norm_inv = _inv(f0 * f0 + f1 * f1, _P)
+    a, b = _fp2_sqr((f0, -f1))
+    return _unitary_pow((a * norm_inv % _P, b * norm_inv % _P), _FINAL_EXP)
 
 
 def _point_from_label(label: bytes):
@@ -358,14 +380,17 @@ class CurveContext(PairingContext):
     def _g_mul(self, a, b):
         return _pt_add(a, b)
 
+    def _g_inv(self, a):
+        return None if a is None else (a[0], -a[1] % _P)
+
     def _g_exp(self, a, k: int):
         for table in self._tables.values():
             if a == table[0]:
                 return _table_mul(table, k)
         return _pt_mul(a, k)
 
-    def _pair(self, x, y):
-        return _tate_pairing(x, y)
+    def _pair_product(self, pairs):
+        return _multi_pairing(pairs)
 
     def _hash(self, domain: HashDomain, data: bytes):
         return _point_from_label(_H2G_PREFIX + domain.value + b":" + data)

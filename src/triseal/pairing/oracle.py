@@ -85,8 +85,11 @@ class OracleContext(PairingContext):
     def _g_exp(self, a: int, k: int) -> int:
         return a * k % self.order
 
-    def _pair(self, x: int, y: int) -> int:
-        return x * y % self.order
+    def _g_inv(self, a: int) -> int:
+        return -a % self.order
+
+    def _pair_product(self, pairs: list[tuple[int, int]]) -> int:
+        return sum(x * y for x, y in pairs) % self.order
 
     def _hash(self, domain: HashDomain, data: bytes) -> int:
         override = self.hash_overrides.get((domain, data))

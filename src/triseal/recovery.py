@@ -29,13 +29,14 @@ the recovered mask fails payload authentication.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .abe import BlindedIdentity
 from .errors import BadAttribute, IncompleteTokens, InvalidBlinding, NonceReuse
-from .pairing import GroupElement, GtElement, PairingContext
+from .pairing import GroupElement, GtElement, PairingContext, Side
 from .sse import SetPublicKeys
 
 
@@ -201,14 +202,13 @@ def recover_key(
     if missing:
         raise IncompleteTokens(f"no decryption token for: {', '.join(missing)}")
     subset = pks.check_subset(tokens.subset)
-    owner_part = ctx.pair(tokens.owner_token, elems.dtk_transferor) / ctx.pair(
-        pks.left_product(subset), elems.dtk_owner_modifier
-    )
-    aa_part = ctx.gt_identity()
-    for attr, transferor, modifier in zip(
-        elems.attrs, elems.dtk_aa_transferors, elems.dtk_aa_modifiers
-    ):
-        aa_part = aa_part * ctx.pair(tokens.aa_tokens[attr], transferor)
-        if tokens.blinded_r is not None:
-            aa_part = aa_part / ctx.pair(tokens.blinded_r.element, modifier)
-    return elems.wrapped_key / (owner_part * aa_part)
+    # one pairing product; prod_i e(U, M_i)^-1 is folded into e(U^-1, prod_i M_i)
+    pairs = [
+        (tokens.owner_token, elems.dtk_transferor),
+        (ctx.group_inverse(pks.left_product(subset)), elems.dtk_owner_modifier),
+        *((tokens.aa_tokens[a], t) for a, t in zip(elems.attrs, elems.dtk_aa_transferors)),
+    ]
+    if tokens.blinded_r is not None:
+        modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity(Side.RIGHT))
+        pairs.append((ctx.group_inverse(tokens.blinded_r.element), modifiers))
+    return elems.wrapped_key / ctx.pairing_product(pairs)

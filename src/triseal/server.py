@@ -298,13 +298,16 @@ class EscrowServer:
             header = next(frames, None)
             if header is None or header.get("kind") != "header":
                 raise BadRecord(f"store file {path} has no parameter header")
-            ctx = context_from_header(header["params"])
-            pks = wire.pks_from_wire(ctx, header["pks"])
+            try:
+                ctx = context_from_header(header["params"])
+                pks = wire.pks_from_wire(ctx, header["pks"])
+            except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
+                raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
             for frame in frames:
                 if frame.get("kind") != "record":
                     raise BadRecord(f"unexpected frame kind {frame.get('kind')!r}")
-                rec = record_from_wire(ctx, frame["record"])
+                rec = record_from_wire(ctx, frame.get("record"))
                 server._validate(rec)
                 server._records[rec.record_id] = rec
         server._store = path.open("ab")
@@ -494,4 +497,10 @@ def _read_frames(path: Path):
             data = fh.read(size)
             if len(data) != size:
                 raise BadRecord("truncated store frame")
-            yield json.loads(data.decode("utf-8"))
+            try:
+                frame = json.loads(data.decode("utf-8"))
+            except ValueError as exc:  # also UnicodeDecodeError
+                raise BadRecord(f"store frame is not UTF-8 JSON: {exc}") from exc
+            if not isinstance(frame, dict):
+                raise BadRecord("store frame is not a JSON object")
+            yield frame

@@ -173,11 +173,15 @@ def _match_target(
     pks: SetPublicKeys,
 ) -> GtElement:
     """Left side of the match equation plus the subset modifier division:
-    returns e(token, g^(r/sk)) / e(prod pk_i, g^r), to compare against a
-    tagged keyword."""
-    lhs = ctx.pair(token_like, elems.stk_transferor)
-    modifier = ctx.pair(pks.left_product(subset), elems.kw_modifier)
-    return lhs / modifier
+    returns e(token, g^(r/sk)) * e((prod pk_i)^-1, g^r) as one pairing
+    product, to compare against a tagged keyword.  Both left points are
+    fixed per request, so the curve backend reuses their Miller lines."""
+    return ctx.pairing_product(
+        [
+            (token_like, elems.stk_transferor),
+            (ctx.group_inverse(pks.left_product(subset)), elems.kw_modifier),
+        ]
+    )
 
 
 def sse_match(

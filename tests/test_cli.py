@@ -284,7 +284,7 @@ READERS = [
     ("usr/user.json", ISSUE, "own/owner.json", ("other-kind", "not-json")),  # absent = first use
     ("usr/user.json", SEARCH, "own/owner.json", ALL_FAULTS),
     ("usr/user.json", DECRYPT, "own/owner.json", ALL_FAULTS),
-    ("srv/store.log", SEARCH, None, ("missing",)),
+    ("srv/store.log", SEARCH, None, ("missing", "bad-frame")),
 ]
 
 
@@ -304,6 +304,8 @@ def test_bad_input_files_exit_1_with_one_error_line(
         shutil.copyfile(root / other, path)
     elif fault == "missing":
         path.unlink()
+    elif fault == "bad-frame":
+        path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x02xx")
     else:
         path.write_text("not json\n")
     capsys.readouterr()

@@ -103,6 +103,45 @@ def test_backend_mismatch(oracle101, oracle_big):
         oracle_big.pair(oracle101.g_left, oracle_big.g_right)
 
 
+@pytest.mark.parametrize("backend", ["oracle", "curve"])
+def test_pairing_product_equals_product_of_pairs(backend, oracle_big, curve_ctx):
+    ctx = oracle_big if backend == "oracle" else curve_ctx
+    rng = random.Random(15)
+    for k in range(4):
+        pairs = [
+            (ctx.g_left ** rng.randrange(1, ctx.order), ctx.g_right ** rng.randrange(1, ctx.order))
+            for _ in range(k)
+        ]
+        expected = ctx.gt_identity()
+        for x, y in pairs:
+            expected = expected * ctx.pair(x, y)
+        assert ctx.pairing_product(pairs) == expected
+    assert ctx.pairing_product([]) == ctx.gt_identity()
+    x, y = ctx.g_left**5, ctx.g_right**7
+    assert ctx.pairing_product([(ctx.group_identity(Side.LEFT), y)]).is_identity
+    assert ctx.pairing_product([(x, ctx.group_identity(Side.RIGHT))]).is_identity
+    assert ctx.group_inverse(ctx.group_identity(Side.LEFT)).is_identity
+    assert ctx.pair(ctx.group_inverse(x), y) == ctx.gt_identity() / ctx.pair(x, y)
+    assert ctx.pairing_product([(x, y), (ctx.group_inverse(x), y)]).is_identity
+
+
+@pytest.mark.parametrize("backend", ["oracle", "curve"])
+def test_pairing_product_checks_sides_and_context(backend, oracle_big, curve_ctx):
+    ctx = oracle_big if backend == "oracle" else curve_ctx
+    x, y = ctx.g_left, ctx.g_right
+    with pytest.raises(SideMismatch):
+        ctx.pairing_product([(x, y), (y, x)])
+    with pytest.raises(SideMismatch):
+        ctx.pairing_product([(x, x)])
+    foreign = OracleContext(101)
+    with pytest.raises(BackendMismatch):
+        ctx.pairing_product([(x, y), (foreign.g_left, y)])
+    with pytest.raises(BackendMismatch):
+        ctx.pairing_product([(x, foreign.g_right)])
+    with pytest.raises(BackendMismatch):
+        ctx.group_inverse(foreign.g_left)
+
+
 def test_oracle_requires_prime_order():
     with pytest.raises(ValueError):
         OracleContext(100)
@@ -291,6 +330,9 @@ def test_curve_known_answers(curve_ctx):
     assert digest(ctx.gt_to_bytes(ctx.pair(ctx.g_left, ctx.g_right))) == _KAT_GEN_PAIR
     for k, expected in _KAT_KEYWORD_PAIR.items():
         assert digest(ctx.gt_to_bytes(ctx.pair(h, ctx.g_right**k))) == expected
+    # e(h, g^2) * e(h^-1, g) as one product gives the pinned bytes of e(h, g)
+    ratio = ctx.pairing_product([(h, ctx.g_right**2), (ctx.group_inverse(h), ctx.g_right)])
+    assert digest(ctx.gt_to_bytes(ratio)) == _KAT_KEYWORD_PAIR[1]
     one = ctx.pair(ctx.group_identity(Side.LEFT), ctx.g_right)
     assert ctx.gt_to_bytes(one) == (1).to_bytes(64, "big") + bytes(64)
     for k, (left, right) in _KAT_G_EXP.items():

@@ -1,7 +1,9 @@
 """Escrow server: storage, search pipeline, re-encryption, hygiene."""
 
+import json
 import logging
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -9,7 +11,9 @@ import pytest
 from triseal import abe, sse
 from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, UpdateRejected
-from triseal.pairing import OracleContext
+from triseal.pairing import OracleContext, PairingContext
+from triseal.pairing.curve import _miller_lines
+from triseal.recovery import DecryptionTokenSet, recover_key
 from triseal.server import (
     DataRecord,
     EscrowServer,
@@ -25,8 +29,8 @@ from triseal.server import (
 class World:
     """A small in-memory deployment reused across server tests."""
 
-    def __init__(self, seed=60, n_sets=3, attrs=("A1", "A2"), store_path=None):
-        self.ctx = OracleContext()
+    def __init__(self, seed=60, n_sets=3, attrs=("A1", "A2"), store_path=None, ctx=None):
+        self.ctx = ctx or OracleContext()
         self.rng = random.Random(seed)
         self.pks = sse.server_setup(self.ctx, n_sets, self.rng)
         self.server = EscrowServer(self.ctx, self.pks, store_path=store_path)
@@ -181,6 +185,58 @@ def test_parallel_search_equals_serial():
         assert w.server.search(req, workers=workers) == serial
 
 
+@pytest.fixture(scope="module")
+def curve_world(curve_ctx):
+    w = World(ctx=curve_ctx)
+    for i in range(6):
+        w.publish(f"rec-{i}".encode(), ["bp" if i % 3 == 0 else "hr"], ["A1", "A2"], 1 + i % 3)
+    return w
+
+
+def test_parallel_curve_search_equals_serial(curve_world):
+    """Search threads share the process-wide cache of Miller lines."""
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    serial = w.server.search(req, workers=1)
+    assert serial.stats.candidates == 6 and serial.stats.matched == 2
+    _miller_lines.cache_clear()
+    assert w.server.search(req, workers=2) == serial
+
+
+def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
+    """A keyword miss costs one pairing product per candidate over the two
+    request-wide left points; recovering a key costs one product."""
+    w = curve_world
+    _, _, miss = w.request("absent", [1, 2, 3])
+    session, consent, hit = w.request("bp", [1, 2, 3])
+    response = w.server.search(hit)
+    counts = Counter()
+    for name in ("pair", "pairing_product"):
+        original = getattr(PairingContext, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(PairingContext, name, counted)
+    _miller_lines.cache_clear()
+    stats = w.server.search(miss).stats
+    assert stats.candidates == 6 and stats.sse_matched == 0
+    assert counts == {"pairing_product": 6}
+    assert _miller_lines.cache_info().misses == 2
+    for match in response.matches:
+        counts.clear()
+        tokens = DecryptionTokenSet(
+            owner_token=consent.owner_decrypt_token,
+            subset=consent.subset,
+            aa_tokens={a: session.decrypt_tokens[a] for a in match.policy},
+            blinded_r=session.blinded_r,
+        )
+        recover_key(w.ctx, match.recovery, tokens, w.pks)
+        assert counts == {"pairing_product": 1}
+    assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
+
+
 def test_update_accepts_owner_and_swaps_layers():
     w = World()
     rid = w.publish(b"v1", ["bp"], ["A1"], 1)
@@ -313,6 +369,45 @@ def test_open_rejects_store_without_header(tmp_path):
     headless.write_bytes(raw[header_size:])
     with pytest.raises(BadRecord):
         EscrowServer.open(headless)
+
+
+def _frame(obj) -> bytes:
+    data = json.dumps(obj).encode()
+    return len(data).to_bytes(4, "big") + data
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        b"\x00\x00\x00\x02xx",
+        b"\x00\x00\x00\x02[]",
+        b"\x00\x00\x00\x02\xff\xfe",
+        b"\x00\x00\x00\x04null",
+        _frame({"kind": "record"}),
+    ],
+    ids=["not-json", "not-object", "not-utf8", "null", "no-record"],
+)
+def test_open_rejects_undecodable_frames(tmp_path, frame):
+    path = tmp_path / "store.log"
+    w = World(store_path=path)
+    w.publish(b"a", ["bp"], ["A1"], 1)
+    w.server.close()
+    with path.open("ab") as fh:
+        fh.write(frame)
+    with pytest.raises(BadRecord):
+        EscrowServer.open(path)
+
+
+@pytest.mark.parametrize("field", ["params", "pks"])
+def test_open_rejects_incomplete_header(tmp_path, field):
+    path = tmp_path / "store.log"
+    World(store_path=path).server.close()
+    raw = path.read_bytes()
+    header = json.loads(raw[4 : 4 + int.from_bytes(raw[:4], "big")])
+    del header[field]
+    path.write_bytes(_frame(header))
+    with pytest.raises(BadRecord):
+        EscrowServer.open(path)
 
 
 def test_server_state_and_logs_leak_nothing(tmp_path, caplog):
