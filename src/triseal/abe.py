@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BadAttribute, IncompletePolicy, InvalidBlinding
-from .pairing import GroupElement, GtElement, HashDomain, PairingContext
+from .pairing import GroupElement, GtElement, PairingContext
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,11 @@ class BlindedIdentity:
     element: GroupElement
 
 
-def blind_identity(ctx: PairingContext, gid: bytes | str, nonce: int) -> BlindedIdentity:
+def blind_identity(ctx: PairingContext, gid_point: GroupElement, nonce: int) -> BlindedIdentity:
+    """H(GID)^r for ``gid_point`` = H(GID) under the GID domain, hashed once
+    by the caller, and a fresh per-request nonce r."""
     r = ctx.require_nonzero(nonce, "blinding nonce")
-    return BlindedIdentity(element=ctx.hash_to_group(HashDomain.GID, gid) ** r)
+    return BlindedIdentity(element=gid_point**r)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import abe, payload, recovery, sse
@@ -93,6 +94,15 @@ class Owner:
         self.update_id = update_id
         self.rng = rng
 
+    # the identities never change, so each is hashed once, on first use
+    @cached_property
+    def owner_point(self) -> GroupElement:
+        return self.ctx.hash_to_group(HashDomain.KEYWORD, self.owner_id)
+
+    @cached_property
+    def update_point(self) -> GroupElement:
+        return self.ctx.hash_to_group(HashDomain.UPDATE_ID, self.update_id)
+
     @classmethod
     def create(cls, ctx: PairingContext, owner_id: str, rng: random.Random) -> "Owner":
         sse_key = sse.new_sse_key(ctx, rng)
@@ -110,7 +120,7 @@ class Owner:
     def _sse_layer(self, keywords: Sequence[bytes | str]) -> tuple[sse.SseRecordElements, int]:
         r = self.ctx.random_scalar(self.rng)
         elems = sse.sse_encrypt(
-            self.ctx, self.sse_key, keywords, self.update_id, r, owner_id=self.owner_id
+            self.ctx, self.sse_key, keywords, self.update_point, r, owner_point=self.owner_point
         )
         return elems, r
 
@@ -198,10 +208,7 @@ class Owner:
         """rtk = (prod_{i in S} pk_i * H(ID_RTk))^sk under the update-id
         hash domain."""
         subset = pks.check_subset(subset)
-        base = pks.left_product(subset) * self.ctx.hash_to_group(
-            HashDomain.UPDATE_ID, self.update_id
-        )
-        return base**self.sse_key.sk
+        return (pks.left_product(subset) * self.update_point) ** self.sse_key.sk
 
     def update_request(
         self,
@@ -266,11 +273,16 @@ class User:
         self.gid = gid
         self.rng = rng
 
+    @cached_property
+    def gid_point(self) -> GroupElement:
+        return self.ctx.hash_to_group(HashDomain.GID, self.gid)
+
     def new_session(self) -> UserSession:
         """Fresh per-request blindings for the credential and recovery layers."""
+        ctx, gid_point = self.ctx, self.gid_point
         return UserSession(
-            blinded=abe.blind_identity(self.ctx, self.gid, self.ctx.random_scalar(self.rng)),
-            blinded_r=abe.blind_identity(self.ctx, self.gid, self.ctx.random_scalar(self.rng)),
+            blinded=abe.blind_identity(ctx, gid_point, ctx.random_scalar(self.rng)),
+            blinded_r=abe.blind_identity(ctx, gid_point, ctx.random_scalar(self.rng)),
         )
 
     def collect(self, session: UserSession, authority: Authority) -> None:

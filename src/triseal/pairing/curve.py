@@ -14,12 +14,16 @@ vertical lines.  The lines of f_{q,P} depend on P alone: for a LEFT point
 P they are computed once, over the non-adjacent form of q with T in
 Jacobian coordinates (Chatterjee-Sarkar-Barua), made monic with one
 batched inversion, and kept in a small per-process cache (fixed-argument
-precomputation, Scott).  A product of pairings then squares one F_{p^2}
-accumulator per digit, multiplies in each pair's line at phi(Q), and
-shares one final exponentiation (Granger-Smart); a single pairing is the
-one-pair product.  After the (p - 1) step of the final exponentiation the
-value has norm 1, and the (p + 1)/q step runs as a Lucas ladder over F_p
-(Scott-Barreto).  F_{p^2} is realised as F_p[i] / (i^2 + 1), elements
+precomputation, Scott); the two generators' lines are kept for good, next
+to their doubling tables.  Every point of G, LEFT or RIGHT, lies in the
+one cyclic order-q subgroup, so the pairing is symmetric, e(P, Q) =
+e(Q, P), and a pair whose RIGHT point is a generator runs over that
+generator's lines at phi(P) (Costello-Stebila).  A product of pairings
+squares one F_{p^2} accumulator per digit, multiplies in each pair's line,
+and shares one final exponentiation (Granger-Smart); a single pairing is
+the one-pair product.  After the (p - 1) step of the final exponentiation
+the value has norm 1, and the (p + 1)/q step runs as a Lucas ladder over
+F_p (Scott-Barreto).  F_{p^2} is realised as F_p[i] / (i^2 + 1), elements
 stored as (a, b) for a + b*i.
 
 Parameters: q is the first prime above a fixed 160-bit hash seed, and
@@ -292,11 +296,22 @@ def _miller_lines(p_pt):
     return tuple(lines)
 
 
+def _prepared(p_pt, q_pt):
+    """(lines, x, y) for e(P, Q): one argument's lines, the other's point."""
+    for table, lines in map(_base_table, Side):
+        if p_pt == table[0]:
+            return (lines, *q_pt)
+        if q_pt == table[0]:
+            # P and Q lie in the one order-q subgroup, so e(P, Q) = e(Q, P)
+            return (lines, *p_pt)
+    return (_miller_lines(p_pt), *q_pt)
+
+
 def _multi_pairing(pairs):
     """prod e(P, Q) over (P, Q) pairs: one F_{p^2} accumulator squared once
-    per NAF digit, each pair's cached lines of P evaluated at phi(Q), and
-    one final exponentiation for the whole product."""
-    prepared = [(_miller_lines(p), *q) for p, q in pairs if p is not None and q is not None]
+    per NAF digit, each pair's cached lines evaluated at the other point's
+    phi image, and one final exponentiation for the whole product."""
+    prepared = [_prepared(p, q) for p, q in pairs if p is not None and q is not None]
     if not prepared:
         return _ONE
     f0, f1 = mpz(1), mpz(0)
@@ -344,10 +359,11 @@ _BASE_LABELS = {Side.LEFT: b"triseal/v1/base/left", Side.RIGHT: b"triseal/v1/bas
 
 @functools.cache
 def _base_table(side: Side):
-    """Doubling table of the generator on ``side``.  It depends only on the
-    fixed curve constants, so it is built once per process and shared by
-    every context."""
-    return _doubling_table(_point_from_label(_BASE_LABELS[side]))
+    """(doubling table, Miller lines) of the generator on ``side``.  Both
+    depend only on the fixed curve constants, so they are built once per
+    process, shared by every context and kept out of the lines' LRU."""
+    g = _point_from_label(_BASE_LABELS[side])
+    return _doubling_table(g), _miller_lines.__wrapped__(g)
 
 
 class CurveContext(PairingContext):
@@ -357,7 +373,7 @@ class CurveContext(PairingContext):
 
     def __init__(self):
         super().__init__(CURVE_Q)
-        self._tables = {side: _base_table(side) for side in Side}
+        self._tables = {side: _base_table(side)[0] for side in Side}
 
     def param_header(self) -> dict:
         from .base import WIRE_FORMAT

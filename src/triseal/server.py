@@ -31,7 +31,6 @@ import hashlib
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -385,6 +384,7 @@ class EscrowServer:
         else:
             step = (len(candidates) + workers - 1) // workers
             chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
+            from concurrent.futures import ThreadPoolExecutor  # deferred: only pools need it
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(lambda c: self._search_chunk(c, req), chunks))
 

@@ -127,23 +127,23 @@ def sse_encrypt(
     ctx: PairingContext,
     owner: OwnerSseKey,
     keywords: Sequence[bytes | str],
-    update_id: bytes | str,
+    update_point: GroupElement,
     nonce: int,
     *,
-    owner_id: bytes | str,
+    owner_point: GroupElement,
 ) -> SseRecordElements:
-    """Build the per-record search elements; the owner id is always tagged
-    as one extra trailing keyword."""
+    """Build the per-record search elements.  Keywords are labels; the
+    owner's fixed identities come hashed: ``update_point`` = H(ID_RTk) under
+    the update-id domain, and ``owner_point`` = H(owner_id) under the
+    keyword domain, tagged as one extra trailing keyword."""
     if not keywords:
         raise ValueError("need at least one keyword")
     r = ctx.require_nonzero(nonce, "record nonce")
     sk_inv = ctx.scalar_inverse(owner.sk)
     g_right = ctx.g_right
-    tagged = tuple(
-        ctx.pair(ctx.hash_to_group(HashDomain.KEYWORD, w), g_right) ** r
-        for w in (*keywords, owner_id)
-    )
-    update_tag = ctx.pair(ctx.hash_to_group(HashDomain.UPDATE_ID, update_id), g_right) ** r
+    points = [ctx.hash_to_group(HashDomain.KEYWORD, w) for w in keywords]
+    tagged = tuple(ctx.pair(h, g_right) ** r for h in (*points, owner_point))
+    update_tag = ctx.pair(update_point, g_right) ** r
     return SseRecordElements(
         stk_transferor=g_right ** (r * sk_inv),
         kw_modifier=g_right**r,

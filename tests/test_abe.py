@@ -36,7 +36,9 @@ def test_aa_setup_vectors():
 def test_issue_credential_vectors():
     ctx = vector_ctx()
     kp1, kp2 = vector_keypairs(ctx)
-    blinded = abe.blind_identity(ctx, b"gid", 2)  # H(GID)^2 = g^18
+    blinded = abe.blind_identity(  # H(GID)^2 = g^18
+        ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2
+    )
     assert blinded.element.data == 18
     c1 = abe.issue_credential(ctx, kp1, blinded)
     assert c1.credential.data == (1 + 18) * 11 % 101 == 7
@@ -53,7 +55,7 @@ def test_issue_rejects_identity_blinding():
     with pytest.raises(InvalidBlinding):
         abe.issue_credential(ctx, kp1, identity)
     with pytest.raises(NonInvertible):
-        abe.blind_identity(ctx, b"gid", 0)
+        abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 0)
 
 
 def test_policy_encrypt_vectors():
@@ -94,7 +96,7 @@ def _vector_setup():
 
 def test_verify_worked_vector():
     ctx, kp1, kp2, elems = _vector_setup()
-    blinded = abe.blind_identity(ctx, b"gid", 2)
+    blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     creds = [abe.issue_credential(ctx, kp1, blinded), abe.issue_credential(ctx, kp2, blinded)]
     # left: gT^(7*83) * gT^(45*16) = gT^76 * gT^13 = gT^89
     assert sum_mod([7 * 83, 45 * 16]) == sum_mod([76, 13]) == 89
@@ -105,8 +107,10 @@ def test_verify_worked_vector():
 
 def test_verify_rejects_mixed_blinding():
     ctx, kp1, kp2, elems = _vector_setup()
-    blinded = abe.blind_identity(ctx, b"gid", 2)
-    other = abe.blind_identity(ctx, b"gid", 3)  # same GID, different nonce
+    blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
+    other = abe.blind_identity(  # same GID, different nonce
+        ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 3
+    )
     creds = [abe.issue_credential(ctx, kp1, blinded), abe.issue_credential(ctx, kp2, other)]
     assert abe.abe_verify(ctx, elems, creds, blinded) is False
 
@@ -121,7 +125,7 @@ def test_verify_basic_mode_vector():
 
 def test_verify_incomplete_policy_distinct_from_false():
     ctx, kp1, _, elems = _vector_setup()
-    blinded = abe.blind_identity(ctx, b"gid", 2)
+    blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     with pytest.raises(IncompletePolicy):
         abe.abe_verify(ctx, elems, [abe.issue_credential(ctx, kp1, blinded)], blinded)
 
@@ -143,7 +147,9 @@ def test_completeness_random(oracle_big):
     rng = random.Random(31)
     for _ in range(60):
         attrs, kps, elems = _random_setup(ctx, rng, rng.randrange(1, 5))
-        blinded = abe.blind_identity(ctx, f"gid{rng.random()}", ctx.random_scalar(rng))
+        blinded = abe.blind_identity(
+            ctx, ctx.hash_to_group(HashDomain.GID, f"gid{rng.random()}"), ctx.random_scalar(rng)
+        )
         creds = [abe.issue_credential(ctx, kps[a], blinded) for a in attrs]
         assert abe.abe_verify(ctx, elems, creds, blinded) is True
 
@@ -155,11 +161,17 @@ def test_anti_collusion_random(oracle_big):
     rng = random.Random(32)
     for trial in range(60):
         attrs, kps, elems = _random_setup(ctx, rng, rng.randrange(2, 5))
-        blinded_a = abe.blind_identity(ctx, "gid-a", ctx.random_scalar(rng))
+        blinded_a = abe.blind_identity(
+            ctx, ctx.hash_to_group(HashDomain.GID, "gid-a"), ctx.random_scalar(rng)
+        )
         if trial % 2:
-            blinded_b = abe.blind_identity(ctx, "gid-b", ctx.random_scalar(rng))
+            blinded_b = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, "gid-b"), ctx.random_scalar(rng)
+            )
         else:
-            blinded_b = abe.blind_identity(ctx, "gid-a", ctx.random_scalar(rng))
+            blinded_b = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, "gid-a"), ctx.random_scalar(rng)
+            )
         mix_at = rng.randrange(len(attrs))
         creds = [
             abe.issue_credential(ctx, kps[a], blinded_b if i == mix_at else blinded_a)
@@ -172,8 +184,12 @@ def test_nonce_unlinkability(oracle_big):
     ctx = oracle_big
     rng = random.Random(33)
     kp = abe.aa_setup(ctx, "A1", rng)
-    b1 = abe.blind_identity(ctx, "same-gid", ctx.random_scalar(rng))
-    b2 = abe.blind_identity(ctx, "same-gid", ctx.random_scalar(rng))
+    b1 = abe.blind_identity(
+        ctx, ctx.hash_to_group(HashDomain.GID, "same-gid"), ctx.random_scalar(rng)
+    )
+    b2 = abe.blind_identity(
+        ctx, ctx.hash_to_group(HashDomain.GID, "same-gid"), ctx.random_scalar(rng)
+    )
     assert b1.element != b2.element
     assert abe.issue_credential(ctx, kp, b1) != abe.issue_credential(ctx, kp, b2)
 
@@ -205,6 +221,6 @@ def test_identity_blinding_reduces_to_basic_equation():
 
 def test_credential_matching_is_order_insensitive():
     ctx, kp1, kp2, elems = _vector_setup()
-    blinded = abe.blind_identity(ctx, b"gid", 2)
+    blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     creds = [abe.issue_credential(ctx, kp2, blinded), abe.issue_credential(ctx, kp1, blinded)]
     assert abe.abe_verify(ctx, elems, creds, blinded) is True

@@ -79,12 +79,26 @@ def _worked_vector_sweep():
     eq_g(pks.right[1], 20, "right")
     assert len(set(sse.server_setup(ctx, 2, exponents=[30, 40]).right) & set(pks.right)) == 0
     owner = sse.OwnerSseKey(sk=7)
-    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"rtk-id", 3, owner_id=b"owner")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"rtk-id"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"owner"),
+    )
     eq_g(elems.stk_transferor, 3 * brute_inverse(7), "right")
     eq_g(elems.kw_modifier, 3, "right")
     eq_gt(elems.tagged_keywords[0], 5 * 3)
     eq_gt(elems.update_keyword, 11 * 3)
-    other = sse.sse_encrypt(ctx, owner, [b"bp"], b"rtk-id", 4, owner_id=b"owner")
+    other = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"rtk-id"),
+        4,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"owner"),
+    )
     assert other.stk_transferor != elems.stk_transferor
     assert other.tagged_keywords[0] != elems.tagged_keywords[0]
     token1 = sse.consent_search_token(ctx, owner, b"bp", [1], pks)
@@ -106,7 +120,7 @@ def _worked_vector_sweep():
     kp2 = abe.aa_setup(ctx, "A2", ask=13)
     eq_g(kp1.apk, brute_inverse(11), "right")
     assert abe.aa_setup(ctx, "A1", ask=12).apk != kp1.apk
-    blinded = abe.blind_identity(ctx, b"gid", 2)
+    blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     eq_g(blinded.element, 9 * 2)
     cred1 = abe.issue_credential(ctx, kp1, blinded)
     cred2 = abe.issue_credential(ctx, kp2, blinded)
@@ -123,7 +137,7 @@ def _worked_vector_sweep():
     eq_gt(policy.plcy, 4 + 6)
     assert sum_mod([7 * 83, 45 * 16]) == sum_mod([10, 18 * 4, 18 * 6]) == 89
     assert abe.abe_verify(ctx, policy, [cred1, cred2], blinded) is True
-    blinded3 = abe.blind_identity(ctx, b"gid", 3)
+    blinded3 = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 3)
     mixed = [cred1, abe.issue_credential(ctx, kp2, blinded3)]
     assert abe.abe_verify(ctx, policy, mixed, blinded) is False
     basic_creds = [abe.issue_credential(ctx, kp1, None), abe.issue_credential(ctx, kp2, None)]
@@ -149,7 +163,7 @@ def _worked_vector_sweep():
     owner_tok1 = recovery.consent_decrypt_token(ctx, owner_r, [1], pks)
     eq_g(owner_tok1, (10 + 1) * 5)
     eq_g(recovery.consent_decrypt_token(ctx, owner_r, [1, 2], pks), (10 + 20 + 1) * 5)
-    blinded_r = abe.blind_identity(ctx, b"gid", 8)
+    blinded_r = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 8)
     aa_tok1 = recovery.issue_decrypt_token(ctx, rk1, blinded_r)
     aa_tok2 = recovery.issue_decrypt_token(ctx, rk2, blinded_r)
     eq_g(aa_tok1, (1 + 72) * 17)
@@ -170,7 +184,7 @@ def _worked_vector_sweep():
     )
     assert recovery.recover_key(ctx, wrap_id, tokens, pks).is_identity
     ctx.set_hash_override(HashDomain.GID, b"gid2", 25)
-    foreign = abe.blind_identity(ctx, b"gid2", 8)
+    foreign = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid2"), 8)
     bad_tokens = recovery.DecryptionTokenSet(
         owner_token=owner_tok1, subset=(1,),
         aa_tokens={
@@ -202,7 +216,14 @@ def _sse_trial(ctx, rng, *, mismatch):
     pks = sse.server_setup(ctx, n, rng)
     owner = sse.new_sse_key(ctx, rng)
     keyword = f"kw-{rng.randrange(10**9)}".encode()
-    elems = sse.sse_encrypt(ctx, owner, [keyword], b"u", ctx.random_scalar(rng), owner_id=b"o")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        [keyword],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        ctx.random_scalar(rng),
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     subset = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
     query = b"wrong-" + keyword if mismatch else keyword
     token = sse.consent_search_token(ctx, owner, query, subset, pks)
@@ -236,7 +257,14 @@ def test_criterion_3_subset_binding():
             pks = sse.server_setup(ctx, n, rng)
             owner = sse.new_sse_key(ctx, rng)
             kw = f"kw{rng.random()}".encode()
-            elems = sse.sse_encrypt(ctx, owner, [kw], b"u", ctx.random_scalar(rng), owner_id=b"o")
+            elems = sse.sse_encrypt(
+                ctx,
+                owner,
+                [kw],
+                ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+                ctx.random_scalar(rng),
+                owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+            )
             subset = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1))))
             token = sse.consent_search_token(ctx, owner, kw, subset, pks)
             while True:
@@ -264,8 +292,12 @@ def test_criterion_4_anti_collusion():
             )
             gid_a = f"gid-a-{trial}"
             gid_b = gid_a if trial % 2 else f"gid-b-{trial}"  # same GID, new nonce / other GID
-            blinded_a = abe.blind_identity(ctx, gid_a, ctx.random_scalar(rng))
-            blinded_b = abe.blind_identity(ctx, gid_b, ctx.random_scalar(rng))
+            blinded_a = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, gid_a), ctx.random_scalar(rng)
+            )
+            blinded_b = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, gid_b), ctx.random_scalar(rng)
+            )
             mixed_at = rng.randrange(len(attrs))
             creds = [
                 abe.issue_credential(ctx, kps[a], blinded_b if i == mixed_at else blinded_a)
@@ -286,8 +318,12 @@ def test_criterion_4_anti_collusion():
                 ctx.random_scalar(rng), {a: ctx.random_scalar(rng) for a in attrs}, mask,
             )
             subset = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1))))
-            blinded_r = abe.blind_identity(ctx, f"g{trial}", ctx.random_scalar(rng))
-            foreign = abe.blind_identity(ctx, f"g{trial}x", ctx.random_scalar(rng))
+            blinded_r = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, f"g{trial}"), ctx.random_scalar(rng)
+            )
+            foreign = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, f"g{trial}x"), ctx.random_scalar(rng)
+            )
             mixed_at = rng.randrange(len(attrs))
             tokens = recovery.DecryptionTokenSet(
                 owner_token=recovery.consent_decrypt_token(ctx, owner, subset, pks),
@@ -324,7 +360,9 @@ def test_criterion_5_key_recovery_round_trip():
                 ctx.random_scalar(rng), {a: ctx.random_scalar(rng) for a in attrs}, mask,
             )
             subset = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1))))
-            blinded_r = abe.blind_identity(ctx, f"gid{trial}", ctx.random_scalar(rng))
+            blinded_r = abe.blind_identity(
+                ctx, ctx.hash_to_group(HashDomain.GID, f"gid{trial}"), ctx.random_scalar(rng)
+            )
             good = recovery.DecryptionTokenSet(
                 owner_token=recovery.consent_decrypt_token(ctx, owner, subset, pks),
                 subset=subset,
@@ -347,7 +385,11 @@ def test_criterion_5_key_recovery_round_trip():
                         subset=subset, aa_tokens=good.aa_tokens, blinded_r=blinded_r,
                     )
                 elif kind == 1:
-                    other = abe.blind_identity(ctx, f"gid{trial}", ctx.random_scalar(rng))
+                    other = abe.blind_identity(
+                        ctx,
+                        ctx.hash_to_group(HashDomain.GID, f"gid{trial}"),
+                        ctx.random_scalar(rng),
+                    )
                     bad = dict(good.aa_tokens)
                     bad[attrs[0]] = recovery.issue_decrypt_token(ctx, kps[attrs[0]], other)
                     sabotaged = recovery.DecryptionTokenSet(
@@ -355,7 +397,11 @@ def test_criterion_5_key_recovery_round_trip():
                         aa_tokens=bad, blinded_r=blinded_r,
                     )
                 else:
-                    other = abe.blind_identity(ctx, f"gid{trial}", ctx.random_scalar(rng))
+                    other = abe.blind_identity(
+                        ctx,
+                        ctx.hash_to_group(HashDomain.GID, f"gid{trial}"),
+                        ctx.random_scalar(rng),
+                    )
                     sabotaged = recovery.DecryptionTokenSet(
                         owner_token=good.owner_token, subset=subset,
                         aa_tokens=good.aa_tokens, blinded_r=other,

@@ -1,18 +1,21 @@
 """Actor flows: end-to-end round trips, blinding freshness, replayability."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from triseal import recovery, sse
+from triseal import recovery, sse, wire
 from triseal.actors import Authority, Owner, User, user_request
 from triseal.errors import MissingApk, WrongKey
-from triseal.pairing import OracleContext
-from triseal.server import EscrowServer, record_bytes
+from triseal.pairing import HashDomain, OracleContext, PairingContext
+from triseal.pairing.curve import _miller_lines
+from triseal.server import EscrowServer, record_bytes, update_request_to_wire
 
 
-def build_world(seed, n_sets=4, attrs=("A1", "A2", "A3")):
-    ctx = OracleContext()
+def build_world(seed, n_sets=4, attrs=("A1", "A2", "A3"), ctx=None):
+    ctx = ctx or OracleContext()
     rng = random.Random(seed)
     pks = sse.server_setup(ctx, n_sets, rng)
     server = EscrowServer(ctx, pks)
@@ -152,3 +155,60 @@ def test_consent_pairs_search_and_decrypt_tokens():
     assert grant.search_token.subset == grant.subset
     expected = recovery.consent_decrypt_token(ctx, owner.recovery_key, (1, 2), pks)
     assert grant.owner_decrypt_token == expected
+
+
+# recorded from the curve write side before the generator lines and the
+# held identity hashes existed; every byte must stay the same
+_PIN_RECORD = "017ad0521dbf64044e4f16168123005ff48c391111839d99db528baf87abcd99"
+_PIN_UPDATE = "d2301942650cb2bea6e50d74cf72fe780e66eafaeef1934f45b55503dc4bcc89"
+_PIN_BLINDED = (
+    "036db7b06883b4f43d1ed2c621976335a72f0a037f171e18522c644eaa8ce4503d"
+    "f39eec72e35cfa21fe48a8be01fc8842df6e4997d8f110b300a826924e8e4bdf"
+)
+_PIN_BLINDED_R = (
+    "0364b3f43b6cbb3f7db3fc19826282d1a7db2366ef5c86c1c28f0f29857e5fedb1"
+    "421f1bb2000a96738cdaa05d8b695b982cac5d9aedfe5fa7601eef1f28d13483"
+)
+
+
+def test_curve_write_side_known_answers(curve_ctx):
+    ctx, pks, server, authorities, publics, owner, user = build_world(
+        90, n_sets=3, attrs=("A1", "A2"), ctx=curve_ctx
+    )
+    record = owner.publish(b"pinned payload", ["bp", "hr"], ["A1", "A2"], 1, publics)
+    assert hashlib.sha256(record_bytes(ctx, record)).hexdigest() == _PIN_RECORD
+    rid = server.store_record(record)
+    update = owner.update_request(rid, [1, 2], pks, keywords=["rotated", "bp"])
+    raw = wire.canonical_json(update_request_to_wire(ctx, update))
+    assert hashlib.sha256(raw).hexdigest() == _PIN_UPDATE
+    session = user.new_session()
+    assert ctx.element_to_bytes(session.blinded.element).hex() == _PIN_BLINDED
+    assert ctx.element_to_bytes(session.blinded_r.element).hex() == _PIN_BLINDED_R
+
+
+def test_curve_fixed_operands_are_computed_once(curve_ctx, monkeypatch):
+    """Pairings against a generator reuse its permanent Miller lines, and
+    the owner and user hash their identities once, not per operation."""
+    ctx, pks, server, authorities, publics, owner, user = build_world(
+        91, n_sets=3, attrs=("A1", "A2"), ctx=curve_ctx
+    )
+    _miller_lines.cache_clear()
+    ctx.pair(ctx.hash_to_group(HashDomain.KEYWORD, b"fresh"), ctx.g_right)
+    assert _miller_lines.cache_info().misses == 0
+    ctx.gt_generator
+    assert _miller_lines.cache_info().misses == 0
+    owner.publish(b"first", ["bp", "hr"], ["A1"], 1, publics)
+    user.new_session()
+    calls = Counter()
+    original = PairingContext.hash_to_group
+
+    def counted(*args, **kwargs):
+        calls["hash_to_group"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(PairingContext, "hash_to_group", counted)
+    owner.publish(b"second", ["bp", "hr"], ["A1"], 1, publics)
+    assert calls["hash_to_group"] == 2  # the two keywords
+    calls.clear()
+    user.new_session()
+    assert calls["hash_to_group"] == 0

@@ -116,7 +116,9 @@ def test_consent_decrypt_token_vectors():
 def test_issue_decrypt_token_vectors():
     ctx = vector_ctx()
     kp1, kp2 = vector_recovery_kps(ctx)
-    blinded_r = abe.blind_identity(ctx, b"gid", 8)  # H(GID)^8 = g^72
+    blinded_r = abe.blind_identity(  # H(GID)^8 = g^72
+        ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 8
+    )
     assert blinded_r.element.data == 72
     assert recovery.issue_decrypt_token(ctx, kp1, blinded_r).data == 73 * 17 % 101 == 29
     assert recovery.issue_decrypt_token(ctx, kp2, blinded_r).data == 73 * 19 % 101 == 74
@@ -127,7 +129,7 @@ def test_issue_decrypt_token_vectors():
 
 def _vector_tokens(ctx, kps, subset=(1,)):
     kp1, kp2 = kps
-    blinded_r = abe.blind_identity(ctx, b"gid", 8)
+    blinded_r = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 8)
     return recovery.DecryptionTokenSet(
         owner_token=recovery.consent_decrypt_token(
             ctx, recovery.OwnerRecoveryKey(sk_dtk=5), subset,
@@ -180,7 +182,7 @@ def test_recover_wrong_gid_tokens_fail():
     ctx.set_hash_override(HashDomain.GID, b"other", 23)
     pks = sse.server_setup(ctx, 2, exponents=[10, 20])
     elems, mask, kps = vector_wrap(ctx)
-    blinded_other = abe.blind_identity(ctx, b"other", 8)
+    blinded_other = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"other"), 8)
     tokens = recovery.DecryptionTokenSet(
         owner_token=recovery.consent_decrypt_token(
             ctx, recovery.OwnerRecoveryKey(sk_dtk=5), [1], pks
@@ -190,7 +192,9 @@ def test_recover_wrong_gid_tokens_fail():
             "A1": recovery.issue_decrypt_token(ctx, kps[0], blinded_other),
             "A2": recovery.issue_decrypt_token(ctx, kps[1], blinded_other),
         },
-        blinded_r=abe.blind_identity(ctx, b"gid", 8),  # claims the original gid
+        blinded_r=abe.blind_identity(
+            ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 8
+        ),  # claims the original gid
     )
     assert recovery.recover_key(ctx, elems, tokens, pks) != mask
 
@@ -230,11 +234,15 @@ def _random_round_trip(ctx, rng, *, sabotage=None):
     )
     subset = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1))))
     gid = f"gid-{rng.random()}"
-    blinded_r = abe.blind_identity(ctx, gid, ctx.random_scalar(rng))
+    blinded_r = abe.blind_identity(
+        ctx, ctx.hash_to_group(HashDomain.GID, gid), ctx.random_scalar(rng)
+    )
     aa_tokens = {a: recovery.issue_decrypt_token(ctx, kp, blinded_r) for a, kp in kps.items()}
     owner_token = recovery.consent_decrypt_token(ctx, owner, subset, pks)
     if sabotage == "mixed-blinding":
-        other = abe.blind_identity(ctx, gid, ctx.random_scalar(rng))
+        other = abe.blind_identity(
+            ctx, ctx.hash_to_group(HashDomain.GID, gid), ctx.random_scalar(rng)
+        )
         victim = rng.choice(attrs)
         aa_tokens[victim] = recovery.issue_decrypt_token(ctx, kps[victim], other)
     elif sabotage == "sse-key":
@@ -312,7 +320,9 @@ def test_recovery_is_local_from_serialized_bytes(oracle_big):
     import json
 
     revived = wire.recovery_from_wire(ctx, json.loads(blob))
-    blinded_r = abe.blind_identity(ctx, "gid", ctx.random_scalar(rng))
+    blinded_r = abe.blind_identity(
+        ctx, ctx.hash_to_group(HashDomain.GID, "gid"), ctx.random_scalar(rng)
+    )
     tokens = recovery.DecryptionTokenSet(
         owner_token=recovery.consent_decrypt_token(ctx, owner, [1, 2], pks),
         subset=(1, 2),

@@ -46,7 +46,12 @@ def test_server_setup_minimal_and_distinct():
 def test_sse_encrypt_vector():
     ctx = vector_ctx()
     elems = sse.sse_encrypt(
-        ctx, sse.OwnerSseKey(sk=7), [b"bp"], b"rtk-id", 3, owner_id=b"owner"
+        ctx,
+        sse.OwnerSseKey(sk=7),
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"rtk-id"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"owner"),
     )
     # g^(r/sk) with r=3, sk=7: 3 * 7^-1 = 3 * 29 = 87 (mod 101)
     assert elems.stk_transferor.data == 3 * brute_inverse(7) % 101 == 87
@@ -57,7 +62,14 @@ def test_sse_encrypt_vector():
 
 def test_sse_encrypt_unit_key_and_nonce():
     ctx = vector_ctx()
-    elems = sse.sse_encrypt(ctx, sse.OwnerSseKey(sk=1), [b"bp"], b"u", 1, owner_id=b"o")
+    elems = sse.sse_encrypt(
+        ctx,
+        sse.OwnerSseKey(sk=1),
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        1,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     assert elems.stk_transferor == ctx.g_right
     assert elems.kw_modifier == ctx.g_right
     assert elems.tagged_keywords[0] == ctx.pair(
@@ -68,8 +80,22 @@ def test_sse_encrypt_unit_key_and_nonce():
 def test_sse_encrypt_fresh_nonce_changes_everything():
     ctx = vector_ctx()
     owner = sse.OwnerSseKey(sk=7)
-    a = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 3, owner_id=b"o")
-    b = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 4, owner_id=b"o")
+    a = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
+    b = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        4,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     assert a.stk_transferor != b.stk_transferor
     assert a.kw_modifier != b.kw_modifier
     assert all(x != y for x, y in zip(a.tagged_keywords, b.tagged_keywords))
@@ -79,11 +105,32 @@ def test_sse_encrypt_fresh_nonce_changes_everything():
 def test_sse_encrypt_errors():
     ctx = vector_ctx()
     with pytest.raises(NonInvertible):
-        sse.sse_encrypt(ctx, sse.OwnerSseKey(sk=7), [b"bp"], b"u", 0, owner_id=b"o")
+        sse.sse_encrypt(
+            ctx,
+            sse.OwnerSseKey(sk=7),
+            [b"bp"],
+            ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+            0,
+            owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+        )
     with pytest.raises(NonInvertible):
-        sse.sse_encrypt(ctx, sse.OwnerSseKey(sk=0), [b"bp"], b"u", 3, owner_id=b"o")
+        sse.sse_encrypt(
+            ctx,
+            sse.OwnerSseKey(sk=0),
+            [b"bp"],
+            ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+            3,
+            owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+        )
     with pytest.raises(ValueError):
-        sse.sse_encrypt(ctx, sse.OwnerSseKey(sk=7), [], b"u", 3, owner_id=b"o")
+        sse.sse_encrypt(
+            ctx,
+            sse.OwnerSseKey(sk=7),
+            [],
+            ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+            3,
+            owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+        )
 
 
 def test_consent_token_vectors():
@@ -114,7 +161,14 @@ def test_match_vector_true():
     ctx = vector_ctx()
     pks = vector_pks(ctx)
     owner = sse.OwnerSseKey(sk=7)
-    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 3, owner_id=b"o")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     token = sse.consent_search_token(ctx, owner, b"bp", [1], pks)
     # left side: e(g^4, g^87) = gT^45; right side: gT^(10*3) * gT^15 = gT^45
     assert ctx.pair(token.token, elems.stk_transferor).data == 4 * 87 % 101 == 45
@@ -126,7 +180,14 @@ def test_match_vector_wrong_subset_declared():
     ctx = vector_ctx()
     pks = vector_pks(ctx)
     owner = sse.OwnerSseKey(sk=7)
-    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 3, owner_id=b"o")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     token_s1 = sse.consent_search_token(ctx, owner, b"bp", [1], pks)
     lying = sse.SearchToken(token=token_s1.token, subset=(2,))
     # right side becomes gT^(20*3 + 15) = gT^75 != gT^45
@@ -138,7 +199,14 @@ def test_match_vector_wrong_keyword():
     ctx = vector_ctx()
     pks = vector_pks(ctx)
     owner = sse.OwnerSseKey(sk=7)
-    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 3, owner_id=b"o")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     token = sse.consent_search_token(ctx, owner, b"w2", [1], pks)  # H(w2) = g^6
     assert sse.sse_match(ctx, elems, token, 0, pks) is False
     assert sse.sse_match_any(ctx, elems, token, pks) is False
@@ -150,7 +218,14 @@ def _random_trial(ctx, rng, *, wrong_keyword=False, wrong_subset=False):
     owner = sse.new_sse_key(ctx, rng)
     keywords = [f"kw-{rng.randrange(10**9)}".encode() for _ in range(rng.randrange(1, 4))]
     r = ctx.random_scalar(rng)
-    elems = sse.sse_encrypt(ctx, owner, keywords, b"upd", r, owner_id=b"owner-x")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        keywords,
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"upd"),
+        r,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"owner-x"),
+    )
     subset = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
     j = rng.randrange(len(keywords))
     keyword = b"other-keyword" if wrong_keyword else keywords[j]
@@ -180,7 +255,12 @@ def test_keyword_soundness_exhaustive_universe(oracle_big):
     owner = sse.new_sse_key(ctx, rng)
     for w_record in universe:
         elems = sse.sse_encrypt(
-            ctx, owner, [w_record], b"u", ctx.random_scalar(rng), owner_id=b"o"
+            ctx,
+            owner,
+            [w_record],
+            ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+            ctx.random_scalar(rng),
+            owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
         )
         for w_query in universe:
             token = sse.consent_search_token(ctx, owner, w_query, [1, 2], pks)
@@ -198,8 +278,22 @@ def test_record_unlinkability(oracle_big):
     rng = random.Random(24)
     owner = sse.new_sse_key(ctx, rng)
     kws = [b"alpha", b"beta"]
-    a = sse.sse_encrypt(ctx, owner, kws, b"u", ctx.random_scalar(rng), owner_id=b"o")
-    b = sse.sse_encrypt(ctx, owner, kws, b"u", ctx.random_scalar(rng), owner_id=b"o")
+    a = sse.sse_encrypt(
+        ctx,
+        owner,
+        kws,
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        ctx.random_scalar(rng),
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
+    b = sse.sse_encrypt(
+        ctx,
+        owner,
+        kws,
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        ctx.random_scalar(rng),
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     elements_a = {a.stk_transferor, a.kw_modifier} | set(a.tagged_keywords) | {a.update_keyword}
     elements_b = {b.stk_transferor, b.kw_modifier} | set(b.tagged_keywords) | {b.update_keyword}
     assert elements_a.isdisjoint(elements_b)
@@ -211,7 +305,14 @@ def test_match_rejects_empty_declared_subset():
     ctx = vector_ctx()
     pks = vector_pks(ctx)
     owner = sse.OwnerSseKey(sk=7)
-    elems = sse.sse_encrypt(ctx, owner, [b"bp"], b"u", 3, owner_id=b"o")
+    elems = sse.sse_encrypt(
+        ctx,
+        owner,
+        [b"bp"],
+        ctx.hash_to_group(HashDomain.UPDATE_ID, b"u"),
+        3,
+        owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
+    )
     bare = sse.SearchToken(token=ctx.hash_to_group(HashDomain.KEYWORD, b"bp") ** 7, subset=())
     with pytest.raises(EmptySubset):
         sse.sse_match_any(ctx, elems, bare, pks)

@@ -8,7 +8,7 @@ import pytest
 from triseal import abe, recovery, sse, wire
 from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, ProtocolError
-from triseal.pairing import OracleContext, context_from_header
+from triseal.pairing import HashDomain, OracleContext, context_from_header
 from triseal.server import (
     EscrowServer,
     record_bytes,
@@ -181,6 +181,8 @@ def test_abe_wire_sorts_policy_attributes():
     blob = wire.abe_to_wire(ctx, elems)
     assert blob["attrs"] == ["A1", "B2", "C3"]
     revived = wire.abe_from_wire(ctx, blob)
-    blinded = abe.blind_identity(ctx, "gid", ctx.random_scalar(rng))
+    blinded = abe.blind_identity(
+        ctx, ctx.hash_to_group(HashDomain.GID, "gid"), ctx.random_scalar(rng)
+    )
     creds = [abe.issue_credential(ctx, kps[a], blinded) for a in kps]
     assert abe.abe_verify(ctx, revived, creds, blinded) is True
