@@ -33,8 +33,14 @@ security level) as the widely deployed 512-bit supersingular pairing
 groups.
 
 Exponentiations of the two generators add up precomputed doublings 2^i * g,
-built once per process.  gmpy2 is used for field arithmetic when
-importable; plain Python integers otherwise.
+built once per process.  Every other scalar multiplication (the order-q
+check of a decoded point, cofactor clearing in hash-to-group, powers of any
+other point) is the x-only Montgomery ladder: E is the Montgomery curve
+y^2 = x^3 + A*x^2 + x with A = 0, whose ladder formulas are complete since
+A^2 - 4 is a non-square mod p (Montgomery; Bernstein), and y is recovered
+at the end (Okeya-Sakurai) with the one inversion an affine result needs.
+gmpy2 is used for field arithmetic when importable; plain Python integers
+otherwise.
 """
 
 from __future__ import annotations
@@ -147,32 +153,48 @@ def _naf(k):
 _Q_NAF = _naf(CURVE_Q)[1:]  # digits below the leading one
 
 
+def _ladder(x, k):
+    """([k]P, [k+1]P) as projective (X : Z) pairs from x = x(P) alone, with
+    Z = 0 at infinity: the Montgomery ladder, 5M + 4S per bit of k.  Each
+    step doubles one point and adds the two, whose difference is P; that
+    differential addition multiplies by x(P), so x = 0, the point (0, 0) of
+    order 2, is the caller's.  For any other x the formulas hold for every
+    input, infinity included, because A^2 - 4 = -4 (A = 0) is a non-square
+    mod p = 3 (mod 4) (Bernstein, "Curve25519", Thm 2.1)."""
+    X0, Z0, X1, Z1 = 1, 0, x, 1
+    for bit in bin(k)[2:]:
+        s0, d0, s1, d1 = X0 + Z0, X0 - Z0, X1 + Z1, X1 - Z1
+        u, v = d0 * s1 % _P, s0 * d1 % _P
+        add = (u + v) * (u + v) % _P, x * ((u - v) * (u - v)) % _P
+        if bit == "1":
+            s0, d0 = s1, d1  # double [n+1]P instead of [n]P
+        aa, bb = s0 * s0 % _P, d0 * d0 % _P
+        dbl = 2 * aa * bb % _P, (aa - bb) * (aa + bb) % _P
+        (X0, Z0), (X1, Z1) = (add, dbl) if bit == "1" else (dbl, add)
+    return X0, Z0, X1, Z1
+
+
 def _pt_mul(a, k):
-    """Scalar multiplication via Jacobian coordinates and the NAF of k (one
-    final inversion)."""
+    """[k]P for k >= 0 by the ladder, then y by Okeya-Sakurai from P, [k]P
+    and [k+1]P with one inversion.  P = (0, 0) gives O for even k and P for
+    odd k, before the ladder.  Z = 0 in [k]P gives O before any y recovery,
+    so a subgroup check [q]P stops there; Z = 0 in [k+1]P means [k]P = -P."""
     if a is None or k == 0:
         return None
-    x2, y2 = a
-    neg_y2 = -y2 % _P
-    X, Y, Z = None, None, None  # Jacobian accumulator, None Z = infinity
-    for digit in _naf(k):
-        if Z is not None:
-            # doubling for y^2 = x^3 + a*x with a = 1
-            xx = X * X % _P
-            yy = Y * Y % _P
-            yyyy = yy * yy % _P
-            zz = Z * Z % _P
-            s = 2 * ((X + yy) * (X + yy) - xx - yyyy) % _P
-            m = (3 * xx + zz * zz) % _P
-            t = (m * m - 2 * s) % _P
-            X, Y, Z = t, (m * (s - t) - 8 * yyyy) % _P, ((Y + Z) * (Y + Z) - yy - zz) % _P
-            if Z == 0:
-                Z = None
-        if digit:
-            X, Y, Z = _jac_add_affine(X, Y, Z, x2, y2 if digit > 0 else neg_y2)
-    if Z is None:
+    x, y = a
+    if x == 0:
+        return a if k & 1 else None
+    X0, Z0, X1, Z1 = _ladder(x, k)
+    if Z0 == 0:
         return None
-    return _jac_to_affine(X, Y, Z)
+    if Z1 == 0:
+        return x, -y % _P
+    # y([k]P) = (Z1*(X0 + x*Z0)*(x*X0 + Z0) - X1*(X0 - x*Z0)^2) / (2*y*Z0^2*Z1)
+    xz = x * Z0 % _P
+    num = (Z1 * ((X0 + xz) * (x * X0 + Z0) % _P) - X1 * ((X0 - xz) * (X0 - xz) % _P)) % _P
+    d = 2 * y * Z0 * Z1 % _P
+    inv = _inv(d * Z0 % _P, _P)
+    return X0 * d % _P * inv % _P, num * inv % _P
 
 
 def _jac_add_affine(X, Y, Z, x2, y2):

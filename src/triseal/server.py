@@ -50,7 +50,7 @@ from .errors import (
 from .pairing import GroupElement, PairingContext, Side, context_from_header
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
-from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any
+from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_modifier
 
 logger = logging.getLogger("triseal.server")
 
@@ -375,18 +375,19 @@ class EscrowServer:
         if req.blinded is None or req.blinded.element.is_identity:
             raise InvalidBlinding("search request carries no blinded identity")
         subset = self.pks.check_subset(req.token.subset)
+        modifier = subset_modifier(self.ctx, self.pks, subset)
         with self._lock:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
         if workers <= 1 or len(candidates) < 2:
-            parts = [self._search_chunk(candidates, req)]
+            parts = [self._search_chunk(candidates, req, modifier)]
         else:
             step = (len(candidates) + workers - 1) // workers
             chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
             from concurrent.futures import ThreadPoolExecutor  # deferred: only pools need it
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda c: self._search_chunk(c, req), chunks))
+                parts = list(pool.map(lambda c: self._search_chunk(c, req, modifier), chunks))
 
         matches: list[MatchedRecord] = []
         incomplete: list[str] = []
@@ -420,14 +421,14 @@ class EscrowServer:
         )
 
     def _search_chunk(
-        self, candidates: Sequence[DataRecord], req: SearchRequest
+        self, candidates: Sequence[DataRecord], req: SearchRequest, modifier: GroupElement
     ) -> tuple[list[MatchedRecord], list[str], int, int, int]:
         matches: list[MatchedRecord] = []
         incomplete: list[str] = []
         checked = matched_kw = verified = 0
         for rec in candidates:
             checked += 1
-            if not sse_match_any(self.ctx, rec.sse, req.token, self.pks):
+            if not sse_match_any(self.ctx, rec.sse, req.token, modifier):
                 continue
             matched_kw += 1
             try:

@@ -165,22 +165,27 @@ def consent_search_token(
     return SearchToken(token=base**owner.sk, subset=subset)
 
 
+def subset_modifier(
+    ctx: PairingContext, pks: SetPublicKeys, subset: Iterable[int]
+) -> GroupElement:
+    """(prod_{i in S} pk_i)^-1 for a checked S: the left point that divides
+    the subset modifier out of the match equation.  It is fixed per request,
+    so a scan computes it once."""
+    return ctx.group_inverse(pks.left_product(pks.check_subset(subset)))
+
+
 def _match_target(
     ctx: PairingContext,
     elems: SseRecordElements,
     token_like: GroupElement,
-    subset: tuple[int, ...],
-    pks: SetPublicKeys,
+    modifier: GroupElement,
 ) -> GtElement:
     """Left side of the match equation plus the subset modifier division:
     returns e(token, g^(r/sk)) * e((prod pk_i)^-1, g^r) as one pairing
     product, to compare against a tagged keyword.  Both left points are
     fixed per request, so the curve backend reuses their Miller lines."""
     return ctx.pairing_product(
-        [
-            (token_like, elems.stk_transferor),
-            (ctx.group_inverse(pks.left_product(subset)), elems.kw_modifier),
-        ]
+        [(token_like, elems.stk_transferor), (modifier, elems.kw_modifier)]
     )
 
 
@@ -193,8 +198,7 @@ def sse_match(
 ) -> bool:
     """True iff tagged keyword ``keyword_index`` matches the token under the
     token's declared subset.  A mismatch is an ordinary False."""
-    pks.check_subset(token.subset)
-    target = _match_target(ctx, elems, token.token, token.subset, pks)
+    target = _match_target(ctx, elems, token.token, subset_modifier(ctx, pks, token.subset))
     return target == elems.tagged_keywords[keyword_index]
 
 
@@ -202,10 +206,11 @@ def sse_match_any(
     ctx: PairingContext,
     elems: SseRecordElements,
     token: SearchToken,
-    pks: SetPublicKeys,
+    modifier: GroupElement,
 ) -> bool:
     """Server-side form: the request does not say which keyword slot to try,
-    so every tagged keyword is checked against one precomputed target."""
-    pks.check_subset(token.subset)
-    target = _match_target(ctx, elems, token.token, token.subset, pks)
+    so every tagged keyword is checked against one precomputed target.
+    ``modifier`` is ``subset_modifier(ctx, pks, token.subset)``, computed
+    once per request."""
+    target = _match_target(ctx, elems, token.token, modifier)
     return any(target == tag for tag in elems.tagged_keywords)

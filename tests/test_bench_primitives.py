@@ -1,0 +1,26 @@
+"""The primitive micro-benchmark runs and writes one JSON line of medians."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_primitives.py"
+
+
+def test_bench_primitives_smoke(tmp_path):
+    out = tmp_path / "BENCH_primitives.json"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--repeat", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(out.read_text())
+    assert json.loads(done.stdout.splitlines()[-1]) == result
+    assert set(result) == {"python", "gmpy2", "nproc", "repeat", "median_ms"}
+    assert result["repeat"] == 1 and isinstance(result["gmpy2"], bool)
+    assert set(result["median_ms"]) == {
+        "pt_mul_q_ms", "pt_mul_h_ms", "pt_mul_160_ms", "g_exp_generator_ms",
+        "element_from_bytes_ms", "gt_from_bytes_ms", "hash_to_group_ms",
+        "miller_lines_ms", "pair_cached_lines_ms", "final_exp_ms",
+    }
+    assert all(ms > 0 for ms in result["median_ms"].values())

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from curve_points import ORDER, affine_mul, raw_point, small_order_points
 from exponent_oracle import brute_inverse
 from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
 from triseal.pairing import HashDomain, OracleContext, Side
-from triseal.pairing.curve import CURVE_H, CURVE_P, _pt_mul, _point_from_label
+from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_mul, _point_from_label
 
 
 def test_pair_exponent_vector(oracle101):
@@ -248,6 +249,32 @@ def test_curve_rejects_out_of_subgroup_point(curve_ctx):
     encoded = bytes([2 + (y & 1)]) + x.to_bytes(64, "big")
     with pytest.raises(InvalidElement):
         ctx.element_from_bytes(encoded, Side.LEFT)
+    # (0, 0) under either tag and points of order 4, 1151 and h*q
+    for raw in small_order_points().values():
+        for side in Side:
+            with pytest.raises(InvalidElement, match="order-q subgroup"):
+                ctx.element_from_bytes(raw, side)
+
+
+def test_ladder_matches_affine_double_and_add(curve_ctx):
+    """The x-only ladder with y recovery equals plain affine double-and-add
+    on points in and outside the subgroup, (0, 0) included, for edge
+    scalars (k = q - 1 and k = #E - 1 give -P) and random ones up to 512
+    bits."""
+    rng = random.Random(1987)
+    points = [
+        _point_from_label(b"ladder-test"),
+        curve_ctx.g_right.data,
+        *(raw_point(b"ladder-raw-%d" % i) for i in range(3)),
+        (0, 0),
+    ]
+    scalars = [0, 1, 2, 3, CURVE_Q - 1, CURVE_Q, CURVE_Q + 1, CURVE_H, ORDER - 1, ORDER]
+    scalars += [rng.getrandbits(rng.randrange(1, 513)) for _ in range(8)]
+    for pt in points:
+        for k in scalars:
+            assert _pt_mul(pt, k) == affine_mul(pt, k), (pt, k)
+    assert _pt_mul(points[0], CURVE_Q - 1) == (points[0][0], CURVE_P - points[0][1])
+    assert _pt_mul((0, 0), 3) == (0, 0) and _pt_mul((0, 0), 2) is None
 
 
 def test_curve_generators_have_order_q(curve_ctx):

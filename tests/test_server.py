@@ -8,9 +8,10 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from triseal import abe, sse
+from curve_points import small_order_points
+from triseal import abe, sse, wire
 from triseal.actors import Authority, Owner, User
-from triseal.errors import BadRecord, InvalidBlinding, UpdateRejected
+from triseal.errors import BadRecord, InvalidBlinding, ProtocolError, UpdateRejected
 from triseal.pairing import OracleContext, PairingContext
 from triseal.pairing.curve import _miller_lines
 from triseal.recovery import DecryptionTokenSet, recover_key
@@ -20,9 +21,12 @@ from triseal.server import (
     SearchRequest,
     UpdateRequest,
     record_bytes,
+    record_from_wire,
     record_to_wire,
     search_request_from_wire,
     search_request_to_wire,
+    update_request_from_wire,
+    update_request_to_wire,
 )
 
 
@@ -205,24 +209,29 @@ def test_parallel_curve_search_equals_serial(curve_world):
 
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     """A keyword miss costs one pairing product per candidate over the two
-    request-wide left points; recovering a key costs one product."""
+    request-wide left points, whose subset product is formed once per
+    request; recovering a key costs one product."""
     w = curve_world
     _, _, miss = w.request("absent", [1, 2, 3])
     session, consent, hit = w.request("bp", [1, 2, 3])
     response = w.server.search(hit)
     counts = Counter()
-    for name in ("pair", "pairing_product"):
-        original = getattr(PairingContext, name)
+    for holder, name in (
+        (PairingContext, "pair"),
+        (PairingContext, "pairing_product"),
+        (sse.SetPublicKeys, "left_product"),
+    ):
+        original = getattr(holder, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(PairingContext, name, counted)
+        monkeypatch.setattr(holder, name, counted)
     _miller_lines.cache_clear()
     stats = w.server.search(miss).stats
     assert stats.candidates == 6 and stats.sse_matched == 0
-    assert counts == {"pairing_product": 6}
+    assert counts == {"pairing_product": 6, "left_product": 1}
     assert _miller_lines.cache_info().misses == 2
     for match in response.matches:
         counts.clear()
@@ -233,8 +242,51 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
             blinded_r=session.blinded_r,
         )
         recover_key(w.ctx, match.recovery, tokens, w.pks)
-        assert counts == {"pairing_product": 1}
+        assert counts == {"pairing_product": 1, "left_product": 1}
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
+
+
+def _replaced(obj, path, value):
+    """A deep copy of the JSON object ``obj`` with the slot at ``path`` set."""
+    obj = json.loads(json.dumps(obj))
+    slot = obj
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    return obj
+
+
+def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path):
+    """Each G element of a message or a stored record is checked for order q
+    on its own: a point of order 2, 4, 1151 or h*q in any one slot is
+    refused with a typed error, never accepted or met with a traceback."""
+    w = curve_world
+    ctx = w.ctx
+    _, _, req = w.request("bp", [1, 2, 3])
+    search = search_request_to_wire(ctx, req)
+    rid = w.server.record_ids()[0]
+    upd = w.owner.update_request(rid, [1, 2, 3], w.pks, keywords=["x"])
+    update = update_request_to_wire(ctx, upd)
+    record = record_to_wire(ctx, w.server.fetch(rid))
+    header = {"kind": "header", "params": ctx.param_header(), "pks": wire.pks_to_wire(ctx, w.pks)}
+    assert search_request_from_wire(ctx, search) == req
+    assert update_request_from_wire(ctx, update) == upd
+    assert record_from_wire(ctx, record) == w.server.fetch(rid)
+    store = tmp_path / "store.log"
+    for name, raw in small_order_points().items():
+        bad = wire.b64e(raw)
+        for path in (("token", "token"), ("credentials", 0, "credential"), ("blinded",)):
+            with pytest.raises(ProtocolError, match="order-q subgroup"):
+                search_request_from_wire(ctx, _replaced(search, path, bad))
+        for path in (("rtk",), ("new_sse", "stk_transferor")):
+            with pytest.raises(ProtocolError, match="order-q subgroup"):
+                update_request_from_wire(ctx, _replaced(update, path, bad))
+        frame = {"kind": "record", "record": _replaced(record, ("sse", "kw_modifier"), bad)}
+        with pytest.raises(BadRecord, match="order-q subgroup"):
+            record_from_wire(ctx, frame["record"])
+        store.write_bytes(_frame(header) + _frame(frame))
+        with pytest.raises(BadRecord, match="order-q subgroup"):
+            EscrowServer.open(store)
 
 
 def test_update_accepts_owner_and_swaps_layers():

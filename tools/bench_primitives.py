@@ -1,0 +1,110 @@
+"""Primitive-level timings of the curve backend, one JSON line of medians.
+
+    python3 tools/bench_primitives.py --repeat 21 --out BENCH_primitives.json
+
+Run from any directory; triseal is imported from the ``src/`` next to this
+script.  Standard library only.  Each primitive is timed ``--repeat`` times
+with ``time.perf_counter`` on fixed inputs, so two checkouts measured on
+the same machine are comparable; the line holds the median per primitive in
+milliseconds, the Python version, whether gmpy2 is in use and the number of
+usable cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+K160 = 0x9E3779B97F4A7C15F39CC0605CEDC8341082276B  # fixed 160-bit exponent
+
+
+def final_exp(f):
+    """The final exponentiation as curve._multi_pairing ends: conj(f)^2 /
+    norm(f), then the (p + 1)/q power by the Lucas ladder."""
+    from triseal.pairing import curve
+
+    f0, f1 = f
+    norm_inv = curve._inv(f0 * f0 + f1 * f1, curve._P)
+    a, b = curve._fp2_sqr((f0, -f1))
+    return curve._unitary_pow((a * norm_inv % curve._P, b * norm_inv % curve._P), curve._FINAL_EXP)
+
+
+def primitives():
+    """name -> zero-argument callable, built on fixed inputs."""
+    from triseal.pairing import CurveContext, HashDomain, Side, curve
+
+    ctx = CurveContext()
+    h = ctx.hash_to_group(HashDomain.KEYWORD, b"bench")
+    right = ctx.g_right**K160
+    h_raw = ctx.element_to_bytes(h)
+    gt_raw = ctx.gt_to_bytes(ctx.pair(h, right))  # also caches h's lines
+    # a point before cofactor clearing, as hash_to_group meets it
+    x = curve._P - 1
+    while True:
+        x -= 1
+        rhs = (x * x * x + x) % curve._P
+        y = curve._powmod(rhs, curve._SQRT_EXP, curve._P)
+        if y * y % curve._P == rhs:
+            break
+    raw = (x, y)
+    labels = itertools.count()
+    return {
+        "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
+        "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
+        "pt_mul_160_ms": lambda: curve._pt_mul(h.data, K160),
+        "g_exp_generator_ms": lambda: ctx.g_left**K160,
+        "element_from_bytes_ms": lambda: ctx.element_from_bytes(h_raw, Side.LEFT),
+        "gt_from_bytes_ms": lambda: ctx.gt_from_bytes(gt_raw),
+        "hash_to_group_ms": lambda: ctx.hash_to_group(
+            HashDomain.KEYWORD, b"bench-%d" % next(labels)
+        ),
+        "miller_lines_ms": lambda: curve._miller_lines.__wrapped__(h.data),
+        "pair_cached_lines_ms": lambda: ctx.pair(h, right),
+        "final_exp_ms": lambda: final_exp(raw),  # any nonzero F_p^2 value
+    }
+
+
+def measure(repeat: int) -> dict:
+    from triseal.pairing import curve
+
+    medians = {}
+    for name, fn in primitives().items():
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            fn()
+            times.append((time.perf_counter() - t0) * 1000.0)
+        medians[name] = round(statistics.median(times), 3)
+    return {
+        "python": platform.python_version(),
+        "gmpy2": curve._powmod is not pow,
+        "nproc": len(os.sched_getaffinity(0)),
+        "repeat": repeat,
+        "median_ms": medians,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=21)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_primitives.json")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    sys.path.insert(0, str(ROOT / "src"))
+    line = json.dumps(measure(args.repeat), sort_keys=True)
+    print(line)
+    args.out.write_text(line + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
