@@ -18,11 +18,16 @@ kinds of request:
   update-id hashes live in different domains.  Rejected updates leave the
   record byte-identical.
 
-Reads are freely concurrent over immutable record snapshots; mutations
-serialize behind one lock, so a search observes each record either before
-or after an update, never in between.  The optional store file is an
-append-only log of length-prefixed frames headed by the public parameters;
-the latest frame per record id wins on reload.
+Searches read immutable record snapshots; mutations serialize behind one
+lock, so a search sees each record before or after an update, never in
+between.  A search deals its candidates round-robin into a shard per usable
+core, forks a child per shard but the first and merges their outcome bytes
+in candidate order.  A child only checks, writes and ``os._exit``s, flushing
+no buffer it shares with the parent; a failed child's shard is rechecked
+here.  Without ``os.fork``, with one candidate or beside other threads (a
+child would inherit their held locks), the search is serial.  The optional
+store file is an append-only log of length-prefixed frames headed by the
+public parameters; the latest frame per record id wins on reload.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import signal
 import threading
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Mapping
 
 from . import wire
 from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity, abe_verify
@@ -53,6 +60,7 @@ from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_modifier
 
 logger = logging.getLogger("triseal.server")
+_MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes, one byte each on a pipe
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,8 @@ class EscrowServer:
 
     # -- search ------------------------------------------------------------------
 
-    def search(self, req: SearchRequest, *, workers: int = 1) -> SearchResponse:
+    def search(self, req: SearchRequest, *, workers: int | None = None) -> SearchResponse:
+        """Check the declared subset's records, sharded over ``workers`` processes."""
         if req.blinded is None or req.blinded.element.is_identity:
             raise InvalidBlinding("search request carries no blinded identity")
         subset = self.pks.check_subset(req.token.subset)
@@ -380,30 +389,42 @@ class EscrowServer:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
-        if workers <= 1 or len(candidates) < 2:
-            parts = [self._search_chunk(candidates, req, modifier)]
-        else:
-            step = (len(candidates) + workers - 1) // workers
-            chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-            from concurrent.futures import ThreadPoolExecutor  # deferred: only pools need it
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda c: self._search_chunk(c, req, modifier), chunks))
+        if workers is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+        forkable = hasattr(os, "fork") and threading.active_count() == 1
+        n = max(1, min(workers, len(candidates))) if forkable else 1
+        shards = [candidates[k::n] for k in range(n)]  # dealt: a query's hits are often adjacent
+        children: dict[int, tuple[int, BinaryIO]] = {}
+        done: dict[int, list[int]] = {}
+        try:
+            for k in range(1, n):
+                with suppress(OSError):  # an unforked shard is checked below
+                    children[k] = self._fork_check(shards[k], req, modifier)
+            done[0] = self._check(shards[0], req, modifier)
+            for k, (pid, pipe) in list(children.items()):
+                with pipe:
+                    data = pipe.read()
+                if os.waitpid(pid, 0)[1] == 0 and len(data) == len(shards[k]):
+                    done[k] = list(data)
+                del children[k]
+        finally:
+            for pid, pipe in children.values():
+                pipe.close()
+                with suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        parts = [done[k] if k in done else self._check(shards[k], req, modifier) for k in range(n)]
+        outcomes = [parts[i % n][i // n] for i in range(len(candidates))]
 
-        matches: list[MatchedRecord] = []
-        incomplete: list[str] = []
-        sse_checked = sse_matched = abe_verified = 0
-        for part_matches, part_incomplete, checked, matched_kw, verified in parts:
-            matches.extend(part_matches)
-            incomplete.extend(part_incomplete)
-            sse_checked += checked
-            sse_matched += matched_kw
-            abe_verified += verified
-
+        hits = [rec for rec, out in zip(candidates, outcomes) if out == _MATCH]
+        matches = [MatchedRecord(r.record_id, r.payload, r.recovery, r.abe.attrs) for r in hits]
+        incomplete = [rec.record_id for rec, out in zip(candidates, outcomes) if out == _INCOMPLETE]
         stats = SearchStats(
             candidates=len(candidates),
-            sse_checked=sse_checked,
-            sse_matched=sse_matched,
-            abe_verified=abe_verified,
+            sse_checked=len(outcomes),
+            sse_matched=sum(out != _MISS for out in outcomes),
+            abe_verified=sum(out >= _DENIED for out in outcomes),
             matched=len(matches),
         )
         logger.info(
@@ -420,33 +441,42 @@ class EscrowServer:
             stats=stats,
         )
 
-    def _search_chunk(
-        self, candidates: Sequence[DataRecord], req: SearchRequest, modifier: GroupElement
-    ) -> tuple[list[MatchedRecord], list[str], int, int, int]:
-        matches: list[MatchedRecord] = []
-        incomplete: list[str] = []
-        checked = matched_kw = verified = 0
+    def _check(
+        self, candidates: list[DataRecord], req: SearchRequest, modifier: GroupElement
+    ) -> list[int]:
+        outcomes = []
         for rec in candidates:
-            checked += 1
             if not sse_match_any(self.ctx, rec.sse, req.token, modifier):
+                outcomes.append(_MISS)
                 continue
-            matched_kw += 1
             try:
                 ok = abe_verify(self.ctx, rec.abe, req.credentials, req.blinded)
             except IncompletePolicy:
-                incomplete.append(rec.record_id)
+                outcomes.append(_INCOMPLETE)
                 continue
-            verified += 1
-            if ok:
-                matches.append(
-                    MatchedRecord(
-                        record_id=rec.record_id,
-                        payload=rec.payload,
-                        recovery=rec.recovery,
-                        policy=rec.abe.attrs,
-                    )
-                )
-        return matches, incomplete, checked, matched_kw, verified
+            outcomes.append(_MATCH if ok else _DENIED)
+        return outcomes
+
+    def _fork_check(
+        self, shard: list[DataRecord], req: SearchRequest, modifier: GroupElement
+    ) -> tuple[int, BinaryIO]:
+        """Fork a child that sends ``_check(shard)`` down a pipe: (pid, read end)."""
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            try:
+                with os.fdopen(w, "wb") as pipe:
+                    pipe.write(bytes(self._check(shard, req, modifier)))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
 
     # -- re-encryption (update) --------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 import json
 import logging
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -197,14 +199,93 @@ def curve_world(curve_ctx):
     return w
 
 
-def test_parallel_curve_search_equals_serial(curve_world):
-    """Search threads share the process-wide cache of Miller lines."""
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
+    """Two workers fork one child, which checks the round-robin shard
+    {1, 3, 5} and computes its own Miller lines; the parent checks {0, 2, 4}
+    once and merges both in candidate order.  Each shard holds one hit."""
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
     serial = w.server.search(req, workers=1)
     assert serial.stats.candidates == 6 and serial.stats.matched == 2
+    calls = Counter()
+    for holder, name in ((os, "fork"), (EscrowServer, "_check")):
+        original = getattr(holder, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, counted)
     _miller_lines.cache_clear()
     assert w.server.search(req, workers=2) == serial
+    assert calls == {"fork": 1, "_check": 1}  # the child's shard was not rechecked
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["child raises", "child sends too few", "fork fails"])
+def test_failed_search_child_shard_is_rechecked(curve_world, monkeypatch, failure):
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    serial = w.server.search(req, workers=1)
+    test_pid = os.getpid()
+    original_check = EscrowServer._check
+
+    def check(self, *args):
+        outcomes = original_check(self, *args)
+        if os.getpid() != test_pid:
+            if failure == "child raises":
+                raise RuntimeError("shard lost")
+            return outcomes[:-1]
+        return outcomes
+
+    def no_fork():
+        raise OSError("no processes left")
+
+    if failure == "fork fails":
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(EscrowServer, "_check", check)
+    assert w.server.search(req, workers=2) == serial
+    _assert_no_child_left()
+
+
+def test_search_error_surfaces_and_kills_children(curve_world, monkeypatch):
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+
+    def broken_verify(*args):
+        raise RuntimeError("policy check failed")
+
+    monkeypatch.setattr("triseal.server.abe_verify", broken_verify)
+    with pytest.raises(RuntimeError):
+        w.server.search(req, workers=1)
+    with pytest.raises(RuntimeError):
+        w.server.search(req)
+    _assert_no_child_left()
+
+
+def test_search_beside_other_threads_does_not_fork(curve_world, monkeypatch):
+    """Forking a multi-threaded process could leave the child blocked on a
+    lock another thread held, so a search then runs serially."""
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    serial = w.server.search(req, workers=1)
+
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(w.server.search(req, workers=2)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results == [serial]
 
 
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
@@ -229,10 +310,11 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
 
         monkeypatch.setattr(holder, name, counted)
     _miller_lines.cache_clear()
-    stats = w.server.search(miss).stats
+    stats = w.server.search(miss, workers=1).stats  # counted in this process only
     assert stats.candidates == 6 and stats.sse_matched == 0
     assert counts == {"pairing_product": 6, "left_product": 1}
     assert _miller_lines.cache_info().misses == 2
+    assert w.server.search(miss).stats == stats
     for match in response.matches:
         counts.clear()
         tokens = DecryptionTokenSet(

@@ -46,6 +46,10 @@ def primitives():
     right = ctx.g_right**K160
     h_raw = ctx.element_to_bytes(h)
     gt_raw = ctx.gt_to_bytes(ctx.pair(h, right))  # also caches h's lines
+    # the keyword check: two left points fixed per request, lines cached
+    h2 = ctx.hash_to_group(HashDomain.KEYWORD, b"bench-modifier")
+    right2 = ctx.g_right ** (K160 // 3)
+    ctx.pair(h2, right2)
     # a point before cofactor clearing, as hash_to_group meets it
     x = curve._P - 1
     while True:
@@ -68,6 +72,7 @@ def primitives():
         ),
         "miller_lines_ms": lambda: curve._miller_lines.__wrapped__(h.data),
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
+        "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
         "final_exp_ms": lambda: final_exp(raw),  # any nonzero F_p^2 value
     }
 
