@@ -116,9 +116,6 @@ class AccessPolicyElements:
     plcy_modifiers: tuple[GroupElement, ...]  # g^(s_i)
     plcy: GtElement  # e(g, g)^(sum s_i)
 
-    def index_of(self, attribute_id: str) -> int:
-        return self.attrs.index(attribute_id)
-
 
 def abe_policy_encrypt(
     ctx: PairingContext,

@@ -313,7 +313,7 @@ class User:
             tokens = recovery.DecryptionTokenSet(
                 owner_token=consent.owner_decrypt_token,
                 subset=consent.subset,
-                aa_tokens={a: session.decrypt_tokens[a] for a in match.policy},
+                aa_tokens={a: t for a, t in session.decrypt_tokens.items() if a in match.policy},
                 blinded_r=session.blinded_r,
             )
             mask = recovery.recover_key(self.ctx, match.recovery, tokens, pks)

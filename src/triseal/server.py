@@ -27,7 +27,8 @@ no buffer it shares with the parent; a failed child's shard is rechecked
 here.  Without ``os.fork``, with one candidate or beside other threads (a
 child would inherit their held locks), the search is serial.  The optional
 store file is an append-only log of length-prefixed frames headed by the
-public parameters; the latest frame per record id wins on reload.
+public parameters; the latest frame per record id wins on reload, which
+decodes only the layers that differ from the id's previous frame.
 """
 
 from __future__ import annotations
@@ -87,17 +88,33 @@ def record_to_wire(ctx: PairingContext, rec: DataRecord) -> dict:
     }
 
 
-def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
+def _record_id(obj: Mapping) -> str:
+    record_id = obj.get("record_id") if isinstance(obj, Mapping) else None
+    if not isinstance(record_id, str):
+        raise BadRecord(f"malformed record: record_id {record_id!r} is not a string")
+    return record_id
+
+
+def record_from_wire(
+    ctx: PairingContext, obj: Mapping, prev: DataRecord | None = None
+) -> DataRecord:
+    """Decode a record, reusing each layer of ``prev`` (decoded before) whose
+    wire form equals ``obj``'s: encodings are canonical, so equal is identical."""
+    def layer(name, to_wire, from_wire):
+        if prev is not None and obj[name] == to_wire(ctx, getattr(prev, name)):
+            return getattr(prev, name)
+        return from_wire(ctx, obj[name])
+
     try:
         return DataRecord(
-            record_id=obj["record_id"],
+            record_id=_record_id(obj),
             set_index=int(obj["set_index"]),
-            sse=wire.sse_from_wire(ctx, obj["sse"]),
-            abe=wire.abe_from_wire(ctx, obj["abe"]),
-            recovery=wire.recovery_from_wire(ctx, obj["recovery"]),
+            sse=layer("sse", wire.sse_to_wire, wire.sse_from_wire),
+            abe=layer("abe", wire.abe_to_wire, wire.abe_from_wire),
+            recovery=layer("recovery", wire.recovery_to_wire, wire.recovery_from_wire),
             payload=wire.payload_from_wire(obj["payload"]),
         )
-    except (KeyError, ValueError, TypeError, AttributeError, InvalidElement) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, InvalidElement) as exc:
         raise BadRecord(f"malformed record: {exc}") from exc
 
 
@@ -314,7 +331,8 @@ class EscrowServer:
             for frame in frames:
                 if frame.get("kind") != "record":
                     raise BadRecord(f"unexpected frame kind {frame.get('kind')!r}")
-                rec = record_from_wire(ctx, frame.get("record"))
+                obj = frame.get("record")  # an update re-logs the layers it keeps
+                rec = record_from_wire(ctx, obj, server._records.get(_record_id(obj)))
                 server._validate(rec)
                 server._records[rec.record_id] = rec
         server._store = path.open("ab")

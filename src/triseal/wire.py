@@ -133,6 +133,14 @@ def pks_from_wire(ctx: PairingContext, obj: Mapping) -> SetPublicKeys:
 # -- layer 2 --------------------------------------------------------------------
 
 
+def _attrs_from_wire(obj: Mapping) -> tuple[str, ...]:
+    """Attribute names, non-empty and in the sorted order the encoders write."""
+    attrs = tuple(obj["attrs"])
+    if not attrs or not all(isinstance(a, str) for a in attrs) or list(attrs) != sorted(attrs):
+        raise BadRecord(f"policy attributes {list(attrs)!r} are not sorted strings")
+    return attrs
+
+
 def abe_to_wire(ctx: PairingContext, elems: AccessPolicyElements) -> dict:
     # attributes serialize sorted; element pairs stay aligned with them
     order = sorted(range(len(elems.attrs)), key=lambda i: elems.attrs[i])
@@ -145,9 +153,7 @@ def abe_to_wire(ctx: PairingContext, elems: AccessPolicyElements) -> dict:
 
 
 def abe_from_wire(ctx: PairingContext, obj: Mapping) -> AccessPolicyElements:
-    attrs = tuple(obj["attrs"])
-    if not attrs:
-        raise BadRecord("record carries an empty policy")
+    attrs = _attrs_from_wire(obj)
     if len(obj["ac_transferors"]) != len(attrs) or len(obj["plcy_modifiers"]) != len(attrs):
         raise BadRecord("policy element count does not match the attribute list")
     return AccessPolicyElements(
@@ -193,9 +199,7 @@ def recovery_to_wire(ctx: PairingContext, elems: KeyRecoveryElements) -> dict:
 
 
 def recovery_from_wire(ctx: PairingContext, obj: Mapping) -> KeyRecoveryElements:
-    attrs = tuple(obj["attrs"])
-    if not attrs:
-        raise BadRecord("record carries no key-recovery policy")
+    attrs = _attrs_from_wire(obj)
     if len(obj["dtk_aa_transferors"]) != len(attrs) or len(obj["dtk_aa_modifiers"]) != len(attrs):
         raise BadRecord("recovery element count does not match the attribute list")
     return KeyRecoveryElements(

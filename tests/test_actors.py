@@ -3,15 +3,16 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from triseal import recovery, sse, wire
 from triseal.actors import Authority, Owner, User, user_request
-from triseal.errors import MissingApk, WrongKey
+from triseal.errors import IncompleteTokens, MissingApk, WrongKey
 from triseal.pairing import HashDomain, OracleContext, PairingContext
 from triseal.pairing.curve import _miller_lines
-from triseal.server import EscrowServer, record_bytes, update_request_to_wire
+from triseal.server import EscrowServer, MatchedRecord, record_bytes, update_request_to_wire
 
 
 def build_world(seed, n_sets=4, attrs=("A1", "A2", "A3"), ctx=None):
@@ -124,6 +125,28 @@ def test_mixed_decrypt_tokens_surface_as_wrong_key():
     )
     with pytest.raises(WrongKey):
         user.decrypt_matches(session, consent, response, pks)
+
+
+def test_uncollected_policy_attribute_surfaces_as_incomplete_tokens():
+    """A response match naming an attribute the session never collected (a
+    server returning a record whose policy the user cannot meet) is refused
+    with a typed error, not a KeyError."""
+    ctx, pks, server, authorities, publics, owner, user = build_world(78)
+    rid = server.store_record(owner.publish(b"x", ["bp"], ["A1", "A2", "A3"], 1, publics))
+    session = user.new_session()
+    for a in ("A1", "A2"):
+        user.collect(session, authorities[a])
+    consent = owner.consent("bp", [1], pks)
+    honest = server.search(user.build_search_request(session, consent))
+    assert honest.matches == () and honest.incomplete_policy == (rid,)
+    rec = server.fetch(rid)
+    doctored = replace(
+        honest,
+        matches=(MatchedRecord(rid, rec.payload, rec.recovery, rec.abe.attrs),),
+        incomplete_policy=(),
+    )
+    with pytest.raises(IncompleteTokens):
+        user.decrypt_matches(session, consent, doctored, pks)
 
 
 def test_deterministic_replay_from_seeds():

@@ -1,14 +1,18 @@
 """Escrow server: storage, search pipeline, re-encryption, hygiene."""
 
+import itertools
 import json
 import logging
 import os
 import random
 import threading
 from collections import Counter
+from contextlib import closing
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curve_points import small_order_points
 from triseal import abe, sse, wire
@@ -20,6 +24,7 @@ from triseal.recovery import DecryptionTokenSet, recover_key
 from triseal.server import (
     DataRecord,
     EscrowServer,
+    _read_frames,
     SearchRequest,
     UpdateRequest,
     record_bytes,
@@ -369,6 +374,17 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path):
         store.write_bytes(_frame(header) + _frame(frame))
         with pytest.raises(BadRecord, match="order-q subgroup"):
             EscrowServer.open(store)
+        # a frame superseding a valid one of the same id is checked as well
+        valid = _frame({"kind": "record", "record": record})
+        for path in (
+            ("sse", "kw_modifier"),
+            ("abe", "ac_transferors", 1),
+            ("recovery", "dtk_transferor"),
+        ):
+            later = {"kind": "record", "record": _replaced(record, path, bad)}
+            store.write_bytes(_frame(header) + valid + _frame(later))
+            with pytest.raises(BadRecord, match="order-q subgroup"):
+                EscrowServer.open(store)
 
 
 def test_update_accepts_owner_and_swaps_layers():
@@ -486,6 +502,126 @@ def test_store_file_round_trip(tmp_path):
         EscrowServer(w.ctx, w.pks, store_path=path)  # refuses to clobber
 
 
+def test_curve_reopen_decodes_only_replaced_layers(curve_ctx, tmp_path, monkeypatch):
+    """An update logs the whole record again; reopening decodes a layer only
+    where it differs from the record's previous frame.  Header 6 G; publish
+    12 G + 6 GT (2 keyword tags and the owner's); keyword update 2 G + 4 GT
+    (sse); policy update 10 G + 2 GT (abe, recovery).  Decoding every frame
+    in full took 42 G and 18 GT."""
+    path = tmp_path / "store.log"
+    w = World(ctx=curve_ctx, store_path=path)
+    rid = w.publish(b"v1", ["bp", "hr"], ["A1", "A2"], 1)
+    w.server.reencrypt(w.owner.update_request(rid, [1], w.pks, keywords=["bp", "x"]))
+    w.server.reencrypt(
+        w.owner.update_request(
+            rid, [1], w.pks, policy=["A1", "A2"], plaintext=b"v2", authorities=w.publics
+        )
+    )
+    w.server.close()
+    counts = Counter()
+    for name in ("element_from_bytes", "gt_from_bytes"):
+        original = getattr(PairingContext, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(PairingContext, name, counted)
+    revived = EscrowServer.open(path)
+    revived.close()
+    assert counts == {"element_from_bytes": 30, "gt_from_bytes": 12}
+    assert revived.fetch(rid) == w.server.fetch(rid)
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    """The frames of an oracle store log: two records, each published, then
+    given new keywords, then a new policy and payload."""
+    path = tmp_path_factory.mktemp("log") / "store.log"
+    w = World(store_path=path)
+    rids = {
+        w.publish(b"a", ["bp", "hr"], ["A1", "A2"], 1): 1,
+        w.publish(b"b", ["bp"], ["A1"], 2): 2,
+    }
+    for rid, s in rids.items():
+        w.server.reencrypt(w.owner.update_request(rid, [s], w.pks, keywords=["kw"]))
+    for rid, s in rids.items():
+        w.server.reencrypt(
+            w.owner.update_request(
+                rid, [s], w.pks, policy=["A1", "A2"], plaintext=b"c", authorities=w.publics
+            )
+        )
+    w.server.close()
+    with closing(_read_frames(path)) as frames:
+        return path, list(frames)
+
+
+def _key_paths(obj, prefix=()):
+    """Every dict key and list index in ``obj``, down to four levels."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        if len(prefix) < 3:
+            yield from _key_paths(value, prefix + (key,))
+
+
+_JSON = (
+    st.none() | st.booleans() | st.integers(-1, 2**70) | st.floats() | st.text(max_size=4)
+    | st.lists(st.text(max_size=3), max_size=3)
+    | st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, data):
+    """Record frames with keys dropped or retyped, or layers swapped between
+    frames of one id, and the log cut anywhere: ``open`` raises a
+    ProtocolError or holds, per id, a full decode of the id's last frame."""
+    path, original = small_log
+    frames = json.loads(json.dumps(original))
+    ids = [f["record"]["record_id"] for f in original[1:]]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        i = data.draw(st.integers(1, len(frames) - 1), label="frame")
+        kind = data.draw(st.sampled_from(["drop", "retype", "swap", "swap"]), label="kind")
+        if kind == "swap":
+            j = data.draw(st.sampled_from([k + 1 for k, r in enumerate(ids) if r == ids[i - 1]]))
+            layer = data.draw(st.sampled_from(["sse", "abe", "recovery"]), label="layer")
+            a, b = frames[i].get("record"), frames[j].get("record")
+            if isinstance(a, dict) and isinstance(b, dict) and layer in a and layer in b:
+                a[layer], b[layer] = b[layer], a[layer]
+            continue
+        paths = list(_key_paths(frames[i]))
+        if not paths:
+            continue
+        key_path = data.draw(st.sampled_from(paths), label="path")
+        slot = frames[i]
+        for key in key_path[:-1]:
+            slot = slot[key]
+        if kind == "drop":
+            del slot[key_path[-1]]
+        else:
+            slot[key_path[-1]] = data.draw(_JSON, label="value")
+    raw = [_frame(f) for f in frames]
+    log = b"".join(raw)
+    ends = list(itertools.accumulate(map(len, raw)))
+    cut = data.draw(st.just(len(log)) | st.sampled_from(ends) | st.integers(0, len(log)))
+    path.write_bytes(log[:cut])
+    try:
+        server = EscrowServer.open(path)
+    except ProtocolError:
+        return
+    server.close()
+    kept = [frame for frame, end in zip(frames, ends) if end <= cut]
+    last = {f["record"]["record_id"]: f["record"] for f in kept[1:]}
+    assert set(server.record_ids()) == set(last)
+    for rid, obj in last.items():
+        assert server.fetch(rid) == record_from_wire(server.ctx, obj)
+
+
 def test_open_rejects_store_without_header(tmp_path):
     empty = tmp_path / "empty.log"
     empty.write_bytes(b"")
@@ -518,14 +654,26 @@ def _frame(obj) -> bytes:
         b"\x00\x00\x00\x02\xff\xfe",
         b"\x00\x00\x00\x04null",
         _frame({"kind": "record"}),
+        {"record_id": ["a"]},
+        {"record_id": {"a": 1}},
+        {"record_id": 7},
+        {"record_id": None},
+        {"set_index": float("inf")},
     ],
-    ids=["not-json", "not-object", "not-utf8", "null", "no-record"],
+    ids=["not-json", "not-object", "not-utf8", "null", "no-record",
+         "list-id", "dict-id", "int-id", "null-id", "infinite-index"],
 )
 def test_open_rejects_undecodable_frames(tmp_path, frame):
+    """A dict stands for the stored record's frame with those fields replaced."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
-    w.publish(b"a", ["bp"], ["A1"], 1)
+    rid = w.publish(b"a", ["bp"], ["A1"], 1)
     w.server.close()
+    if isinstance(frame, dict):
+        record = dict(record_to_wire(w.ctx, w.server.fetch(rid)), **frame)
+        with pytest.raises(BadRecord):
+            record_from_wire(w.ctx, record)
+        frame = _frame({"kind": "record", "record": record})
     with path.open("ab") as fh:
         fh.write(frame)
     with pytest.raises(BadRecord):

@@ -186,3 +186,39 @@ def test_abe_wire_sorts_policy_attributes():
     )
     creds = [abe.issue_credential(ctx, kps[a], blinded) for a in kps]
     assert abe.abe_verify(ctx, revived, creds, blinded) is True
+
+
+def test_policy_attributes_decode_only_as_sorted_strings():
+    """Decoding what a decoded policy layer encodes to gives that layer back
+    (a reopened store reuses layers on this), so the decoders take the
+    attributes only in the sorted order the encoders write, and only as
+    strings."""
+    ctx = OracleContext()
+    rng = random.Random(86)
+    policy = ["B2", "A1"]
+    abe_elems = abe.abe_policy_encrypt(
+        ctx,
+        policy,
+        {a: abe.aa_setup(ctx, a, rng).apk for a in policy},
+        {a: ctx.random_scalar(rng) for a in policy},
+    )
+    recovery_elems = recovery.wrap_key(
+        ctx,
+        recovery.new_recovery_key(ctx, rng),
+        policy,
+        {a: recovery.recovery_aa_setup(ctx, a, rng).apk_dtk for a in policy},
+        ctx.random_scalar(rng),
+        {a: ctx.random_scalar(rng) for a in policy},
+        ctx.random_gt(rng),
+    )
+    for to_wire, from_wire, elems in (
+        (wire.abe_to_wire, wire.abe_from_wire, abe_elems),
+        (wire.recovery_to_wire, wire.recovery_from_wire, recovery_elems),
+    ):
+        blob = to_wire(ctx, elems)
+        decoded = from_wire(ctx, blob)
+        assert decoded.attrs == ("A1", "B2")
+        assert from_wire(ctx, to_wire(ctx, decoded)) == decoded
+        for attrs in (["B2", "A1"], ["A1", 7], ["A1", ["B2"]], []):
+            with pytest.raises(BadRecord):
+                from_wire(ctx, dict(blob, attrs=attrs))

@@ -39,7 +39,11 @@ def final_exp(f):
 
 def primitives():
     """name -> zero-argument callable, built on fixed inputs."""
+    import random
+
+    from triseal.actors import Authority, Owner
     from triseal.pairing import CurveContext, HashDomain, Side, curve
+    from triseal.server import record_from_wire, record_to_wire
 
     ctx = CurveContext()
     h = ctx.hash_to_group(HashDomain.KEYWORD, b"bench")
@@ -60,6 +64,12 @@ def primitives():
             break
     raw = (x, y)
     labels = itertools.count()
+    # one stored record, as a store reopen decodes it: 2 keywords, 2 attributes
+    rng = random.Random(1)
+    publics = {a: Authority.create(ctx, a, rng).public() for a in ("A1", "A2")}
+    owner = Owner.create(ctx, "bench-owner", rng)
+    record = owner.publish(b"bench", ["k1", "k2"], ["A1", "A2"], 1, publics)
+    record_wire = record_to_wire(ctx, record)
     return {
         "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
@@ -74,6 +84,7 @@ def primitives():
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
         "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
         "final_exp_ms": lambda: final_exp(raw),  # any nonzero F_p^2 value
+        "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
     }
 
 
