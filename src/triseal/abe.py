@@ -20,13 +20,9 @@ accepts iff
 
 learning only the boolean: the GID never appears unblinded, and because
 every credential is bound to one U, credentials issued to different users
-(or to the same user in a different request) cannot be mixed.
-
-Passing ``blinded=None`` selects the unblinded legacy form credential =
-g^(a_i); it verifies the bare equation prod e(cred_i, transferor_i) = plcy
-and is collusion-prone by design.  Only the worked vectors use it: an
-``actors.Authority`` refuses to sign it and the server refuses a search
-request without a blinding.
+(or to the same user in a different request) cannot be mixed; there is no
+unblinded form.  Key recovery reuses :func:`sign_blinded` and
+:func:`encode_policy` under a second key set.
 """
 
 from __future__ import annotations
@@ -84,26 +80,28 @@ def blind_identity(ctx: PairingContext, gid_point: GroupElement, nonce: int) -> 
 @dataclass(frozen=True)
 class AttributeCredential:
     attribute_id: str
-    credential: GroupElement  # (g * H(GID)^r)^(a_i), or g^(a_i) unblinded
+    credential: GroupElement  # (g * H(GID)^r)^(a_i)
 
 
-def issue_credential(
-    ctx: PairingContext,
-    kp: AttributeKeyPair,
-    blinded: BlindedIdentity | None,
-) -> AttributeCredential:
-    """Sign a credential bound to the caller's blinded identity.
+def sign_blinded(ctx: PairingContext, secret: int, blinded: BlindedIdentity) -> GroupElement:
+    """(g * U)^secret for the blinded identity U: the one signing step of
+    credentials and decryption tokens.
 
     The authority must have authenticated, out of band, that the requester
     holds the attribute and the claimed GID; the blinding itself cannot be
-    checked here.  An identity-element blinding is rejected so that every
-    request really carries a fresh nonce.
+    checked here.  A missing or identity-element blinding is rejected so
+    that every request really carries a fresh nonce.
     """
-    if blinded is None:
-        return AttributeCredential(kp.attribute_id, ctx.g_left**kp.ask)
-    if blinded.element.is_identity:
-        raise InvalidBlinding("blinded identity must not be the group identity")
-    return AttributeCredential(kp.attribute_id, (ctx.g_left * blinded.element) ** kp.ask)
+    if blinded is None or blinded.element.is_identity:
+        raise InvalidBlinding("blinded identity is missing or the group identity")
+    return (ctx.g_left * blinded.element) ** secret
+
+
+def issue_credential(
+    ctx: PairingContext, kp: AttributeKeyPair, blinded: BlindedIdentity
+) -> AttributeCredential:
+    """Sign a credential bound to the caller's blinded identity."""
+    return AttributeCredential(kp.attribute_id, sign_blinded(ctx, kp.ask, blinded))
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,27 @@ class AccessPolicyElements:
     plcy: GtElement  # e(g, g)^(sum s_i)
 
 
+def encode_policy(
+    ctx: PairingContext,
+    attrs: Sequence[str],
+    apks: Mapping[str, GroupElement],
+    nonces: Mapping[str, int],
+) -> tuple[tuple[GroupElement, ...], tuple[GroupElement, ...], int]:
+    """(apk_i^(s_i) per attribute, g^(s_i) per attribute, sum s_i): the
+    AND-policy encoding of ``attrs`` under nonces s_i, shared by the
+    credential and key-recovery layers."""
+    if not attrs:
+        raise ValueError("policy needs at least one attribute")
+    if len(set(attrs)) != len(attrs):
+        raise ValueError("duplicate attribute in policy")
+    for attr in attrs:
+        if attr not in apks:
+            raise BadAttribute(f"no public key for attribute {attr!r}")
+    s = [ctx.require_nonzero(nonces[a], f"policy nonce for {a!r}") for a in attrs]
+    transferors = tuple(apks[a] ** s_i for a, s_i in zip(attrs, s))
+    return transferors, tuple(ctx.g_right**s_i for s_i in s), sum(s)
+
+
 def abe_policy_encrypt(
     ctx: PairingContext,
     attrs: Sequence[str],
@@ -124,24 +143,11 @@ def abe_policy_encrypt(
     nonces: Mapping[str, int],
 ) -> AccessPolicyElements:
     """Encode the conjunction of ``attrs`` under per-attribute nonces s_i."""
-    if not attrs:
-        raise ValueError("policy needs at least one attribute")
-    if len(set(attrs)) != len(attrs):
-        raise ValueError("duplicate attribute in policy")
-    transferors = []
-    modifiers = []
-    exponent_sum = 0
-    for attr in attrs:
-        if attr not in apks:
-            raise BadAttribute(f"no public key for attribute {attr!r}")
-        s = ctx.require_nonzero(nonces[attr], f"policy nonce for {attr!r}")
-        transferors.append(apks[attr] ** s)
-        modifiers.append(ctx.g_right**s)
-        exponent_sum += s
+    transferors, modifiers, exponent_sum = encode_policy(ctx, attrs, apks, nonces)
     return AccessPolicyElements(
         attrs=tuple(attrs),
-        ac_transferors=tuple(transferors),
-        plcy_modifiers=tuple(modifiers),
+        ac_transferors=transferors,
+        plcy_modifiers=modifiers,
         plcy=ctx.gt_generator**exponent_sum,
     )
 
@@ -150,7 +156,7 @@ def abe_verify(
     ctx: PairingContext,
     elems: AccessPolicyElements,
     creds: Sequence[AttributeCredential],
-    blinded: BlindedIdentity | None,
+    blinded: BlindedIdentity,
 ) -> bool:
     """Check the policy equation; False is an ordinary verification failure,
     while missing credentials raise IncompletePolicy."""
@@ -164,6 +170,5 @@ def abe_verify(
         elems.attrs, elems.ac_transferors, elems.plcy_modifiers
     ):
         lhs = lhs * ctx.pair(by_attr[attr], transferor)
-        if blinded is not None:
-            rhs = rhs * ctx.pair(blinded.element, modifier)
+        rhs = rhs * ctx.pair(blinded.element, modifier)
     return lhs == rhs

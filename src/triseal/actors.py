@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import abe, payload, recovery, sse
-from .errors import AuthenticationFailure, InvalidBlinding, MissingApk, WrongKey
+from .errors import AuthenticationFailure, MissingApk, WrongKey
 from .pairing import GroupElement, HashDomain, PairingContext
 from .server import DataRecord, EscrowServer, SearchRequest, SearchResponse, UpdateRequest
 
@@ -67,13 +67,9 @@ class Authority:
         return AuthorityPublic(self.attribute_id, self.kp.apk, self.kp_dtk.apk_dtk)
 
     def issue_credential(self, blinded: abe.BlindedIdentity) -> abe.AttributeCredential:
-        if blinded is None:
-            raise InvalidBlinding("authorities sign only blinded identities")
         return abe.issue_credential(self.ctx, self.kp, blinded)
 
     def issue_decrypt_token(self, blinded_r: abe.BlindedIdentity) -> GroupElement:
-        if blinded_r is None:
-            raise InvalidBlinding("authorities sign only blinded identities")
         return recovery.issue_decrypt_token(self.ctx, self.kp_dtk, blinded_r)
 
 

@@ -139,7 +139,7 @@ def _consent_from_wire(ctx: PairingContext, obj) -> ConsentGrant:
     return ConsentGrant(
         search_token=wire.token_from_wire(ctx, obj["search_token"]),
         owner_decrypt_token=wire.dec_elem(ctx, obj["owner_decrypt_token"], Side.LEFT),
-        subset=tuple(obj["subset"]),
+        subset=tuple(map(wire.index_from_wire, obj["subset"])),
     )
 
 

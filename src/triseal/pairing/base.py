@@ -149,9 +149,8 @@ class PairingContext(ABC):
 
     # -- scalar field ----------------------------------------------------------
 
-    def random_scalar(self, rng: random.Random, *, nonzero: bool = True) -> int:
-        lo = 1 if nonzero else 0
-        return rng.randrange(lo, self.order)
+    def random_scalar(self, rng: random.Random) -> int:
+        return rng.randrange(1, self.order)
 
     def scalar_inverse(self, s: int) -> int:
         """Multiplicative inverse mod q; zero input is NonInvertible."""
@@ -212,17 +211,17 @@ class PairingContext(ABC):
     # -- target-group operations ---------------------------------------------
 
     def gt_mul(self, a: GtElement, b: GtElement) -> GtElement:
-        self._check_gt(a)
-        self._check_gt(b)
+        self._check(a)
+        self._check(b)
         return GtElement(self, self._gt_mul(a.data, b.data))
 
     def gt_div(self, a: GtElement, b: GtElement) -> GtElement:
-        self._check_gt(a)
-        self._check_gt(b)
+        self._check(a)
+        self._check(b)
         return GtElement(self, self._gt_mul(a.data, self._gt_inv(b.data)))
 
     def gt_exp(self, a: GtElement, exponent: int) -> GtElement:
-        self._check_gt(a)
+        self._check(a)
         return GtElement(self, self._gt_exp(a.data, exponent % self.order))
 
     def random_gt(self, rng: random.Random) -> GtElement:
@@ -239,7 +238,7 @@ class PairingContext(ABC):
         return GroupElement(self, side, self._g_from_bytes(raw))
 
     def gt_to_bytes(self, e: GtElement) -> bytes:
-        self._check_gt(e)
+        self._check(e)
         return self._gt_to_bytes(e.data)
 
     def gt_from_bytes(self, raw: bytes) -> GtElement:
@@ -252,11 +251,7 @@ class PairingContext(ABC):
 
     # -- internal checks ----------------------------------------------------------
 
-    def _check(self, e: GroupElement) -> None:
-        if e.ctx.fingerprint != self.fingerprint:
-            raise BackendMismatch("element belongs to a different pairing context")
-
-    def _check_gt(self, e: GtElement) -> None:
+    def _check(self, e: GroupElement | GtElement) -> None:
         if e.ctx.fingerprint != self.fingerprint:
             raise BackendMismatch("element belongs to a different pairing context")
 

@@ -348,9 +348,14 @@ def _multi_pairing(pairs):
                     t0 = f0 * re
                     t1 = f1 * yq
                     f0, f1 = (t0 - t1) % _P, ((f0 + f1) * (re + yq) - t0 - t1) % _P
-    # final exponentiation (p^2 - 1)/q as (p - 1) then (p + 1)/q; the
-    # Frobenius on F_{p^2} is conjugation since p = 3 (mod 4), so
-    # f^(p-1) = conj(f) / f = conj(f)^2 / norm(f), which has norm 1
+    return _final_exp((f0, f1))
+
+
+def _final_exp(f):
+    """f^((p^2 - 1)/q) for nonzero f in F_{p^2}, as (p - 1) then (p + 1)/q.
+    The Frobenius on F_{p^2} is conjugation since p = 3 (mod 4), so
+    f^(p-1) = conj(f) / f = conj(f)^2 / norm(f), which has norm 1."""
+    f0, f1 = f
     norm_inv = _inv(f0 * f0 + f1 * f1, _P)
     a, b = _fp2_sqr((f0, -f1))
     return _unitary_pow((a * norm_inv % _P, b * norm_inv % _P), _FINAL_EXP)

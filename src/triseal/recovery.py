@@ -22,6 +22,9 @@ blinding H(GID)^(r'_u), and recovers, with no server involvement,
                           / prod_i e(H(GID)^(r'_u), dtk_aa_modifier_i)
     m                  = wrapped_key / e(g,g)^(sum s'_i + r').
 
+The aa_tokens and the per-attribute elements are the credential layer's
+``abe.sign_blinded`` and ``abe.encode_policy`` under a'_i and s'_i.
+
 Tokens from the search/credential layers cannot stand in for these: the
 exponents differ, so substitution leaves a non-trivial residual factor and
 the recovered mask fails payload authentication.
@@ -34,8 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .abe import BlindedIdentity
-from .errors import BadAttribute, IncompleteTokens, InvalidBlinding, NonceReuse
+from .abe import BlindedIdentity, encode_policy, sign_blinded
+from .errors import IncompleteTokens, NonceReuse
 from .pairing import GroupElement, GtElement, PairingContext, Side
 from .sse import SetPublicKeys
 
@@ -114,7 +117,7 @@ class DecryptionTokenSet:
     owner_token: GroupElement
     subset: tuple[int, ...]
     aa_tokens: Mapping[str, GroupElement]
-    blinded_r: BlindedIdentity | None
+    blinded_r: BlindedIdentity
 
 
 def wrap_key(
@@ -134,32 +137,18 @@ def wrap_key(
     credential layers of the same record; any collision is rejected to keep
     the layers algebraically independent.
     """
-    if not attrs:
-        raise ValueError("policy needs at least one attribute")
     reserved = {s % ctx.order for s in reserved_nonces}
     r = ctx.require_nonzero(r_prime, "wrapping nonce")
-    if r in reserved:
+    if r in reserved or any(s_primes[a] % ctx.order in reserved for a in attrs):
         raise NonceReuse("wrapping nonce reused from another layer")
-    sk_inv = ctx.scalar_inverse(owner.sk_dtk)
-    transferors = []
-    modifiers = []
-    exponent_sum = r
-    for attr in attrs:
-        if attr not in recovery_apks:
-            raise BadAttribute(f"no recovery public key for attribute {attr!r}")
-        s = ctx.require_nonzero(s_primes[attr], f"wrapping nonce for {attr!r}")
-        if s in reserved:
-            raise NonceReuse(f"wrapping nonce for {attr!r} reused from another layer")
-        transferors.append(recovery_apks[attr] ** s)
-        modifiers.append(ctx.g_right**s)
-        exponent_sum += s
+    transferors, modifiers, exponent_sum = encode_policy(ctx, attrs, recovery_apks, s_primes)
     return KeyRecoveryElements(
         attrs=tuple(attrs),
-        dtk_transferor=ctx.g_right ** (r * sk_inv),
+        dtk_transferor=ctx.g_right ** (r * ctx.scalar_inverse(owner.sk_dtk)),
         dtk_owner_modifier=ctx.g_right**r,
-        dtk_aa_transferors=tuple(transferors),
-        dtk_aa_modifiers=tuple(modifiers),
-        wrapped_key=mask * ctx.gt_generator**exponent_sum,
+        dtk_aa_transferors=transferors,
+        dtk_aa_modifiers=modifiers,
+        wrapped_key=mask * ctx.gt_generator ** (r + exponent_sum),
     )
 
 
@@ -176,17 +165,10 @@ def consent_decrypt_token(
 
 
 def issue_decrypt_token(
-    ctx: PairingContext,
-    kp: RecoveryAttributeKeyPair,
-    blinded_r: BlindedIdentity | None,
+    ctx: PairingContext, kp: RecoveryAttributeKeyPair, blinded_r: BlindedIdentity
 ) -> GroupElement:
-    """aa_token = (g * H(GID)^(r'_u))^(a'_i), same blinding rules as
-    credential issuance."""
-    if blinded_r is None:
-        return ctx.g_left**kp.ask_dtk
-    if blinded_r.element.is_identity:
-        raise InvalidBlinding("blinded identity must not be the group identity")
-    return (ctx.g_left * blinded_r.element) ** kp.ask_dtk
+    """aa_token = (g * H(GID)^(r'_u))^(a'_i), signed as a credential is."""
+    return sign_blinded(ctx, kp.ask_dtk, blinded_r)
 
 
 def recover_key(
@@ -203,12 +185,11 @@ def recover_key(
         raise IncompleteTokens(f"no decryption token for: {', '.join(missing)}")
     subset = pks.check_subset(tokens.subset)
     # one pairing product; prod_i e(U, M_i)^-1 is folded into e(U^-1, prod_i M_i)
+    modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity(Side.RIGHT))
     pairs = [
         (tokens.owner_token, elems.dtk_transferor),
         (ctx.group_inverse(pks.left_product(subset)), elems.dtk_owner_modifier),
         *((tokens.aa_tokens[a], t) for a, t in zip(elems.attrs, elems.dtk_aa_transferors)),
+        (ctx.group_inverse(tokens.blinded_r.element), modifiers),
     ]
-    if tokens.blinded_r is not None:
-        modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity(Side.RIGHT))
-        pairs.append((ctx.group_inverse(tokens.blinded_r.element), modifiers))
     return elems.wrapped_key / ctx.pairing_product(pairs)

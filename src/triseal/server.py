@@ -108,7 +108,7 @@ def record_from_wire(
     try:
         return DataRecord(
             record_id=_record_id(obj),
-            set_index=int(obj["set_index"]),
+            set_index=wire.index_from_wire(obj["set_index"]),
             sse=layer("sse", wire.sse_to_wire, wire.sse_from_wire),
             abe=layer("abe", wire.abe_to_wire, wire.abe_from_wire),
             recovery=layer("recovery", wire.recovery_to_wire, wire.recovery_from_wire),
@@ -228,10 +228,10 @@ def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
 
 def _search_response_body(ctx: PairingContext, obj: Mapping) -> SearchResponse:
     return SearchResponse(
-        subset=tuple(int(i) for i in obj["subset"]),
+        subset=tuple(map(wire.index_from_wire, obj["subset"])),
         matches=tuple(
             MatchedRecord(
-                record_id=m["record_id"],
+                record_id=_record_id(m),
                 payload=wire.payload_from_wire(m["payload"]),
                 recovery=wire.recovery_from_wire(ctx, m["recovery"]),
                 policy=tuple(m["policy"]),
@@ -266,9 +266,9 @@ def update_request_to_wire(ctx: PairingContext, req: UpdateRequest) -> dict:
 
 def _update_request_body(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
     return UpdateRequest(
-        record_id=obj["record_id"],
+        record_id=_record_id(obj),
         rtk=wire.dec_elem(ctx, obj["rtk"], Side.LEFT),
-        subset=tuple(int(i) for i in obj["subset"]),
+        subset=tuple(map(wire.index_from_wire, obj["subset"])),
         new_sse=None if obj["new_sse"] is None else wire.sse_from_wire(ctx, obj["new_sse"]),
         new_abe=None if obj["new_abe"] is None else wire.abe_from_wire(ctx, obj["new_abe"]),
         new_recovery=(

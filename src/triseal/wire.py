@@ -19,7 +19,7 @@ from .errors import BackendMismatch, BadRecord
 from .pairing import WIRE_FORMAT as WIRE_FORMAT_VERSION
 from .pairing import GroupElement, GtElement, PairingContext, Side, context_from_header
 from .payload import PayloadCiphertext, payload_from_bytes
-from .recovery import DecryptionTokenSet, KeyRecoveryElements
+from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements
 
 
@@ -61,8 +61,15 @@ def open_envelope(
         elif obj["params"] != ctx.param_header():
             raise BackendMismatch(f"{kind} envelope uses different parameters")
         return decode(ctx, obj)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise BadRecord(f"malformed {kind} envelope: {type(exc).__name__}: {exc}") from exc
+
+
+def index_from_wire(value: Any) -> int:
+    """A set index, as in a subset: only a JSON integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise BadRecord(f"set index {value!r} is not an integer")
+    return value
 
 
 def enc_elem(ctx: PairingContext, e: GroupElement) -> str:
@@ -112,7 +119,7 @@ def token_to_wire(ctx: PairingContext, token: SearchToken) -> dict:
 def token_from_wire(ctx: PairingContext, obj: Mapping) -> SearchToken:
     return SearchToken(
         token=dec_elem(ctx, obj["token"], Side.LEFT),
-        subset=tuple(int(i) for i in obj["subset"]),
+        subset=tuple(map(index_from_wire, obj["subset"])),
     )
 
 
@@ -169,10 +176,10 @@ def credential_to_wire(ctx: PairingContext, cred: AttributeCredential) -> dict:
 
 
 def credential_from_wire(ctx: PairingContext, obj: Mapping) -> AttributeCredential:
-    return AttributeCredential(
-        attribute_id=obj["attribute_id"],
-        credential=dec_elem(ctx, obj["credential"], Side.LEFT),
-    )
+    attribute_id = obj["attribute_id"]
+    if not isinstance(attribute_id, str):
+        raise BadRecord(f"credential attribute {attribute_id!r} is not a string")
+    return AttributeCredential(attribute_id, dec_elem(ctx, obj["credential"], Side.LEFT))
 
 
 def blinded_to_wire(ctx: PairingContext, blinded: BlindedIdentity) -> str:
@@ -209,24 +216,6 @@ def recovery_from_wire(ctx: PairingContext, obj: Mapping) -> KeyRecoveryElements
         dtk_aa_transferors=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["dtk_aa_transferors"]),
         dtk_aa_modifiers=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["dtk_aa_modifiers"]),
         wrapped_key=dec_gt(ctx, obj["wrapped_key"]),
-    )
-
-
-def tokenset_to_wire(ctx: PairingContext, tokens: DecryptionTokenSet) -> dict:
-    return {
-        "owner_token": enc_elem(ctx, tokens.owner_token),
-        "subset": list(tokens.subset),
-        "aa_tokens": {a: enc_elem(ctx, t) for a, t in sorted(tokens.aa_tokens.items())},
-        "blinded_r": None if tokens.blinded_r is None else blinded_to_wire(ctx, tokens.blinded_r),
-    }
-
-
-def tokenset_from_wire(ctx: PairingContext, obj: Mapping) -> DecryptionTokenSet:
-    return DecryptionTokenSet(
-        owner_token=dec_elem(ctx, obj["owner_token"], Side.LEFT),
-        subset=tuple(int(i) for i in obj["subset"]),
-        aa_tokens={a: dec_elem(ctx, t, Side.LEFT) for a, t in obj["aa_tokens"].items()},
-        blinded_r=None if obj["blinded_r"] is None else blinded_from_wire(ctx, obj["blinded_r"]),
     )
 
 

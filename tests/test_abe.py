@@ -44,8 +44,6 @@ def test_issue_credential_vectors():
     assert c1.credential.data == (1 + 18) * 11 % 101 == 7
     c2 = abe.issue_credential(ctx, kp2, blinded)
     assert c2.credential.data == (1 + 18) * 13 % 101 == 45
-    # unblinded legacy form: g^ask
-    assert abe.issue_credential(ctx, kp1, None).credential.data == 11
 
 
 def test_issue_rejects_identity_blinding():
@@ -113,14 +111,6 @@ def test_verify_rejects_mixed_blinding():
     )
     creds = [abe.issue_credential(ctx, kp1, blinded), abe.issue_credential(ctx, kp2, other)]
     assert abe.abe_verify(ctx, elems, creds, blinded) is False
-
-
-def test_verify_basic_mode_vector():
-    ctx, kp1, kp2, elems = _vector_setup()
-    creds = [abe.issue_credential(ctx, kp1, None), abe.issue_credential(ctx, kp2, None)]
-    # gT^(11*83) * gT^(13*16) = gT^4 * gT^6 = gT^10 = plcy
-    assert sum_mod([11 * 83, 13 * 16]) == 10
-    assert abe.abe_verify(ctx, elems, creds, None) is True
 
 
 def test_verify_incomplete_policy_distinct_from_false():
@@ -192,31 +182,6 @@ def test_nonce_unlinkability(oracle_big):
     )
     assert b1.element != b2.element
     assert abe.issue_credential(ctx, kp, b1) != abe.issue_credential(ctx, kp, b2)
-
-
-def test_basic_equivalence_random(oracle_big):
-    """Unblinded credentials against the bare equation behave like the
-    blinded path with the modifier terms removed."""
-    ctx = oracle_big
-    rng = random.Random(34)
-    for _ in range(20):
-        attrs, kps, elems = _random_setup(ctx, rng, rng.randrange(1, 4))
-        creds = [abe.issue_credential(ctx, kps[a], None) for a in attrs]
-        assert abe.abe_verify(ctx, elems, creds, None) is True
-        wrong = list(creds)
-        wrong[0] = abe.AttributeCredential(attrs[0], wrong[0].credential * ctx.g_left)
-        assert abe.abe_verify(ctx, elems, wrong, None) is False
-
-
-def test_identity_blinding_reduces_to_basic_equation():
-    """Verification with an identity-element blinding collapses the modifier
-    product, matching the unblinded legacy check exactly."""
-    ctx, kp1, kp2, elems = _vector_setup()
-    creds = [abe.issue_credential(ctx, kp1, None), abe.issue_credential(ctx, kp2, None)]
-    identity_blinded = abe.BlindedIdentity(element=ctx.g_left**0)
-    assert abe.abe_verify(ctx, elems, creds, identity_blinded) == abe.abe_verify(
-        ctx, elems, creds, None
-    )
 
 
 def test_credential_matching_is_order_insensitive():

@@ -16,8 +16,9 @@ def test_bench_primitives_smoke(tmp_path):
     )
     result = json.loads(out.read_text())
     assert json.loads(done.stdout.splitlines()[-1]) == result
-    assert set(result) == {"python", "gmpy2", "nproc", "repeat", "median_ms"}
+    assert set(result) == {"python", "gmpy2", "nproc", "repeat", "median_ms", "src_lines"}
     assert result["repeat"] == 1 and isinstance(result["gmpy2"], bool)
+    assert isinstance(result["src_lines"], int) and result["src_lines"] > 0
     assert set(result["median_ms"]) == {
         "pt_mul_q_ms", "pt_mul_h_ms", "pt_mul_160_ms", "g_exp_generator_ms",
         "element_from_bytes_ms", "gt_from_bytes_ms", "hash_to_group_ms",

@@ -122,7 +122,6 @@ def test_issue_decrypt_token_vectors():
     assert blinded_r.element.data == 72
     assert recovery.issue_decrypt_token(ctx, kp1, blinded_r).data == 73 * 17 % 101 == 29
     assert recovery.issue_decrypt_token(ctx, kp2, blinded_r).data == 73 * 19 % 101 == 74
-    assert recovery.issue_decrypt_token(ctx, kp1, None).data == 17  # unblinded form
     with pytest.raises(InvalidBlinding):
         recovery.issue_decrypt_token(ctx, kp1, abe.BlindedIdentity(ctx.g_left**0))
 

@@ -20,18 +20,19 @@ from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, ProtocolError, UpdateRejected
 from triseal.pairing import OracleContext, PairingContext
 from triseal.pairing.curve import _miller_lines
-from triseal.recovery import DecryptionTokenSet, recover_key
+from triseal.recovery import DecryptionTokenSet, issue_decrypt_token, recover_key
 from triseal.server import (
     DataRecord,
     EscrowServer,
     _read_frames,
-    SearchRequest,
     UpdateRequest,
     record_bytes,
     record_from_wire,
     record_to_wire,
     search_request_from_wire,
     search_request_to_wire,
+    search_response_from_wire,
+    search_response_to_wire,
     update_request_from_wire,
     update_request_to_wire,
 )
@@ -154,21 +155,22 @@ def test_search_reports_incomplete_policy_per_record():
 
 
 def test_search_accepts_only_blinded_requests():
-    """Unblinded credentials g^(a_i) satisfy the bare policy equation, so a
-    request without a blinding is refused before any record is examined."""
+    """A request without a blinding, or with the identity, is refused before
+    any record is examined, and no authority signs either."""
     w = World()
     w.publish(b"x", ["bp"], ["A1"], 1)
-    _, consent, req = w.request("bp", [1])
-    unblinded = SearchRequest(
-        token=consent.search_token,
-        credentials=(abe.issue_credential(w.ctx, w.authorities["A1"].kp, None),),
-        blinded=None,
-    )
+    _, _, req = w.request("bp", [1])
     with pytest.raises(InvalidBlinding):
-        w.server.search(unblinded)
+        w.server.search(replace(req, blinded=None))
     with pytest.raises(InvalidBlinding):
         w.server.search(replace(req, blinded=abe.BlindedIdentity(w.ctx.g_left**0)))
-    for issue in (w.authorities["A1"].issue_credential, w.authorities["A1"].issue_decrypt_token):
+    a1 = w.authorities["A1"]
+    for issue in (
+        a1.issue_credential,
+        a1.issue_decrypt_token,
+        lambda b: abe.issue_credential(w.ctx, a1.kp, b),
+        lambda b: issue_decrypt_token(w.ctx, a1.kp_dtk, b),
+    ):
         with pytest.raises(InvalidBlinding):
             issue(None)
     blob = dict(search_request_to_wire(w.ctx, req), blinded=None)
@@ -568,6 +570,13 @@ def _key_paths(obj, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
+def _parent(obj, key_path):
+    """The dict or list in ``obj`` that holds the last key of ``key_path``."""
+    for key in key_path[:-1]:
+        obj = obj[key]
+    return obj
+
+
 _JSON = (
     st.none() | st.booleans() | st.integers(-1, 2**70) | st.floats() | st.text(max_size=4)
     | st.lists(st.text(max_size=3), max_size=3)
@@ -598,9 +607,7 @@ def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, dat
         if not paths:
             continue
         key_path = data.draw(st.sampled_from(paths), label="path")
-        slot = frames[i]
-        for key in key_path[:-1]:
-            slot = slot[key]
+        slot = _parent(frames[i], key_path)
         if kind == "drop":
             del slot[key_path[-1]]
         else:
@@ -620,6 +627,92 @@ def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, dat
     assert set(server.record_ids()) == set(last)
     for rid, obj in last.items():
         assert server.fetch(rid) == record_from_wire(server.ctx, obj)
+
+
+DECODERS = {
+    "search-request": search_request_from_wire,
+    "search-response": search_response_from_wire,
+    "update-request": update_request_from_wire,
+}
+
+
+@pytest.fixture(scope="module")
+def messages():
+    """A one-record oracle World and the wire forms of a search request that
+    matches the record, its response and an update request for it."""
+    w = World()
+    rid = w.publish(b"a", ["bp"], ["A1"], 1)
+    _, _, req = w.request("bp", [1])
+    update = w.owner.update_request(rid, [1], w.pks, keywords=["kw"])
+    return w, {
+        "search-request": search_request_to_wire(w.ctx, req),
+        "search-response": search_response_to_wire(w.ctx, w.server.search(req)),
+        "update-request": update_request_to_wire(w.ctx, update),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(DECODERS))
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("subset", "1"),
+        ("subset", ["1"]),
+        ("subset", [1.9]),
+        ("subset", [True]),
+        ("subset", [float("inf")]),
+        ("id", ["x"]),
+        ("id", 7),
+    ],
+    ids=["string-subset", "string-index", "float-index", "bool-index", "infinite-index",
+         "list-id", "int-id"],
+)
+def test_message_decoders_take_only_integer_indices_and_string_ids(messages, kind, field, value):
+    """Set indices are JSON integers, never bools, floats or strings, and the
+    record and attribute ids are strings."""
+    w, wires = messages
+    paths = {
+        "search-request": {"subset": ("token", "subset"), "id": ("credentials", 0, "attribute_id")},
+        "search-response": {"subset": ("subset",), "id": ("matches", 0, "record_id")},
+        "update-request": {"subset": ("subset",), "id": ("record_id",)},
+    }
+    obj = json.loads(json.dumps(wires[kind]))
+    key_path = paths[kind][field]
+    _parent(obj, key_path)[key_path[-1]] = value
+    with pytest.raises(BadRecord):
+        DECODERS[kind](w.ctx, obj)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_messages_fail_typed_or_decode(messages, data):
+    """Search requests, search responses and update requests with keys
+    dropped or retyped raise a ProtocolError or decode, and a decoded
+    request served by ``search`` or ``reencrypt`` raises only a
+    ProtocolError."""
+    w, wires = messages
+    kind = data.draw(st.sampled_from(sorted(wires)), label="message")
+    obj = json.loads(json.dumps(wires[kind]))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        key_path = data.draw(st.sampled_from(list(_key_paths(obj))), label="path")
+        slot = _parent(obj, key_path)
+        if data.draw(st.booleans(), label="drop"):
+            del slot[key_path[-1]]
+        else:
+            slot[key_path[-1]] = data.draw(_JSON, label="value")
+    try:
+        decoded = DECODERS[kind](w.ctx, obj)
+    except ProtocolError:
+        return
+    server = EscrowServer(w.ctx, w.pks)
+    for rid in w.server.record_ids():
+        server.store_record(w.server.fetch(rid))
+    try:
+        if kind == "search-request":
+            server.search(decoded, workers=1)
+        elif kind == "update-request":
+            server.reencrypt(decoded)
+    except ProtocolError:
+        pass
 
 
 def test_open_rejects_store_without_header(tmp_path):
@@ -659,9 +752,13 @@ def _frame(obj) -> bytes:
         {"record_id": 7},
         {"record_id": None},
         {"set_index": float("inf")},
+        {"set_index": 1.9},
+        {"set_index": "1"},
+        {"set_index": True},
     ],
     ids=["not-json", "not-object", "not-utf8", "null", "no-record",
-         "list-id", "dict-id", "int-id", "null-id", "infinite-index"],
+         "list-id", "dict-id", "int-id", "null-id", "infinite-index",
+         "float-index", "string-index", "bool-index"],
 )
 def test_open_rejects_undecodable_frames(tmp_path, frame):
     """A dict stands for the stored record's frame with those fields replaced."""

@@ -89,28 +89,6 @@ def test_search_request_and_response_round_trip(world):
     assert [m.record_id for m in revived_resp.matches] == [rid]
 
 
-def test_decryption_token_set_round_trip(world):
-    """The user-held credential-file schema."""
-    ctx, pks, _, authority, owner, user, _ = world
-    session = user.new_session()
-    user.collect(session, authority)
-    tokens = recovery.DecryptionTokenSet(
-        owner_token=owner.consent("bp", [1, 2], pks).owner_decrypt_token,
-        subset=(1, 2),
-        aa_tokens=dict(session.decrypt_tokens),
-        blinded_r=session.blinded_r,
-    )
-    revived = wire.tokenset_from_wire(ctx, roundtrip(wire.tokenset_to_wire(ctx, tokens)))
-    assert revived.owner_token == tokens.owner_token
-    assert revived.subset == tokens.subset
-    assert revived.aa_tokens == tokens.aa_tokens
-    assert revived.blinded_r == tokens.blinded_r
-    basic = recovery.DecryptionTokenSet(
-        owner_token=tokens.owner_token, subset=(), aa_tokens={}, blinded_r=None
-    )
-    assert wire.tokenset_from_wire(ctx, roundtrip(wire.tokenset_to_wire(ctx, basic))).blinded_r is None
-
-
 def test_update_request_round_trip_and_apply(world):
     ctx, pks, server, _, owner, _, rid = world
     request = owner.update_request(rid, [1], pks, keywords=["rotated"])

@@ -6,8 +6,9 @@ Run from any directory; triseal is imported from the ``src/`` next to this
 script.  Standard library only.  Each primitive is timed ``--repeat`` times
 with ``time.perf_counter`` on fixed inputs, so two checkouts measured on
 the same machine are comparable; the line holds the median per primitive in
-milliseconds, the Python version, whether gmpy2 is in use and the number of
-usable cores.
+milliseconds, the Python version, whether gmpy2 is in use, the number of
+usable cores and ``src_lines``, the line count of every ``src/**/*.py``
+(counted as ``perfbench/run.py`` counts it).
 """
 
 from __future__ import annotations
@@ -24,17 +25,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 K160 = 0x9E3779B97F4A7C15F39CC0605CEDC8341082276B  # fixed 160-bit exponent
-
-
-def final_exp(f):
-    """The final exponentiation as curve._multi_pairing ends: conj(f)^2 /
-    norm(f), then the (p + 1)/q power by the Lucas ladder."""
-    from triseal.pairing import curve
-
-    f0, f1 = f
-    norm_inv = curve._inv(f0 * f0 + f1 * f1, curve._P)
-    a, b = curve._fp2_sqr((f0, -f1))
-    return curve._unitary_pow((a * norm_inv % curve._P, b * norm_inv % curve._P), curve._FINAL_EXP)
 
 
 def primitives():
@@ -83,7 +73,7 @@ def primitives():
         "miller_lines_ms": lambda: curve._miller_lines.__wrapped__(h.data),
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
         "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
-        "final_exp_ms": lambda: final_exp(raw),  # any nonzero F_p^2 value
+        "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
     }
 
@@ -105,6 +95,9 @@ def measure(repeat: int) -> dict:
         "nproc": len(os.sched_getaffinity(0)),
         "repeat": repeat,
         "median_ms": medians,
+        "src_lines": sum(
+            len(p.read_bytes().splitlines()) for p in sorted((ROOT / "src").rglob("*.py"))
+        ),
     }
 
 
