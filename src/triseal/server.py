@@ -20,29 +20,33 @@ kinds of request:
 
 Searches read immutable record snapshots; mutations serialize behind one
 lock, so a search sees each record before or after an update, never in
-between.  A search deals its candidates round-robin into a shard per usable
-core, forks a child per shard but the first and merges their outcome bytes
-in candidate order.  A child only checks, writes and ``os._exit``s, flushing
-no buffer it shares with the parent; a failed child's shard is rechecked
-here.  Without ``os.fork``, with one candidate or beside other threads (a
-child would inherit their held locks), the search is serial.  The optional
-store file is an append-only log of length-prefixed frames headed by the
-public parameters; the latest frame per record id wins on reload, which
-decodes only the layers that differ from the id's previous frame.
+between.  Search and reopen share one fork helper, ``_forked``: a shard per
+usable core, each but the first in a forked child, merged in serial order.  A
+child only computes, pickles its result down a pipe (safe: only its parent
+reads it; the context goes by persistent id) and ``os._exit``s, flushing no
+shared buffer; a failed child's shard is redone here.  Without ``os.fork`` or
+beside other threads (a child would inherit their held locks) the work is
+serial.  The store file is an append-only log of length-prefixed frames after
+a parameter header; the last frame per id wins.  Reopen streams it once for
+the ids (never holding all frames) and deals them by the decode work of their
+changed layers; each shard decodes its ids' frames in a second pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import logging
 import os
+import pickle
 import signal
 import threading
 from contextlib import closing, suppress
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import Any, BinaryIO, Callable, Mapping
 
 from . import wire
 from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity, abe_verify
@@ -61,7 +65,7 @@ from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_modifier
 
 logger = logging.getLogger("triseal.server")
-_MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes, one byte each on a pipe
+_MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes
 
 
 @dataclass(frozen=True)
@@ -215,13 +219,7 @@ def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
             for m in resp.matches
         ],
         "incomplete_policy": list(resp.incomplete_policy),
-        "stats": {
-            "candidates": resp.stats.candidates,
-            "sse_checked": resp.stats.sse_checked,
-            "sse_matched": resp.stats.sse_matched,
-            "abe_verified": resp.stats.abe_verified,
-            "matched": resp.stats.matched,
-        },
+        "stats": asdict(resp.stats),
     }
     return wire.envelope("search-response", ctx, body)
 
@@ -234,12 +232,12 @@ def _search_response_body(ctx: PairingContext, obj: Mapping) -> SearchResponse:
                 record_id=_record_id(m),
                 payload=wire.payload_from_wire(m["payload"]),
                 recovery=wire.recovery_from_wire(ctx, m["recovery"]),
-                policy=tuple(m["policy"]),
+                policy=wire.names_from_wire(m["policy"]),
             )
             for m in obj["matches"]
         ),
-        incomplete_policy=tuple(obj["incomplete_policy"]),
-        stats=SearchStats(**obj["stats"]),
+        incomplete_policy=wire.names_from_wire(obj["incomplete_policy"]),
+        stats=SearchStats(**{k: wire.index_from_wire(v) for k, v in obj["stats"].items()}),
     )
 
 
@@ -328,13 +326,28 @@ class EscrowServer:
             except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
                 raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
-            for frame in frames:
+            count, layers, work = 0, {}, {}  # per id: last frame's layers, decode work
+            for count, frame in enumerate(frames, 1):
                 if frame.get("kind") != "record":
                     raise BadRecord(f"unexpected frame kind {frame.get('kind')!r}")
                 obj = frame.get("record")  # an update re-logs the layers it keeps
-                rec = record_from_wire(ctx, obj, server._records.get(_record_id(obj)))
-                server._validate(rec)
-                server._records[rec.record_id] = rec
+                rid, now = _record_id(obj), [obj.get(k) for k in ("sse", "abe", "recovery")]
+                new = [v for v, old in zip(now, layers.get(rid, (None,) * 3)) if v != old]
+                layers[rid], work[rid] = now, work.get(rid, 0) + sum(map(_strings, new))
+
+        def decode(ids: list[str]) -> list[DataRecord]:  # as a serial open does
+            wanted, records = set(ids), {}
+            with closing(_read_frames(path)) as frames:
+                for frame in itertools.islice(frames, 1, count + 1):
+                    obj = frame["record"]
+                    if obj["record_id"] in wanted:
+                        rec = record_from_wire(ctx, obj, records.get(obj["record_id"]))
+                        server._validate(rec)
+                        records[rec.record_id] = rec
+            return [records[rid] for rid in ids]
+
+        ids = list(work)  # in first-seen order
+        server._records = dict(zip(ids, _forked(ctx, ids, decode, [work[rid] for rid in ids])))
         server._store = path.open("ab")
         return server
 
@@ -407,33 +420,9 @@ class EscrowServer:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
-        if workers is None:
-            affinity = getattr(os, "sched_getaffinity", None)
-            workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-        forkable = hasattr(os, "fork") and threading.active_count() == 1
-        n = max(1, min(workers, len(candidates))) if forkable else 1
-        shards = [candidates[k::n] for k in range(n)]  # dealt: a query's hits are often adjacent
-        children: dict[int, tuple[int, BinaryIO]] = {}
-        done: dict[int, list[int]] = {}
-        try:
-            for k in range(1, n):
-                with suppress(OSError):  # an unforked shard is checked below
-                    children[k] = self._fork_check(shards[k], req, modifier)
-            done[0] = self._check(shards[0], req, modifier)
-            for k, (pid, pipe) in list(children.items()):
-                with pipe:
-                    data = pipe.read()
-                if os.waitpid(pid, 0)[1] == 0 and len(data) == len(shards[k]):
-                    done[k] = list(data)
-                del children[k]
-        finally:
-            for pid, pipe in children.values():
-                pipe.close()
-                with suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-        parts = [done[k] if k in done else self._check(shards[k], req, modifier) for k in range(n)]
-        outcomes = [parts[i % n][i // n] for i in range(len(candidates))]
+        outcomes = _forked(  # dealt round-robin: a query's hits are often adjacent
+            self.ctx, candidates, lambda shard: self._check(shard, req, modifier), workers=workers
+        )
 
         hits = [rec for rec, out in zip(candidates, outcomes) if out == _MATCH]
         matches = [MatchedRecord(r.record_id, r.payload, r.recovery, r.abe.attrs) for r in hits]
@@ -475,27 +464,6 @@ class EscrowServer:
             outcomes.append(_MATCH if ok else _DENIED)
         return outcomes
 
-    def _fork_check(
-        self, shard: list[DataRecord], req: SearchRequest, modifier: GroupElement
-    ) -> tuple[int, BinaryIO]:
-        """Fork a child that sends ``_check(shard)`` down a pipe: (pid, read end)."""
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:
-            try:
-                with os.fdopen(w, "wb") as pipe:
-                    pipe.write(bytes(self._check(shard, req, modifier)))
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-
     # -- re-encryption (update) --------------------------------------------------
 
     def reencrypt(self, req: UpdateRequest) -> str:
@@ -534,6 +502,70 @@ class EscrowServer:
         return rec.record_id
 
 
+def _forked(
+    ctx: PairingContext, items: list, work: Callable[[list], list],
+    weights: list[int] | None = None, workers: int | None = None,
+) -> list:
+    """``work(items)`` over a shard per usable core (or ``workers``), dealt heaviest
+    ``weights`` first to the lightest shard (equal weights deal round-robin).  A
+    forked child's shard is redone here if it fails or sends a wrong-length result."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    n = max(1, min(workers, len(items))) if forkable else 1
+    weights = weights or [1] * len(items)
+    deal, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(items)), key=weights.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        deal[k].append(i)
+        loads[k] += weights[i]
+    shards = [[items[i] for i in dealt] for dealt in deal]
+    children: dict[int, tuple[int, BinaryIO]] = {}
+    done: dict[int, list] = {}
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # an unforked shard is redone below
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                try:
+                    with os.fdopen(w, "wb") as pipe:
+                        pickler = pickle.Pickler(pipe, pickle.HIGHEST_PROTOCOL)
+                        pickler.persistent_id = lambda obj: "ctx" if obj is ctx else None
+                        pickler.dump(work(shards[k]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[k] = pid, os.fdopen(r, "rb")
+        done[0] = work(shards[0])
+        for k in list(children):
+            with children[k][1] as pipe:
+                unpickler = pickle.Unpickler(io.BytesIO(pipe.read()))
+            unpickler.persistent_load = lambda _: ctx
+            if os.waitpid(children.pop(k)[0], 0)[1] == 0:
+                done[k] = unpickler.load()
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    parts = [done[k] if len(done.get(k, ())) == len(s) else work(s) for k, s in enumerate(shards)]
+    return [value for _, value in sorted(zip(itertools.chain(*deal), itertools.chain(*parts)))]
+
+
+def _strings(layer: Any) -> int:
+    """The strings in a layer's wire form (flat: strings and string lists)."""
+    values = layer.values() if isinstance(layer, dict) else ()
+    return sum(len(v) if isinstance(v, list) else isinstance(v, str) for v in values)
+
+
 def _read_frames(path: Path):
     with path.open("rb") as fh:
         while True:
@@ -548,7 +580,7 @@ def _read_frames(path: Path):
                 raise BadRecord("truncated store frame")
             try:
                 frame = json.loads(data.decode("utf-8"))
-            except ValueError as exc:  # also UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
                 raise BadRecord(f"store frame is not UTF-8 JSON: {exc}") from exc
             if not isinstance(frame, dict):
                 raise BadRecord("store frame is not a JSON object")

@@ -66,10 +66,17 @@ def open_envelope(
 
 
 def index_from_wire(value: Any) -> int:
-    """A set index, as in a subset: only a JSON integer, not a bool, float or string."""
+    """A set index or a count: only a JSON integer, not a bool, float or string."""
     if type(value) is not int:
-        raise BadRecord(f"set index {value!r} is not an integer")
+        raise BadRecord(f"{value!r} is not an integer")
     return value
+
+
+def names_from_wire(value: Any) -> tuple[str, ...]:
+    """Attribute names or record ids: only a JSON list of strings."""
+    if type(value) is not list or not all(isinstance(v, str) for v in value):
+        raise BadRecord(f"{value!r} is not a list of strings")
+    return tuple(value)
 
 
 def enc_elem(ctx: PairingContext, e: GroupElement) -> str:
@@ -142,8 +149,8 @@ def pks_from_wire(ctx: PairingContext, obj: Mapping) -> SetPublicKeys:
 
 def _attrs_from_wire(obj: Mapping) -> tuple[str, ...]:
     """Attribute names, non-empty and in the sorted order the encoders write."""
-    attrs = tuple(obj["attrs"])
-    if not attrs or not all(isinstance(a, str) for a in attrs) or list(attrs) != sorted(attrs):
+    attrs = names_from_wire(obj["attrs"])
+    if not attrs or list(attrs) != sorted(attrs):
         raise BadRecord(f"policy attributes {list(attrs)!r} are not sorted strings")
     return attrs
 

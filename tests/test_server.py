@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from curve_points import small_order_points
 from triseal import abe, sse, wire
+from triseal import server as server_mod
 from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, ProtocolError, UpdateRejected
 from triseal.pairing import OracleContext, PairingContext
@@ -211,6 +212,28 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _two_cores(monkeypatch):
+    """``EscrowServer.open`` takes no worker count: it shards over these cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture(scope="module")
+def curve_store(curve_ctx, tmp_path_factory):
+    """A curve store log of three records: one given new keywords, one a new
+    policy and payload, one as published."""
+    path = tmp_path_factory.mktemp("curve") / "store.log"
+    w = World(ctx=curve_ctx, store_path=path)
+    rids = [w.publish(f"rec-{i}".encode(), ["bp", "hr"], ["A1", "A2"], 1 + i) for i in range(3)]
+    w.server.reencrypt(w.owner.update_request(rids[0], [1], w.pks, keywords=["bp", "x"]))
+    w.server.reencrypt(
+        w.owner.update_request(
+            rids[1], [2], w.pks, policy=["A1"], plaintext=b"v2", authorities=w.publics
+        )
+    )
+    w.server.close()
+    return w, path
+
+
 def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
     """Two workers fork one child, which checks the round-robin shard
     {1, 3, 5} and computes its own Miller lines; the parent checks {0, 2, 4}
@@ -261,6 +284,64 @@ def test_failed_search_child_shard_is_rechecked(curve_world, monkeypatch, failur
     _assert_no_child_left()
 
 
+def test_forked_open_equals_serial(curve_store, monkeypatch):
+    """Two cores: the parent decodes its shard of the ids and one forked child
+    the rest; the result equals an open whose fork fails (all redone here),
+    byte for byte and in first-seen id order."""
+    w, path = curve_store
+    _two_cores(monkeypatch)
+    calls = Counter()
+    for holder, name in ((os, "fork"), (server_mod, "record_from_wire")):
+        original = getattr(holder, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, counted)
+    forked = EscrowServer.open(path)
+    _assert_no_child_left()
+    assert calls["fork"] == 1 and 0 < calls["record_from_wire"] < 5  # of 5 record frames
+    calls.clear()
+
+    def no_fork():
+        raise OSError("no processes left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial = EscrowServer.open(path)
+    assert calls == {"record_from_wire": 5}
+    ids = w.server.record_ids()
+    assert forked.record_ids() == serial.record_ids() == ids
+    for rid in ids:
+        assert forked.fetch(rid) == serial.fetch(rid) == w.server.fetch(rid)
+        assert record_bytes(w.ctx, forked.fetch(rid)) == record_bytes(w.ctx, serial.fetch(rid))
+    forked.close()
+    serial.close()
+
+
+def test_failed_open_child_shard_is_redone(curve_store, monkeypatch):
+    w, path = curve_store
+    _two_cores(monkeypatch)
+    test_pid = os.getpid()
+    original = server_mod.record_from_wire
+
+    def decode(*args):
+        if os.getpid() != test_pid:
+            raise RuntimeError("shard lost")
+        return original(*args)
+
+    forks = Counter()
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
+    monkeypatch.setattr(server_mod, "record_from_wire", decode)
+    revived = EscrowServer.open(path)
+    revived.close()
+    _assert_no_child_left()
+    assert forks == {"fork": 1}
+    assert revived.record_ids() == w.server.record_ids()
+    assert all(revived.fetch(rid) == w.server.fetch(rid) for rid in revived.record_ids())
+
+
 def test_search_error_surfaces_and_kills_children(curve_world, monkeypatch):
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
@@ -276,23 +357,31 @@ def test_search_error_surfaces_and_kills_children(curve_world, monkeypatch):
     _assert_no_child_left()
 
 
-def test_search_beside_other_threads_does_not_fork(curve_world, monkeypatch):
+def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, monkeypatch):
     """Forking a multi-threaded process could leave the child blocked on a
-    lock another thread held, so a search then runs serially."""
+    lock another thread held, so a search or a store reopen then runs serially."""
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
     serial = w.server.search(req, workers=1)
+    stored, path = curve_store
+    _two_cores(monkeypatch)
 
     def no_fork():
         raise AssertionError("forked beside another thread")
 
     monkeypatch.setattr(os, "fork", no_fork)
     results = []
-    thread = threading.Thread(target=lambda: results.append(w.server.search(req, workers=2)))
+
+    def serve():
+        results.append(w.server.search(req, workers=2))
+        with closing(EscrowServer.open(path)) as revived:
+            results.append(revived.record_ids())
+
+    thread = threading.Thread(target=serve)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert results == [serial]
+    assert results == [serial, stored.server.record_ids()]
 
 
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
@@ -345,10 +434,11 @@ def _replaced(obj, path, value):
     return obj
 
 
-def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path):
+def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeypatch):
     """Each G element of a message or a stored record is checked for order q
     on its own: a point of order 2, 4, 1151 or h*q in any one slot is
-    refused with a typed error, never accepted or met with a traceback."""
+    refused with a typed error, never accepted or met with a traceback,
+    also where a sharded reopen deals the frame to a forked child."""
     w = curve_world
     ctx = w.ctx
     _, _, req = w.request("bp", [1, 2, 3])
@@ -387,6 +477,19 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path):
             store.write_bytes(_frame(header) + valid + _frame(later))
             with pytest.raises(BadRecord, match="order-q subgroup"):
                 EscrowServer.open(store)
+    # two ids of equal decode work on two cores: the second id is the child's
+    other = record_to_wire(ctx, w.server.fetch(w.server.record_ids()[1]))
+    _two_cores(monkeypatch)
+    forks = Counter()
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
+    for name, raw in small_order_points().items():
+        bad = {"kind": "record", "record": _replaced(other, ("sse", "kw_modifier"), wire.b64e(raw))}
+        store.write_bytes(_frame(header) + valid + _frame(bad))
+        with pytest.raises(BadRecord, match="order-q subgroup"):
+            EscrowServer.open(store)
+        _assert_no_child_left()
+    assert forks["fork"] == len(small_order_points())
 
 
 def test_update_accepts_owner_and_swaps_layers():
@@ -651,32 +754,51 @@ def messages():
     }
 
 
-@pytest.mark.parametrize("kind", sorted(DECODERS))
+_FIELD_PATHS = {
+    "search-request": {"subset": ("token", "subset"), "id": ("credentials", 0, "attribute_id")},
+    "search-response": {
+        "subset": ("subset",),
+        "id": ("matches", 0, "record_id"),
+        "policy": ("matches", 0, "policy"),
+        "incomplete": ("incomplete_policy",),
+        "count": ("stats", "matched"),
+    },
+    "update-request": {"subset": ("subset",), "id": ("record_id",)},
+}
+_BAD_FIELDS = [  # (case id, field, value); a kind without the field is not a case
+    ("string-subset", "subset", "1"),
+    ("string-index", "subset", ["1"]),
+    ("float-index", "subset", [1.9]),
+    ("bool-index", "subset", [True]),
+    ("infinite-index", "subset", [float("inf")]),
+    ("list-id", "id", ["x"]),
+    ("int-id", "id", 7),
+    ("string-policy", "policy", "A1"),
+    ("int-policy-name", "policy", ["A1", 2]),
+    ("string-incomplete", "incomplete", "xy"),
+    ("list-incomplete-id", "incomplete", [["x"]]),
+    ("string-count", "count", "many"),
+    ("bool-count", "count", True),
+    ("float-count", "count", 1.0),
+]
+
+
 @pytest.mark.parametrize(
-    "field, value",
+    "kind, field, value",
     [
-        ("subset", "1"),
-        ("subset", ["1"]),
-        ("subset", [1.9]),
-        ("subset", [True]),
-        ("subset", [float("inf")]),
-        ("id", ["x"]),
-        ("id", 7),
+        pytest.param(kind, field, value, id=f"{case}-{kind}")
+        for case, field, value in _BAD_FIELDS
+        for kind in sorted(DECODERS)
+        if field in _FIELD_PATHS[kind]
     ],
-    ids=["string-subset", "string-index", "float-index", "bool-index", "infinite-index",
-         "list-id", "int-id"],
 )
 def test_message_decoders_take_only_integer_indices_and_string_ids(messages, kind, field, value):
-    """Set indices are JSON integers, never bools, floats or strings, and the
-    record and attribute ids are strings."""
+    """Set indices and stats counts are JSON integers, never bools, floats or
+    strings; record and attribute ids are strings, and policies and the
+    incomplete-policy ids are lists of strings."""
     w, wires = messages
-    paths = {
-        "search-request": {"subset": ("token", "subset"), "id": ("credentials", 0, "attribute_id")},
-        "search-response": {"subset": ("subset",), "id": ("matches", 0, "record_id")},
-        "update-request": {"subset": ("subset",), "id": ("record_id",)},
-    }
     obj = json.loads(json.dumps(wires[kind]))
-    key_path = paths[kind][field]
+    key_path = _FIELD_PATHS[kind][field]
     _parent(obj, key_path)[key_path[-1]] = value
     with pytest.raises(BadRecord):
         DECODERS[kind](w.ctx, obj)
@@ -746,6 +868,7 @@ def _frame(obj) -> bytes:
         b"\x00\x00\x00\x02[]",
         b"\x00\x00\x00\x02\xff\xfe",
         b"\x00\x00\x00\x04null",
+        (20000).to_bytes(4, "big") + b"[" * 10000 + b"]" * 10000,
         _frame({"kind": "record"}),
         {"record_id": ["a"]},
         {"record_id": {"a": 1}},
@@ -756,7 +879,7 @@ def _frame(obj) -> bytes:
         {"set_index": "1"},
         {"set_index": True},
     ],
-    ids=["not-json", "not-object", "not-utf8", "null", "no-record",
+    ids=["not-json", "not-object", "not-utf8", "null", "too-deep", "no-record",
          "list-id", "dict-id", "int-id", "null-id", "infinite-index",
          "float-index", "string-index", "bool-index"],
 )

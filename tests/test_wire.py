@@ -169,8 +169,8 @@ def test_abe_wire_sorts_policy_attributes():
 def test_policy_attributes_decode_only_as_sorted_strings():
     """Decoding what a decoded policy layer encodes to gives that layer back
     (a reopened store reuses layers on this), so the decoders take the
-    attributes only in the sorted order the encoders write, and only as
-    strings."""
+    attributes only in the sorted order the encoders write, and only as a
+    list of strings (the string "AB" is not the list ["A", "B"])."""
     ctx = OracleContext()
     rng = random.Random(86)
     policy = ["B2", "A1"]
@@ -197,6 +197,6 @@ def test_policy_attributes_decode_only_as_sorted_strings():
         decoded = from_wire(ctx, blob)
         assert decoded.attrs == ("A1", "B2")
         assert from_wire(ctx, to_wire(ctx, decoded)) == decoded
-        for attrs in (["B2", "A1"], ["A1", 7], ["A1", ["B2"]], []):
+        for attrs in (["B2", "A1"], ["A1", 7], ["A1", ["B2"]], [], "AB"):
             with pytest.raises(BadRecord):
                 from_wire(ctx, dict(blob, attrs=attrs))

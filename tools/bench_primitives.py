@@ -8,7 +8,9 @@ with ``time.perf_counter`` on fixed inputs, so two checkouts measured on
 the same machine are comparable; the line holds the median per primitive in
 milliseconds, the Python version, whether gmpy2 is in use, the number of
 usable cores and ``src_lines``, the line count of every ``src/**/*.py``
-(counted as ``perfbench/run.py`` counts it).
+(counted as ``perfbench/run.py`` counts it).  ``store_open_ms_per_record``
+reopens a fixed 6-record store log, each record given new keywords or a new
+policy and payload after publishing, and divides by the record count.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 K160 = 0x9E3779B97F4A7C15F39CC0605CEDC8341082276B  # fixed 160-bit exponent
+STORE_RECORDS = 6
+PER_CALL = {"store_open_ms_per_record": STORE_RECORDS}  # rows timed per unit, not per call
 
 
 def primitives():
@@ -33,7 +38,8 @@ def primitives():
 
     from triseal.actors import Authority, Owner
     from triseal.pairing import CurveContext, HashDomain, Side, curve
-    from triseal.server import record_from_wire, record_to_wire
+    from triseal.server import EscrowServer, record_from_wire, record_to_wire
+    from triseal.sse import server_setup
 
     ctx = CurveContext()
     h = ctx.hash_to_group(HashDomain.KEYWORD, b"bench")
@@ -60,6 +66,23 @@ def primitives():
     owner = Owner.create(ctx, "bench-owner", rng)
     record = owner.publish(b"bench", ["k1", "k2"], ["A1", "A2"], 1, publics)
     record_wire = record_to_wire(ctx, record)
+    # a store log as a reopen reads it: keyword and policy rotations alternate
+    tmp = tempfile.TemporaryDirectory()  # kept alive by the closure below
+    store = Path(tmp.name) / "store.log"
+    pks = server_setup(ctx, 3, rng)
+    server = EscrowServer(ctx, pks, store_path=store)
+    for i in range(STORE_RECORDS):
+        subset = [1 + i % 3]
+        published = owner.publish(b"r%d" % i, ["k1", "k2"], ["A1", "A2"], subset[0], publics)
+        rid = server.store_record(published)
+        if i % 2:
+            update = owner.update_request(rid, subset, pks, keywords=["k3", "k4"])
+        else:
+            update = owner.update_request(
+                rid, subset, pks, policy=["A1", "A2"], plaintext=b"v2", authorities=publics
+            )
+        server.reencrypt(update)
+    server.close()
     return {
         "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
@@ -75,6 +98,7 @@ def primitives():
         "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
+        "store_open_ms_per_record": lambda: EscrowServer.open(Path(tmp.name) / store.name).close(),
     }
 
 
@@ -87,7 +111,7 @@ def measure(repeat: int) -> dict:
         for _ in range(repeat):
             t0 = time.perf_counter()
             fn()
-            times.append((time.perf_counter() - t0) * 1000.0)
+            times.append((time.perf_counter() - t0) * 1000.0 / PER_CALL.get(name, 1))
         medians[name] = round(statistics.median(times), 3)
     return {
         "python": platform.python_version(),
