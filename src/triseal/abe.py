@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BadAttribute, IncompletePolicy, InvalidBlinding
 from .pairing import GroupElement, GtElement, PairingContext
@@ -48,12 +48,14 @@ def aa_setup(
     rng: random.Random | None = None,
     *,
     ask: int | None = None,
+    avoid: Iterable[int] = (),
 ) -> AttributeKeyPair:
-    """Fresh attribute key pair; ``ask`` injectable for worked vectors."""
+    """Fresh attribute key pair, the secret drawn outside ``avoid``; ``ask``
+    injectable for worked vectors."""
     if ask is None:
         if rng is None:
             raise ValueError("need rng or an injected secret")
-        ask = ctx.random_scalar(rng)
+        ask = ctx.random_scalar(rng, avoid)
     ask = ctx.require_nonzero(ask, "attribute secret key")
     return AttributeKeyPair(
         attribute_id=attribute_id,

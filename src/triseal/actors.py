@@ -108,57 +108,62 @@ class Owner:
 
     # -- publishing ----------------------------------------------------------
 
-    def _check_apks(self, policy: Sequence[str], authorities: Mapping[str, AuthorityPublic]):
-        missing = [a for a in policy if a not in authorities]
-        if missing:
-            raise MissingApk(f"no authority public keys for: {', '.join(missing)}")
-
-    def _sse_layer(self, keywords: Sequence[bytes | str]) -> tuple[sse.SseRecordElements, int]:
-        r = self.ctx.random_scalar(self.rng)
-        elems = sse.sse_encrypt(
-            self.ctx, self.sse_key, keywords, self.update_point, r, owner_point=self.owner_point
-        )
-        return elems, r
-
-    def _abe_layer(
-        self, policy: Sequence[str], authorities: Mapping[str, AuthorityPublic]
-    ) -> tuple[abe.AccessPolicyElements, dict[str, int]]:
-        nonces = {a: self.ctx.random_scalar(self.rng) for a in policy}
-        apks = {a: authorities[a].apk for a in policy}
-        return abe.abe_policy_encrypt(self.ctx, policy, apks, nonces), nonces
-
-    def _recovery_layer(
+    def _layers(
         self,
-        policy: Sequence[str],
-        authorities: Mapping[str, AuthorityPublic],
-        plaintext: bytes,
-        reserved: Iterable[int],
-    ) -> tuple[recovery.KeyRecoveryElements, payload.PayloadCiphertext]:
-        reserved = set(reserved)  # nonces spent by the other layers
-        spent = set(reserved)
-        r_prime = self._fresh_scalar(spent)
-        s_primes = {a: self._fresh_scalar(spent) for a in policy}
-        mask = self.ctx.random_gt(self.rng)
-        apks_dtk = {a: authorities[a].apk_dtk for a in policy}
-        elems = recovery.wrap_key(
-            self.ctx,
-            self.recovery_key,
-            policy,
-            apks_dtk,
-            r_prime,
-            s_primes,
-            mask,
-            reserved_nonces=reserved,
-        )
-        key = payload.derive_key(self.ctx, mask)
-        return elems, payload.encrypt_payload(key, plaintext, rng=self.rng)
+        keywords: Sequence[bytes | str] | None,
+        policy: Sequence[str] | None,
+        authorities: Mapping[str, AuthorityPublic] | None,
+        plaintext: bytes | None,
+    ) -> tuple[
+        sse.SseRecordElements | None,
+        abe.AccessPolicyElements | None,
+        recovery.KeyRecoveryElements | None,
+        payload.PayloadCiphertext | None,
+    ]:
+        """New (search, policy, key-recovery, payload) layers: the search
+        layer for ``keywords`` and the other three for ``policy``, each None
+        when its argument is.  Layer 3's nonces avoid those of layers 1 and 2
+        and each other, so the layers stay algebraically independent."""
+        missing = [a for a in policy or () if a not in authorities]
+        if missing:  # checked before any draw
+            raise MissingApk(f"no authority public keys for: {', '.join(missing)}")
+        ctx, rng = self.ctx, self.rng
+        new_sse = new_abe = new_recovery = new_payload = None
+        reserved: set[int] = set()  # nonces spent by layers 1 and 2
+        if keywords is not None:
+            r = ctx.random_scalar(rng)
+            reserved.add(r)
+            new_sse = sse.sse_encrypt(
+                ctx, self.sse_key, keywords, self.update_point, r, owner_point=self.owner_point
+            )
+        if policy is not None:
+            s = {a: ctx.random_scalar(rng) for a in policy}
+            reserved.update(s.values())
+            apks = {a: authorities[a].apk for a in policy}
+            new_abe = abe.abe_policy_encrypt(ctx, policy, apks, s)
+            spent = set(reserved)
 
-    def _fresh_scalar(self, reserved: set[int]) -> int:
-        while True:
-            s = self.ctx.random_scalar(self.rng)
-            if s not in reserved:
-                reserved.add(s)
-                return s
+            def fresh() -> int:  # a layer-3 nonce unlike every nonce drawn so far
+                spent.add(nonce := ctx.random_scalar(rng, spent))
+                return nonce
+
+            r_prime = fresh()
+            s_primes = {a: fresh() for a in policy}
+            mask = ctx.random_gt(rng)
+            apks_dtk = {a: authorities[a].apk_dtk for a in policy}
+            new_recovery = recovery.wrap_key(
+                ctx,
+                self.recovery_key,
+                policy,
+                apks_dtk,
+                r_prime,
+                s_primes,
+                mask,
+                reserved_nonces=reserved,
+            )
+            key = payload.derive_key(ctx, mask)
+            new_payload = payload.encrypt_payload(key, plaintext, rng=rng)
+        return new_sse, new_abe, new_recovery, new_payload
 
     def publish(
         self,
@@ -171,20 +176,7 @@ class Owner:
         """Compose all three layers into a record (id assigned at store)."""
         if not keywords:
             raise ValueError("need at least one keyword")
-        self._check_apks(policy, authorities)
-        sse_elems, r = self._sse_layer(keywords)
-        abe_elems, s_nonces = self._abe_layer(policy, authorities)
-        rec_elems, ct = self._recovery_layer(
-            policy, authorities, plaintext, {r, *s_nonces.values()}
-        )
-        return DataRecord(
-            record_id="",
-            set_index=set_index,
-            sse=sse_elems,
-            abe=abe_elems,
-            recovery=rec_elems,
-            payload=ct,
-        )
+        return DataRecord("", set_index, *self._layers(keywords, policy, authorities, plaintext))
 
     # -- consents --------------------------------------------------------------
 
@@ -225,31 +217,12 @@ class Owner:
         means a new mask, and a new mask means re-encrypting the payload).
         """
         subset = pks.check_subset(subset)
-        new_sse = new_abe = new_recovery = new_payload = None
-        reserved: set[int] = set()
-        if keywords is not None:
-            new_sse, r = self._sse_layer(keywords)
-            reserved.add(r)
-        if policy is not None:
-            if plaintext is None or authorities is None:
-                raise ValueError("policy update needs the plaintext and authority keys")
-            self._check_apks(policy, authorities)
-            new_abe, s_nonces = self._abe_layer(policy, authorities)
-            reserved.update(s_nonces.values())
-            new_recovery, new_payload = self._recovery_layer(
-                policy, authorities, plaintext, reserved
-            )
-        elif plaintext is not None:
+        if policy is not None and (plaintext is None or authorities is None):
+            raise ValueError("policy update needs the plaintext and authority keys")
+        if policy is None and plaintext is not None:
             raise ValueError("key rotation needs the policy for the new wrapping")
-        return UpdateRequest(
-            record_id=record_id,
-            rtk=self.reencryption_token(subset, pks),
-            subset=subset,
-            new_sse=new_sse,
-            new_abe=new_abe,
-            new_recovery=new_recovery,
-            new_payload=new_payload,
-        )
+        layers = self._layers(keywords, policy, authorities, plaintext)
+        return UpdateRequest(record_id, self.reencryption_token(subset, pks), subset, *layers)
 
 
 @dataclass

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 protocol error, 2 usage error, 3 clean no-match.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -41,11 +40,15 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_bytes(wire.canonical_json(obj) + b"\n")
 
 
-def _read_json(path: Path):
+def _read_bytes(path: Path) -> bytes:
     try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
         raise BadRecord(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: Path):
+    return wire.parse_json(_read_bytes(path), str(path))
 
 
 def _load(path: Path, kind: str, decode, ctx: PairingContext | None = None):
@@ -53,18 +56,38 @@ def _load(path: Path, kind: str, decode, ctx: PairingContext | None = None):
     return wire.open_envelope(_read_json(path), kind, decode, ctx)
 
 
-def _rng(seed: str | None) -> random.Random:
-    if seed is None:
-        return random.SystemRandom()
-    return random.Random(int(seed, 16))
+def _rng(seed: int | None) -> random.Random:
+    return random.SystemRandom() if seed is None else random.Random(seed)
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
+# -- argument types: a malformed argument is a usage error (exit 2) -------------
 
 
-def _parse_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part]
+def _seed(text: str) -> int:
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a hex seed") from None
+
+
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _subset(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of set indices") from None
+
+
+def _names(text: str) -> list[str]:
+    names = [part for part in text.split(",") if part]
+    if not names:
+        raise argparse.ArgumentTypeError(f"{text!r} names nothing")
+    return names
 
 
 # -- actor state files -----------------------------------------------------------
@@ -254,9 +277,9 @@ def _cmd_publish(args) -> int:
     try:
         publics = _authority_publics(owner.ctx, args.aa)
         record = owner.publish(
-            plaintext=Path(args.file).read_bytes(),
-            keywords=_parse_list(args.keywords),
-            policy=_parse_list(args.policy),
+            plaintext=_read_bytes(Path(args.file)),
+            keywords=args.keywords,
+            policy=args.policy,
             set_index=args.set_index,
             authorities=publics,
         )
@@ -270,7 +293,7 @@ def _cmd_publish(args) -> int:
 def _cmd_consent(args) -> int:
     owner = _load_owner(args.home)
     _, pks = _load_server_public(args.server, owner.ctx)
-    grant = owner.consent(args.keyword, _parse_subset(args.subset), pks)
+    grant = owner.consent(args.keyword, args.subset, pks)
     _consent_to_file(owner.ctx, grant, Path(args.out))
     print(f"consent written: {args.out}")
     return EXIT_OK
@@ -351,11 +374,11 @@ def _cmd_update(args) -> int:
         publics = _authority_publics(owner.ctx, args.aa) if args.aa else None
         request = owner.update_request(
             record_id=args.record_id,
-            subset=_parse_subset(args.subset),
+            subset=args.subset,
             pks=server.pks,
-            keywords=_parse_list(args.keywords) if args.keywords else None,
-            policy=_parse_list(args.policy) if args.policy else None,
-            plaintext=Path(args.file).read_bytes() if args.file else None,
+            keywords=args.keywords,
+            policy=args.policy,
+            plaintext=_read_bytes(Path(args.file)) if args.file else None,
             authorities=publics,
         )
         record_id = server.reencrypt(request)
@@ -394,41 +417,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("setup-server", help="create server parameters and store")
     p.add_argument("--home", required=True)
-    p.add_argument("--sets", type=int, required=True, help="number of data sets n")
+    p.add_argument("--sets", type=_positive, required=True, help="number of data sets n")
     p.add_argument("--backend", choices=["oracle", "curve"], default="curve")
-    p.add_argument("--seed", help="hex seed for reproducible runs")
+    p.add_argument("--seed", type=_seed, help="hex seed for reproducible runs")
     p.set_defaults(func=_cmd_setup_server)
 
     p = sub.add_parser("setup-aa", help="create one attribute authority")
     p.add_argument("--home", required=True)
     p.add_argument("--server", required=True)
     p.add_argument("--attr", required=True)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_setup_aa)
 
     p = sub.add_parser("setup-owner", help="create owner key material")
     p.add_argument("--home", required=True)
     p.add_argument("--server", required=True)
     p.add_argument("--owner-id", required=True)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_setup_owner)
 
     p = sub.add_parser("publish", help="encrypt, tag, and store one file")
     p.add_argument("--home", required=True, help="owner home")
     p.add_argument("--server", required=True)
     p.add_argument("--file", required=True)
-    p.add_argument("--keywords", required=True, help="comma-separated")
-    p.add_argument("--policy", required=True, help="comma-separated attribute ids")
+    p.add_argument("--keywords", type=_names, required=True, help="comma-separated")
+    p.add_argument("--policy", type=_names, required=True, help="comma-separated attribute ids")
     p.add_argument("--set-index", type=int, required=True)
     p.add_argument("--aa", action="append", required=True, help="authority home (repeatable)")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_publish)
 
     p = sub.add_parser("consent", help="grant search + decryption tokens")
     p.add_argument("--home", required=True, help="owner home")
     p.add_argument("--server", required=True)
     p.add_argument("--keyword", required=True)
-    p.add_argument("--subset", required=True, help="e.g. 1,3,5")
+    p.add_argument("--subset", type=_subset, required=True, help="e.g. 1,3,5")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_consent)
 
@@ -436,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--home", required=True, help="user home")
     p.add_argument("--aa", required=True, help="authority home")
     p.add_argument("--gid", help="user identity (first call only)")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_issue)
 
     p = sub.add_parser("search", help="submit the session request to the server")
@@ -444,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", required=True)
     p.add_argument("--consent", required=True)
     p.add_argument("--out", required=True, help="results file")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("decrypt", help="recover keys locally and decrypt results")
@@ -453,19 +476,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--consent", required=True)
     p.add_argument("--results", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_decrypt)
 
     p = sub.add_parser("update", help="re-encrypt a record's layers")
     p.add_argument("--home", required=True, help="owner home")
     p.add_argument("--server", required=True)
     p.add_argument("--record-id", required=True)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--keywords", help="replace the search layer")
-    p.add_argument("--policy", help="replace policy + key wrapping + payload")
+    p.add_argument("--subset", type=_subset, required=True)
+    p.add_argument("--keywords", type=_names, help="replace the search layer")
+    p.add_argument("--policy", type=_names, help="replace policy + key wrapping + payload")
     p.add_argument("--file", help="plaintext, required with --policy")
     p.add_argument("--aa", action="append", help="authority home (repeatable)")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_update)
 
     p = sub.add_parser("inspect", help="print record structure (no secrets)")
@@ -477,7 +500,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "update" and args.policy is not None and not (args.file and args.aa):
+        parser.error("update --policy needs --file and --aa")
+    if args.command == "update" and args.policy is None and args.file is not None:
+        parser.error("update --file needs --policy")
     try:
         return args.func(args)
     except ProtocolError as exc:

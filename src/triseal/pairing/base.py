@@ -149,15 +149,18 @@ class PairingContext(ABC):
 
     # -- scalar field ----------------------------------------------------------
 
-    def random_scalar(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.order)
+    def random_scalar(self, rng: random.Random, avoid: Iterable[int] = ()) -> int:
+        """Uniform draw from [1, q), drawn again while it is congruent mod q
+        to a member of ``avoid``: the one place a secret scalar is drawn, so
+        keys and nonces that must differ across layers differ here."""
+        avoid = {a % self.order for a in avoid}
+        while (s := rng.randrange(1, self.order)) in avoid:
+            pass
+        return s
 
     def scalar_inverse(self, s: int) -> int:
         """Multiplicative inverse mod q; zero input is NonInvertible."""
-        s %= self.order
-        if s == 0:
-            raise NonInvertible("scalar has no inverse: zero mod q")
-        return pow(s, -1, self.order)
+        return pow(self.require_nonzero(s, "inverted scalar"), -1, self.order)
 
     def require_nonzero(self, s: int, what: str) -> int:
         s %= self.order

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .abe import BlindedIdentity, encode_policy, sign_blinded
+from .abe import BlindedIdentity, aa_setup, encode_policy, sign_blinded
 from .errors import IncompleteTokens, NonceReuse
 from .pairing import GroupElement, GtElement, PairingContext, Side
 from .sse import SetPublicKeys
@@ -56,11 +56,7 @@ def new_recovery_key(
     *,
     distinct_from: Collection[int] = (),
 ) -> OwnerRecoveryKey:
-    forbidden = {s % ctx.order for s in distinct_from}
-    while True:
-        sk = ctx.random_scalar(rng)
-        if sk not in forbidden:
-            return OwnerRecoveryKey(sk_dtk=sk)
+    return OwnerRecoveryKey(sk_dtk=ctx.random_scalar(rng, distinct_from))
 
 
 @dataclass(frozen=True)
@@ -79,23 +75,10 @@ def recovery_aa_setup(
     distinct_from: Collection[int] = (),
 ) -> RecoveryAttributeKeyPair:
     """Second attribute key pair, kept apart from the credential-layer a_i."""
-    forbidden = {s % ctx.order for s in distinct_from}
-    if ask is None:
-        if rng is None:
-            raise ValueError("need rng or an injected secret")
-        while True:
-            ask = ctx.random_scalar(rng)
-            if ask not in forbidden:
-                break
-    else:
-        ask = ctx.require_nonzero(ask, "recovery attribute secret")
-        if ask % ctx.order in forbidden:
-            raise NonceReuse("recovery attribute secret equals a credential-layer secret")
-    return RecoveryAttributeKeyPair(
-        attribute_id=attribute_id,
-        ask_dtk=ask,
-        apk_dtk=ctx.g_right ** ctx.scalar_inverse(ask),
-    )
+    if ask is not None and ask % ctx.order in {s % ctx.order for s in distinct_from}:
+        raise NonceReuse("recovery attribute secret equals a credential-layer secret")
+    kp = aa_setup(ctx, attribute_id, rng, ask=ask, avoid=distinct_from)
+    return RecoveryAttributeKeyPair(attribute_id, ask_dtk=kp.ask, apk_dtk=kp.apk)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
-import json
 import logging
 import os
 import pickle
@@ -578,10 +577,7 @@ def _read_frames(path: Path):
             data = fh.read(size)
             if len(data) != size:
                 raise BadRecord("truncated store frame")
-            try:
-                frame = json.loads(data.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
-                raise BadRecord(f"store frame is not UTF-8 JSON: {exc}") from exc
+            frame = wire.parse_json(data, "store frame")
             if not isinstance(frame, dict):
                 raise BadRecord("store frame is not a JSON object")
             yield frame

@@ -92,10 +92,8 @@ def server_setup(
         if rng is None:
             raise ValueError("need rng or injected exponents")
         exponents = []
-        while len(exponents) < n:
-            a = ctx.random_scalar(rng)
-            if a not in exponents:
-                exponents.append(a)
+        for _ in range(n):
+            exponents.append(ctx.random_scalar(rng, avoid=exponents))
     elif len(exponents) != n:
         raise ValueError("need exactly one exponent per set")
     left = tuple(ctx.g_left ** a for a in exponents)

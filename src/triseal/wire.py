@@ -35,6 +35,15 @@ def canonical_json(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def parse_json(raw: bytes, what: str) -> Any:
+    """Untrusted UTF-8 JSON bytes to a value; bytes that do not decode, do
+    not parse or nest past the recursion limit are BadRecord."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
+        raise BadRecord(f"{what} is not UTF-8 JSON: {exc}") from exc
+
+
 def envelope(kind: str, ctx: PairingContext, body: Mapping) -> dict:
     """The self-describing header plus ``body``, ready for canonical_json."""
     return {"format": WIRE_FORMAT_VERSION, "kind": kind, "params": ctx.param_header(), **body}

@@ -544,12 +544,14 @@ def test_criterion_8_reencryption_gate():
             before = record_bytes(ctx, rec)
 
             search_token = owner.consent(keywords[0], subset, pks).search_token.token
+            layers = [owner.update_request(record_id, subset, pks, keywords=["x"]).new_sse
+                      for _ in range(2)]
             forged = [
                 UpdateRequest(record_id=record_id, rtk=search_token, subset=subset,
-                              new_sse=owner._sse_layer(["x"])[0]),
+                              new_sse=layers[0]),
                 UpdateRequest(record_id=record_id,
                               rtk=owner.reencryption_token((1, 2, 3), pks), subset=subset,
-                              new_sse=owner._sse_layer(["x"])[0]),
+                              new_sse=layers[1]),
                 stranger.update_request(record_id, subset, pks, keywords=["x"]),
             ]
             for req in forged:
@@ -604,7 +606,7 @@ def _scenario_outcomes(ctx, seed):
     try:
         server.reencrypt(
             UpdateRequest(record_id=rid, rtk=consent.search_token.token, subset=(1, 2),
-                          new_sse=owner._sse_layer(["x"])[0])
+                          new_sse=owner.update_request(rid, (1, 2), pks, keywords=["x"]).new_sse)
         )
         outcomes.append(False)
     except UpdateRejected:

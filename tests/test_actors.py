@@ -209,6 +209,31 @@ def test_curve_write_side_known_answers(curve_ctx):
     assert ctx.element_to_bytes(session.blinded_r.element).hex() == _PIN_BLINDED_R
 
 
+# recorded before one builder made every owner layer; every byte must stay
+# the same
+_PIN_POLICY_UPDATE = "64c57fbd92c2aa644cb07d8e7400dfb7ff560e994006ed3fb8ca6c0cdf28edd4"
+_PIN_BOTH_UPDATE = "041dc377717ffbd9d989847244f38620a6dd46743d0f88e411ef04d6486b0b35"
+
+
+def test_curve_policy_rotation_known_answers(curve_ctx):
+    """A policy-plus-payload rotation, then one that rotates keywords and
+    policy together; both accepted and pinned like the keyword rotation."""
+    ctx, pks, server, authorities, publics, owner, user = build_world(
+        92, n_sets=3, attrs=("A1", "A2"), ctx=curve_ctx
+    )
+    rid = server.store_record(owner.publish(b"pinned payload", ["bp"], ["A1"], 1, publics))
+    pins = []
+    for rotation in (
+        dict(policy=["A2", "A1"], plaintext=b"rotated payload"),
+        dict(keywords=["hr", "bp"], policy=["A2"], plaintext=b"both rotated"),
+    ):
+        update = owner.update_request(rid, [1, 3], pks, authorities=publics, **rotation)
+        assert server.reencrypt(update) == rid
+        raw = wire.canonical_json(update_request_to_wire(ctx, update))
+        pins.append(hashlib.sha256(raw).hexdigest())
+    assert pins == [_PIN_POLICY_UPDATE, _PIN_BOTH_UPDATE]
+
+
 def test_curve_fixed_operands_are_computed_once(curve_ctx, monkeypatch):
     """Pairings against a generator reuse its permanent Miller lines, and
     the owner and user hash their identities once, not per operation."""

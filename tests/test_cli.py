@@ -270,7 +270,10 @@ CONSENT = ("consent", "--home", "own", "--server", "srv", "--keyword", "bp", "--
            "--out", "c.json")
 PUBLISH = ("publish", "--home", "own", "--server", "srv", "--file", "data.txt",
            "--keywords", "k", "--policy", "DOCTOR", "--set-index", 1, "--aa", "aa1")
-ALL_FAULTS = ("other-kind", "missing", "not-json")
+UPDATE = ("update", "--home", "own", "--server", "srv", "--record-id",
+          "af09862074729217eb0d1f307fbd9a17", "--subset", "2")
+REPOLICY = (*UPDATE, "--policy", "DOCTOR", "--file", "data.txt", "--aa", "aa1")
+ALL_FAULTS = ("other-kind", "missing", "not-json", "deep")
 
 # (file a command reads, the command, a file of another kind, faults to try)
 READERS = [
@@ -285,6 +288,8 @@ READERS = [
     ("usr/user.json", SEARCH, "own/owner.json", ALL_FAULTS),
     ("usr/user.json", DECRYPT, "own/owner.json", ALL_FAULTS),
     ("srv/store.log", SEARCH, None, ("missing", "bad-frame")),
+    ("data.txt", PUBLISH, None, ("missing",)),
+    ("data.txt", REPOLICY, None, ("missing",)),
 ]
 
 
@@ -306,9 +311,40 @@ def test_bad_input_files_exit_1_with_one_error_line(
         path.unlink()
     elif fault == "bad-frame":
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x02xx")
+    elif fault == "deep":
+        path.write_text("[" * 1000 + "]" * 1000)
     else:
         path.write_text("not json\n")
     capsys.readouterr()
     assert run(*argv) == EXIT_PROTOCOL
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+BAD_ARGUMENTS = {
+    "sets-0": ("setup-server", "--home", "srv2", "--sets", 0),
+    "consent-subset": tuple("x,1" if a == "1" else a for a in CONSENT),
+    "update-subset": (*UPDATE[:-1], "x,1", "--keywords", "k"),
+    "publish-keywords": tuple("," if a == "k" else a for a in PUBLISH),
+    "publish-policy": tuple("," if a == "DOCTOR" else a for a in PUBLISH),
+    "update-policy-without-file": (*UPDATE, "--policy", "DOCTOR", "--aa", "aa1"),
+    "update-policy-without-aa": (*UPDATE, "--policy", "DOCTOR", "--file", "data.txt"),
+    "update-file-without-policy": (*UPDATE, "--keywords", "k", "--file", "data.txt"),
+    "seed-not-hex": ("setup-aa", "--home", "aa3", "--server", "srv", "--attr", "A",
+                     "--seed", "zz"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
+def test_malformed_arguments_exit_2(walked, tmp_path, monkeypatch, capsys, argv):
+    """Arguments that cannot mean anything are usage errors, reported before
+    any file is read or written."""
+    root = tmp_path / "tree"
+    shutil.copytree(walked, root)
+    monkeypatch.chdir(root)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ": error: " in err.splitlines()[-1], err

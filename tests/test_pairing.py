@@ -51,6 +51,27 @@ def test_scalar_inverse_random_against_brute(oracle101):
         assert s * oracle101.scalar_inverse(s) % 101 == 1
 
 
+class ScriptedRng:
+    """Hands out scripted draws and records every ``randrange`` call."""
+
+    def __init__(self, draws):
+        self.draws, self.calls = list(draws), []
+
+    def randrange(self, start, stop):
+        self.calls.append((start, stop))
+        return self.draws.pop(0)
+
+
+def test_random_scalar_redraws_only_past_avoided_values(oracle101):
+    rng = ScriptedRng([5, 7, 5, 9])
+    assert oracle101.random_scalar(rng, avoid=[5, 108]) == 9  # 108 = 7 mod q
+    assert rng.calls == [(1, 101)] * 4
+    for avoid in ((), {5}):
+        rng = ScriptedRng([42])
+        assert oracle101.random_scalar(rng, avoid) == 42
+        assert rng.calls == [(1, 101)]  # nothing collides: exactly one draw
+
+
 def test_group_ops_vectors(oracle101):
     ctx = oracle101
     assert (ctx.g_left**70 * ctx.g_left**35).data == (70 + 35) % 101

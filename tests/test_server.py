@@ -522,14 +522,14 @@ def test_update_rejections_leave_record_byte_identical():
             record_id=rid,
             rtk=w.owner.consent("bp", [1], w.pks).search_token.token,
             subset=(1,),
-            new_sse=w.owner._sse_layer(["x"])[0],
+            new_sse=w.owner.update_request(rid, [1], w.pks, keywords=["x"]).new_sse,
         ),
         # rtk built for a different subset than declared
         UpdateRequest(
             record_id=rid,
             rtk=w.owner.reencryption_token([1, 2], w.pks),
             subset=(1,),
-            new_sse=w.owner._sse_layer(["x"])[0],
+            new_sse=w.owner.update_request(rid, [1], w.pks, keywords=["x"]).new_sse,
         ),
         # record outside the declared subset
         w.owner.update_request(rid, [2], w.pks, keywords=["x"]),
