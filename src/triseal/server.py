@@ -27,9 +27,12 @@ reads it; the context goes by persistent id) and ``os._exit``s, flushing no
 shared buffer; a failed child's shard is redone here.  Without ``os.fork`` or
 beside other threads (a child would inherit their held locks) the work is
 serial.  The store file is an append-only log of length-prefixed frames after
-a parameter header; the last frame per id wins.  Reopen streams it once for
-the ids (never holding all frames) and deals them by the decode work of their
-changed layers; each shard decodes its ids' frames in a second pass.
+a parameter header; the last frame per id wins.  Reopen streams it once,
+parsing every frame and noting each id's last one (never holding all frames),
+and deals the ids by the decode work of that frame; each shard decodes and
+checks only its ids' last frames in a second pass.  A superseded frame must be
+a record frame with a string id, but its elements are never decoded: none of
+them can reach server state.
 """
 
 from __future__ import annotations
@@ -98,23 +101,14 @@ def _record_id(obj: Mapping) -> str:
     return record_id
 
 
-def record_from_wire(
-    ctx: PairingContext, obj: Mapping, prev: DataRecord | None = None
-) -> DataRecord:
-    """Decode a record, reusing each layer of ``prev`` (decoded before) whose
-    wire form equals ``obj``'s: encodings are canonical, so equal is identical."""
-    def layer(name, to_wire, from_wire):
-        if prev is not None and obj[name] == to_wire(ctx, getattr(prev, name)):
-            return getattr(prev, name)
-        return from_wire(ctx, obj[name])
-
+def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
     try:
         return DataRecord(
             record_id=_record_id(obj),
             set_index=wire.index_from_wire(obj["set_index"]),
-            sse=layer("sse", wire.sse_to_wire, wire.sse_from_wire),
-            abe=layer("abe", wire.abe_to_wire, wire.abe_from_wire),
-            recovery=layer("recovery", wire.recovery_to_wire, wire.recovery_from_wire),
+            sse=wire.sse_from_wire(ctx, obj["sse"]),
+            abe=wire.abe_from_wire(ctx, obj["abe"]),
+            recovery=wire.recovery_from_wire(ctx, obj["recovery"]),
             payload=wire.payload_from_wire(obj["payload"]),
         )
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError, InvalidElement) as exc:
@@ -310,7 +304,9 @@ class EscrowServer:
 
     @classmethod
     def open(cls, store_path: str | Path) -> "EscrowServer":
-        """Reload a server from its store log (last frame per id wins)."""
+        """Reload a server from its store log.  The last frame per id wins and is
+        the only one decoded, with every element and record check; an earlier
+        frame of the id need only parse as a record frame with a string id."""
         path = Path(store_path)
         if not path.is_file():
             raise BadRecord(f"no store file at {path}")
@@ -325,27 +321,26 @@ class EscrowServer:
             except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
                 raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
-            count, layers, work = 0, {}, {}  # per id: last frame's layers, decode work
+            count, last, work = 0, {}, {}  # per id: index of its last frame, that frame's work
             for count, frame in enumerate(frames, 1):
                 if frame.get("kind") != "record":
                     raise BadRecord(f"unexpected frame kind {frame.get('kind')!r}")
-                obj = frame.get("record")  # an update re-logs the layers it keeps
-                rid, now = _record_id(obj), [obj.get(k) for k in ("sse", "abe", "recovery")]
-                new = [v for v, old in zip(now, layers.get(rid, (None,) * 3)) if v != old]
-                layers[rid], work[rid] = now, work.get(rid, 0) + sum(map(_strings, new))
+                obj = frame.get("record")
+                rid = _record_id(obj)  # a superseded frame is parsed, never decoded
+                last[rid] = count
+                work[rid] = sum(_strings(obj.get(k)) for k in ("sse", "abe", "recovery"))
 
         def decode(ids: list[str]) -> list[DataRecord]:  # as a serial open does
-            wanted, records = set(ids), {}
+            wanted, records = {last[rid] for rid in ids}, {}
             with closing(_read_frames(path)) as frames:
-                for frame in itertools.islice(frames, 1, count + 1):
-                    obj = frame["record"]
-                    if obj["record_id"] in wanted:
-                        rec = record_from_wire(ctx, obj, records.get(obj["record_id"]))
+                for i, frame in enumerate(itertools.islice(frames, 1, count + 1), 1):
+                    if i in wanted:
+                        rec = record_from_wire(ctx, frame["record"])
                         server._validate(rec)
                         records[rec.record_id] = rec
             return [records[rid] for rid in ids]
 
-        ids = list(work)  # in first-seen order
+        ids = list(last)  # in first-seen order
         server._records = dict(zip(ids, _forked(ctx, ids, decode, [work[rid] for rid in ids])))
         server._store = path.open("ab")
         return server

@@ -287,7 +287,8 @@ def test_failed_search_child_shard_is_rechecked(curve_world, monkeypatch, failur
 def test_forked_open_equals_serial(curve_store, monkeypatch):
     """Two cores: the parent decodes its shard of the ids and one forked child
     the rest; the result equals an open whose fork fails (all redone here),
-    byte for byte and in first-seen id order."""
+    byte for byte and in first-seen id order.  Of the log's 5 record frames
+    only the 3 ids' last frames are decoded."""
     w, path = curve_store
     _two_cores(monkeypatch)
     calls = Counter()
@@ -301,7 +302,7 @@ def test_forked_open_equals_serial(curve_store, monkeypatch):
         monkeypatch.setattr(holder, name, counted)
     forked = EscrowServer.open(path)
     _assert_no_child_left()
-    assert calls["fork"] == 1 and 0 < calls["record_from_wire"] < 5  # of 5 record frames
+    assert calls["fork"] == 1 and 0 < calls["record_from_wire"] < 3  # of 3 last frames
     calls.clear()
 
     def no_fork():
@@ -309,7 +310,7 @@ def test_forked_open_equals_serial(curve_store, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     serial = EscrowServer.open(path)
-    assert calls == {"record_from_wire": 5}
+    assert calls == {"record_from_wire": 3}
     ids = w.server.record_ids()
     assert forked.record_ids() == serial.record_ids() == ids
     for rid in ids:
@@ -435,10 +436,12 @@ def _replaced(obj, path, value):
 
 
 def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeypatch):
-    """Each G element of a message or a stored record is checked for order q
-    on its own: a point of order 2, 4, 1151 or h*q in any one slot is
-    refused with a typed error, never accepted or met with a traceback,
-    also where a sharded reopen deals the frame to a forked child."""
+    """Each G element of a message or of a record that reaches the server is
+    checked for order q on its own: a point of order 2, 4, 1151 or h*q in
+    any one slot is refused with a typed error, never accepted or met with a
+    traceback, also where a sharded reopen deals the frame to a forked
+    child.  A stored frame that a later frame of its id replaces never
+    reaches the server, so its elements are not decoded."""
     w = curve_world
     ctx = w.ctx
     _, _, req = w.request("bp", [1, 2, 3])
@@ -466,17 +469,22 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeyp
         store.write_bytes(_frame(header) + _frame(frame))
         with pytest.raises(BadRecord, match="order-q subgroup"):
             EscrowServer.open(store)
-        # a frame superseding a valid one of the same id is checked as well
+        # the last frame of an id is checked, also where it supersedes a valid
+        # one; a frame superseded by a valid one is never decoded
         valid = _frame({"kind": "record", "record": record})
         for path in (
             ("sse", "kw_modifier"),
             ("abe", "ac_transferors", 1),
             ("recovery", "dtk_transferor"),
         ):
-            later = {"kind": "record", "record": _replaced(record, path, bad)}
-            store.write_bytes(_frame(header) + valid + _frame(later))
+            replaced = _frame({"kind": "record", "record": _replaced(record, path, bad)})
+            store.write_bytes(_frame(header) + valid + replaced)
             with pytest.raises(BadRecord, match="order-q subgroup"):
                 EscrowServer.open(store)
+            store.write_bytes(_frame(header) + replaced + valid)
+            with closing(EscrowServer.open(store)) as revived:
+                assert revived.record_ids() == (rid,)
+                assert revived.fetch(rid) == w.server.fetch(rid)
     # two ids of equal decode work on two cores: the second id is the child's
     other = record_to_wire(ctx, w.server.fetch(w.server.record_ids()[1]))
     _two_cores(monkeypatch)
@@ -607,12 +615,10 @@ def test_store_file_round_trip(tmp_path):
         EscrowServer(w.ctx, w.pks, store_path=path)  # refuses to clobber
 
 
-def test_curve_reopen_decodes_only_replaced_layers(curve_ctx, tmp_path, monkeypatch):
-    """An update logs the whole record again; reopening decodes a layer only
-    where it differs from the record's previous frame.  Header 6 G; publish
-    12 G + 6 GT (2 keyword tags and the owner's); keyword update 2 G + 4 GT
-    (sse); policy update 10 G + 2 GT (abe, recovery).  Decoding every frame
-    in full took 42 G and 18 GT."""
+def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch):
+    """An update logs the whole record again; reopening decodes only the
+    record's last frame.  Header 6 G; last frame 12 G + 6 GT (2 keyword tags
+    and the owner's); the two superseded frames add nothing."""
     path = tmp_path / "store.log"
     w = World(ctx=curve_ctx, store_path=path)
     rid = w.publish(b"v1", ["bp", "hr"], ["A1", "A2"], 1)
@@ -634,7 +640,7 @@ def test_curve_reopen_decodes_only_replaced_layers(curve_ctx, tmp_path, monkeypa
         monkeypatch.setattr(PairingContext, name, counted)
     revived = EscrowServer.open(path)
     revived.close()
-    assert counts == {"element_from_bytes": 30, "gt_from_bytes": 12}
+    assert counts == {"element_from_bytes": 18, "gt_from_bytes": 6}
     assert revived.fetch(rid) == w.server.fetch(rid)
 
 

@@ -1,11 +1,12 @@
 """Primitive-level timings of the curve backend, one JSON line of medians.
 
-    python3 tools/bench_primitives.py --repeat 21 --out BENCH_primitives.json
+    python3 tools/bench_primitives.py --repeat 51 --out BENCH_primitives.json
 
 Run from any directory; triseal is imported from the ``src/`` next to this
-script.  Standard library only.  Each primitive is timed ``--repeat`` times
-with ``time.perf_counter`` on fixed inputs, so two checkouts measured on
-the same machine are comparable; the line holds the median per primitive in
+script.  Standard library only.  Each of ``--repeat`` rounds times every
+primitive once with ``time.perf_counter`` on fixed inputs, round-robin, so a
+burst of load moves every row alike and two checkouts measured on the same
+machine are comparable; the line holds the median per primitive in
 milliseconds, the Python version, whether gmpy2 is in use, the number of
 usable cores and ``src_lines``, the line count of every ``src/**/*.py``
 (counted as ``perfbench/run.py`` counts it).  ``store_open_ms_per_record``
@@ -105,14 +106,14 @@ def primitives():
 def measure(repeat: int) -> dict:
     from triseal.pairing import curve
 
-    medians = {}
-    for name, fn in primitives().items():
-        times = []
-        for _ in range(repeat):
+    fns = primitives()
+    times = {name: [] for name in fns}
+    for _ in range(repeat):
+        for name, fn in fns.items():
             t0 = time.perf_counter()
             fn()
-            times.append((time.perf_counter() - t0) * 1000.0 / PER_CALL.get(name, 1))
-        medians[name] = round(statistics.median(times), 3)
+            times[name].append((time.perf_counter() - t0) * 1000.0 / PER_CALL.get(name, 1))
+    medians = {name: round(statistics.median(ts), 3) for name, ts in times.items()}
     return {
         "python": platform.python_version(),
         "gmpy2": curve._powmod is not pow,
