@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 protocol error, 2 usage error, 3 clean no-match.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -217,7 +218,8 @@ def _cmd_setup_server(args) -> int:
     pks = server_setup(ctx, args.sets, rng)
     public_path, store_path = _server_paths(args.home)
     store_path.parent.mkdir(parents=True, exist_ok=True)
-    EscrowServer(ctx, pks, store_path=store_path).close()
+    key = None if args.seed is None else hashlib.sha256(b"store-key/%x" % args.seed).digest()
+    EscrowServer(ctx, pks, store_path=store_path, store_key=key).close()
     body = {"pks": wire.pks_to_wire(ctx, pks)}
     _write_json(public_path, wire.envelope("server-public", ctx, body))
     print(f"server ready: backend={args.backend} sets={args.sets} home={args.home}")

@@ -14,21 +14,35 @@ stay valid on asymmetric curves: hash outputs and user-submitted tokens are
 LEFT, owner-installed transferors and modifiers are RIGHT, and ``pair``
 always takes (LEFT, RIGHT).  Both shipped backends are symmetric, so the
 side is a tag enforced at the API level rather than a structural property.
+
+Invariant: every decoded element is order-checked before use, unless its
+bytes come from a store frame whose tag verifies under this server's key
+(``_trusted_decode``, called only by ``server._decoded``).
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import hashlib
 import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
 
 WIRE_FORMAT = 1
+_TRUSTED = contextvars.ContextVar("trusted_frame", default=False)
+
+
+def _trusted_decode(trusted: bool, decode: Callable, *args) -> Any:
+    """``decode(*args)``, whose element decodes skip the two order checks if
+    ``trusted``: only for one store frame whose tag verifies under the key."""
+    run = contextvars.copy_context().run  # the flag lives in this copy only
+    run(_TRUSTED.set, trusted)
+    return run(decode, *args)
 
 
 class Side(enum.Enum):
@@ -238,14 +252,14 @@ class PairingContext(ABC):
         return self._g_to_bytes(e.data)
 
     def element_from_bytes(self, raw: bytes, side: Side) -> GroupElement:
-        return GroupElement(self, side, self._g_from_bytes(raw))
+        return GroupElement(self, side, self._g_from_bytes(raw, not _TRUSTED.get()))
 
     def gt_to_bytes(self, e: GtElement) -> bytes:
         self._check(e)
         return self._gt_to_bytes(e.data)
 
     def gt_from_bytes(self, raw: bytes) -> GtElement:
-        return GtElement(self, self._gt_from_bytes(raw))
+        return GtElement(self, self._gt_from_bytes(raw, not _TRUSTED.get()))
 
     @abstractmethod
     def param_header(self) -> dict:
@@ -297,13 +311,13 @@ class PairingContext(ABC):
     def _g_to_bytes(self, a: Any) -> bytes: ...
 
     @abstractmethod
-    def _g_from_bytes(self, raw: bytes) -> Any: ...
+    def _g_from_bytes(self, raw: bytes, check_order: bool = True) -> Any: ...
 
     @abstractmethod
     def _gt_to_bytes(self, a: Any) -> bytes: ...
 
     @abstractmethod
-    def _gt_from_bytes(self, raw: bytes) -> Any: ...
+    def _gt_from_bytes(self, raw: bytes, check_order: bool = True) -> Any: ...
 
 
 def make_context(backend: str, *, order: int | None = None) -> PairingContext:

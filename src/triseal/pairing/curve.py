@@ -457,7 +457,7 @@ class CurveContext(PairingContext):
         x, y = a
         return bytes([2 + int(y & 1)]) + int(x).to_bytes(_P_BYTES, "big")
 
-    def _g_from_bytes(self, raw: bytes):
+    def _g_from_bytes(self, raw: bytes, check_order: bool = True):
         if len(raw) != 1 + _P_BYTES:
             raise InvalidElement(f"expected {1 + _P_BYTES} bytes, got {len(raw)}")
         tag, xb = raw[0], raw[1:]
@@ -477,14 +477,14 @@ class CurveContext(PairingContext):
         if int(y & 1) != tag - 2:
             y = _P - y
         pt = (x, y)
-        if _pt_mul(pt, CURVE_Q) is not None:
+        if check_order and _pt_mul(pt, CURVE_Q) is not None:
             raise InvalidElement("point is not in the order-q subgroup")
         return pt
 
     def _gt_to_bytes(self, a) -> bytes:
         return int(a[0]).to_bytes(_P_BYTES, "big") + int(a[1]).to_bytes(_P_BYTES, "big")
 
-    def _gt_from_bytes(self, raw: bytes):
+    def _gt_from_bytes(self, raw: bytes, check_order: bool = True):
         if len(raw) != 2 * _P_BYTES:
             raise InvalidElement(f"expected {2 * _P_BYTES} bytes, got {len(raw)}")
         a = mpz(int.from_bytes(raw[:_P_BYTES], "big"))
@@ -494,6 +494,6 @@ class CurveContext(PairingContext):
         value = (a, b)
         # norm 1 first: the ladder is only valid there, and the order-q
         # subgroup lies in the norm-1 subgroup of order p + 1
-        if (a * a + b * b) % _P != 1 or _unitary_pow(value, CURVE_Q) != _ONE:
+        if (a * a + b * b) % _P != 1 or check_order and _unitary_pow(value, CURVE_Q) != _ONE:
             raise InvalidElement("value is not in the order-q subgroup of GT")
         return value

@@ -114,7 +114,8 @@ class OracleContext(PairingContext):
     def _g_to_bytes(self, a: int) -> bytes:
         return a.to_bytes(self._width, "big")
 
-    def _g_from_bytes(self, raw: bytes) -> int:
+    def _g_from_bytes(self, raw: bytes, check_order: bool = True) -> int:
+        # every value below q is a group element: there is no order check to skip
         if len(raw) != self._width:
             raise InvalidElement(f"expected {self._width} bytes, got {len(raw)}")
         value = int.from_bytes(raw, "big")

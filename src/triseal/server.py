@@ -26,23 +26,30 @@ child only computes, pickles its result down a pipe (safe: only its parent
 reads it; the context goes by persistent id) and ``os._exit``s, flushing no
 shared buffer; a failed child's shard is redone here.  Without ``os.fork`` or
 beside other threads (a child would inherit their held locks) the work is
-serial.  The store file is an append-only log of length-prefixed frames after
-a parameter header; the last frame per id wins.  Reopen streams it once,
-parsing every frame and noting each id's last one (never holding all frames),
-and deals the ids by the decode work of that frame; each shard decodes and
-checks only its ids' last frames in a second pass.  A superseded frame must be
-a record frame with a string id, but its elements are never decoded: none of
-them can reach server state.
+serial.
+
+The store file is an append-only log of frames after a parameter header; the
+last frame per id wins.  A frame is a 4-byte payload length, a 32-byte
+HMAC-SHA256 tag of the payload and the payload, canonical JSON (after LevelDB's
+log format).  The key, 32 bytes from ``secrets`` or the caller, lives in
+``<log>.key`` (mode 0600), never in the log.  Trust rule: this server checked
+every element of a frame it tagged, so a frame whose tag verifies decodes
+without the two order-q checks; a failed tag, a missing key and all outside
+input get every check.  Reopen parses every frame once, noting each id's last,
+and deals the ids by that frame's decode work; each shard verifies and decodes
+only its ids' last frames, so no superseded element reaches server state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 import io
 import itertools
 import logging
 import os
 import pickle
+import secrets
 import signal
 import threading
 from contextlib import closing, suppress
@@ -62,12 +69,14 @@ from .errors import (
     UpdateRejected,
 )
 from .pairing import GroupElement, PairingContext, Side, context_from_header
+from .pairing.base import _trusted_decode
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_modifier
 
 logger = logging.getLogger("triseal.server")
 _MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes
+KEY_BYTES = TAG_BYTES = 32  # store key and frame tag
 
 
 @dataclass(frozen=True)
@@ -283,46 +292,51 @@ class EscrowServer:
         ctx: PairingContext,
         pks: SetPublicKeys,
         store_path: str | Path | None = None,
+        store_key: bytes | None = None,
     ):
         self.ctx = ctx
         self.pks = pks
         self._records: dict[str, DataRecord] = {}
         self._lock = threading.Lock()
         self._store: BinaryIO | None = None
+        self._key = None if store_path is None else store_key or secrets.token_bytes(KEY_BYTES)
         if store_path is not None:
             path = Path(store_path)
             if path.exists() and path.stat().st_size > 0:
                 raise ValueError(f"store file {path} already exists; use EscrowServer.open")
+            key_path = path.with_name(path.name + ".key")
+            key_path.unlink(missing_ok=True)  # so that O_CREAT sets the mode
+            with open(os.open(key_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "wb") as fh:
+                fh.write(self._key)
             self._store = path.open("ab")
-            self._append(
-                {
-                    "kind": "header",
-                    "params": ctx.param_header(),
-                    "pks": wire.pks_to_wire(ctx, pks),
-                }
-            )
+            pks_wire = wire.pks_to_wire(ctx, pks)
+            self._append({"kind": "header", "params": ctx.param_header(), "pks": pks_wire})
 
     @classmethod
     def open(cls, store_path: str | Path) -> "EscrowServer":
         """Reload a server from its store log.  The last frame per id wins and is
-        the only one decoded, with every element and record check; an earlier
-        frame of the id need only parse as a record frame with a string id."""
+        the only one decoded, with every check (see the trust rule above); an
+        earlier frame of the id need only parse as a record frame with a string id."""
         path = Path(store_path)
         if not path.is_file():
             raise BadRecord(f"no store file at {path}")
+        key = None  # a missing or short key file: every frame gets every check
+        with suppress(OSError):
+            key = path.with_name(path.name + ".key").read_bytes()
         # frames are streamed, so superseded ones are never all held at once
         with closing(_read_frames(path)) as frames:
-            header = next(frames, None)
+            first = next(frames, None)
+            header = first and _frame_obj(first[1])
             if header is None or header.get("kind") != "header":
                 raise BadRecord(f"store file {path} has no parameter header")
             try:
                 ctx = context_from_header(header["params"])
-                pks = wire.pks_from_wire(ctx, header["pks"])
+                pks = _decoded(key, *first, lambda header: wire.pks_from_wire(ctx, header["pks"]))
             except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
                 raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
             count, last, work = 0, {}, {}  # per id: index of its last frame, that frame's work
-            for count, frame in enumerate(frames, 1):
+            for count, frame in enumerate((_frame_obj(data) for _, data in frames), 1):
                 if frame.get("kind") != "record":
                     raise BadRecord(f"unexpected frame kind {frame.get('kind')!r}")
                 obj = frame.get("record")
@@ -333,16 +347,16 @@ class EscrowServer:
         def decode(ids: list[str]) -> list[DataRecord]:  # as a serial open does
             wanted, records = {last[rid] for rid in ids}, {}
             with closing(_read_frames(path)) as frames:
-                for i, frame in enumerate(itertools.islice(frames, 1, count + 1), 1):
+                for i, (tag, data) in enumerate(itertools.islice(frames, 1, count + 1), 1):
                     if i in wanted:
-                        rec = record_from_wire(ctx, frame["record"])
+                        rec = _decoded(key, tag, data, lambda f: record_from_wire(ctx, f["record"]))
                         server._validate(rec)
                         records[rec.record_id] = rec
             return [records[rid] for rid in ids]
 
         ids = list(last)  # in first-seen order
         server._records = dict(zip(ids, _forked(ctx, ids, decode, [work[rid] for rid in ids])))
-        server._store = path.open("ab")
+        server._key, server._store = key, path.open("ab")
         return server
 
     def close(self) -> None:
@@ -399,7 +413,8 @@ class EscrowServer:
     def _append(self, frame: dict) -> None:
         assert self._store is not None
         data = wire.canonical_json(frame)
-        self._store.write(len(data).to_bytes(4, "big") + data)
+        tag = hmac.digest(self._key, data, "sha256") if self._key else bytes(TAG_BYTES)
+        self._store.write(len(data).to_bytes(4, "big") + tag + data)
         self._store.flush()
 
     # -- search ------------------------------------------------------------------
@@ -560,19 +575,27 @@ def _strings(layer: Any) -> int:
     return sum(len(v) if isinstance(v, list) else isinstance(v, str) for v in values)
 
 
+def _decoded(key: bytes | None, tag: bytes, data: bytes, decode: Callable[[dict], Any]) -> Any:
+    """``decode`` of frame ``data``, with no order check only if ``tag`` verifies."""
+    ok = len(key or b"") == KEY_BYTES and hmac.compare_digest(tag, hmac.digest(key, data, "sha256"))
+    return _trusted_decode(ok, decode, _frame_obj(data))
+
+
 def _read_frames(path: Path):
+    """(tag, payload) of each frame, unparsed (see ``_frame_obj``)."""
     with path.open("rb") as fh:
-        while True:
-            head = fh.read(4)
-            if not head:
-                return
+        while head := fh.read(4):
             if len(head) != 4:
                 raise BadRecord("truncated store frame header")
             size = int.from_bytes(head, "big")
-            data = fh.read(size)
-            if len(data) != size:
+            tag, data = fh.read(TAG_BYTES), fh.read(size)
+            if len(tag) != TAG_BYTES or len(data) != size:
                 raise BadRecord("truncated store frame")
-            frame = wire.parse_json(data, "store frame")
-            if not isinstance(frame, dict):
-                raise BadRecord("store frame is not a JSON object")
-            yield frame
+            yield tag, data
+
+
+def _frame_obj(data: bytes) -> dict:
+    frame = wire.parse_json(data, "store frame")
+    if not isinstance(frame, dict):
+        raise BadRecord("store frame is not a JSON object")
+    return frame

@@ -23,6 +23,6 @@ def test_bench_primitives_smoke(tmp_path):
         "pt_mul_q_ms", "pt_mul_h_ms", "pt_mul_160_ms", "g_exp_generator_ms",
         "element_from_bytes_ms", "gt_from_bytes_ms", "hash_to_group_ms",
         "miller_lines_ms", "pair_cached_lines_ms", "keyword_check_ms", "final_exp_ms",
-        "record_from_wire_ms", "store_open_ms_per_record",
+        "record_from_wire_ms", "store_open_ms_per_record", "store_open_untagged_ms_per_record",
     }
     assert all(ms > 0 for ms in result["median_ms"].values())

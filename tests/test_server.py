@@ -1,10 +1,12 @@
 """Escrow server: storage, search pipeline, re-encryption, hygiene."""
 
+import hmac
 import itertools
 import json
 import logging
 import os
 import random
+import stat
 import threading
 from collections import Counter
 from contextlib import closing
@@ -20,6 +22,7 @@ from triseal import server as server_mod
 from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, ProtocolError, UpdateRejected
 from triseal.pairing import OracleContext, PairingContext
+from triseal.pairing import curve
 from triseal.pairing.curve import _miller_lines
 from triseal.recovery import DecryptionTokenSet, issue_decrypt_token, recover_key
 from triseal.server import (
@@ -455,6 +458,9 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeyp
     assert update_request_from_wire(ctx, update) == upd
     assert record_from_wire(ctx, record) == w.server.fetch(rid)
     store = tmp_path / "store.log"
+    key = bytes(range(32))  # a store key next to the log: only a verified tag skips a check
+    (tmp_path / "store.log.key").write_bytes(key)
+    valid_data = json.dumps({"kind": "record", "record": record}).encode()
     for name, raw in small_order_points().items():
         bad = wire.b64e(raw)
         for path in (("token", "token"), ("credentials", 0, "credential"), ("blinded",)):
@@ -466,9 +472,15 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeyp
         frame = {"kind": "record", "record": _replaced(record, ("sse", "kw_modifier"), bad)}
         with pytest.raises(BadRecord, match="order-q subgroup"):
             record_from_wire(ctx, frame["record"])
-        store.write_bytes(_frame(header) + _frame(frame))
-        with pytest.raises(BadRecord, match="order-q subgroup"):
-            EscrowServer.open(store)
+        data = json.dumps(frame).encode()
+        for tag in (  # zeroed, forged under another key, moved from a valid frame
+            bytes(32),
+            hmac.digest(bytes(32), data, "sha256"),
+            hmac.digest(key, valid_data, "sha256"),
+        ):
+            store.write_bytes(_frame(header) + _raw_frame(data, tag))
+            with pytest.raises(BadRecord, match="order-q subgroup"):
+                EscrowServer.open(store)
         # the last frame of an id is checked, also where it supersedes a valid
         # one; a frame superseded by a valid one is never decoded
         valid = _frame({"kind": "record", "record": record})
@@ -644,6 +656,109 @@ def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch)
     assert revived.fetch(rid) == w.server.fetch(rid)
 
 
+def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypatch):
+    """Reopening a server-written curve store runs no [q]P and no GT x^q
+    check: every frame decoded carries a tag that verifies under the store
+    key.  The same log without its key runs both on every element of the
+    header and of each id's last frame, and yields the same records."""
+    w, path = curve_store
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no fork
+    counts = Counter()
+    for name in ("_pt_mul", "_unitary_pow"):
+        original = getattr(curve, name)
+
+        def order_check(x, k, _name=name, _original=original):
+            counts[_name] += k == curve.CURVE_Q
+            return _original(x, k)
+
+        monkeypatch.setattr(curve, name, order_check)
+    for name in ("element_from_bytes", "gt_from_bytes"):
+        original = getattr(PairingContext, name)
+
+        def decoded(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(PairingContext, name, decoded)
+    with closing(EscrowServer.open(path)) as trusted:
+        pass
+    assert counts["_pt_mul"] == counts["_unitary_pow"] == 0
+    # header 6 G; last frames 12 G, 8 G (a one-attribute policy) and 12 G, 6 GT each
+    decodes = {"element_from_bytes": 6 + 12 + 8 + 12, "gt_from_bytes": 3 * 6}
+    assert {k: counts[k] for k in decodes} == decodes
+    keyless = tmp_path / "store.log"
+    keyless.write_bytes(path.read_bytes())
+    counts.clear()
+    with closing(EscrowServer.open(keyless)) as checked:
+        pass
+    assert counts == {**decodes, "_pt_mul": 38, "_unitary_pow": 18}
+    for rid in w.server.record_ids():
+        assert trusted.fetch(rid) == checked.fetch(rid) == w.server.fetch(rid)
+
+
+def test_flipped_bit_in_a_tagged_frame_takes_every_check(tmp_path, monkeypatch):
+    """One bit flipped at each byte of a server-written record frame (its
+    length, tag or payload): the reopen raises a ProtocolError or decodes
+    that frame with every check, never an element without its order check.
+    Only the header, whose tag still verifies, decodes without them."""
+    path = tmp_path / "store.log"
+    w = World(store_path=path)
+    rid = w.publish(b"a", ["bp"], ["A1"], 1)
+    w.server.close()
+    log = path.read_bytes()
+    start = 36 + int.from_bytes(log[:4], "big")  # the record frame follows the header
+    unchecked = []
+    for name in ("_g_from_bytes", "_gt_from_bytes"):
+        original = getattr(OracleContext, name)
+
+        def hook(self, raw, check_order=True, _original=original):
+            if not check_order:
+                unchecked.append(raw)
+            return _original(self, raw, check_order)
+
+        monkeypatch.setattr(OracleContext, name, hook)
+    with closing(EscrowServer.open(path)):
+        assert len(unchecked) > 2 * w.pks.n  # the intact record frame is trusted
+    outcomes = Counter()
+    for i in range(start, len(log)):
+        flipped = bytearray(log)
+        flipped[i] ^= 1 << i % 8
+        path.write_bytes(flipped)
+        unchecked.clear()
+        try:
+            with closing(EscrowServer.open(path)) as revived:
+                outcomes["checked"] += 1
+                if start + 4 <= i < start + 36:  # a flipped tag: the same record
+                    assert revived.fetch(rid) == w.server.fetch(rid)
+        except ProtocolError:
+            outcomes["refused"] += 1
+        assert len(unchecked) == 2 * w.pks.n, i  # the header's elements only
+    assert outcomes["checked"] >= 32 and outcomes["refused"] > 0
+
+
+def test_store_key_file_is_private_and_never_logged(tmp_path):
+    """The key file is made afresh with mode 0600 next to the log; the key
+    is 32 bytes from ``secrets`` or the caller's, never in the log."""
+    path, key_path = tmp_path / "store.log", tmp_path / "store.log.key"
+    key_path.write_bytes(b"stale")
+    key_path.chmod(0o644)
+    w = World(store_path=path)
+    w.publish(b"a", ["bp"], ["A1"], 1)
+    w.server.close()
+    key = key_path.read_bytes()
+    assert stat.S_IMODE(key_path.stat().st_mode) == 0o600
+    assert len(key) == 32 and key not in path.read_bytes()
+    other = tmp_path / "other.log"
+    EscrowServer(w.ctx, w.pks, store_path=other).close()
+    assert (tmp_path / "other.log.key").read_bytes() != key
+    seeded = tmp_path / "seeded.log"
+    EscrowServer(w.ctx, w.pks, store_path=seeded, store_key=b"k" * 32).close()
+    assert (tmp_path / "seeded.log.key").read_bytes() == b"k" * 32
+    with open(seeded, "rb") as fh:
+        size, tag = int.from_bytes(fh.read(4), "big"), fh.read(32)
+        assert tag == hmac.digest(b"k" * 32, fh.read(size), "sha256")
+
+
 @pytest.fixture(scope="module")
 def small_log(tmp_path_factory):
     """The frames of an oracle store log: two records, each published, then
@@ -664,7 +779,8 @@ def small_log(tmp_path_factory):
         )
     w.server.close()
     with closing(_read_frames(path)) as frames:
-        return path, list(frames)
+        raw = list(frames)
+    return path, [json.loads(data) for _, data in raw], [_raw_frame(d, t) for t, d in raw]
 
 
 def _key_paths(obj, prefix=()):
@@ -693,13 +809,16 @@ _JSON = (
 )
 
 
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "server-tagged"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, data):
+def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, tagged, data):
     """Record frames with keys dropped or retyped, or layers swapped between
     frames of one id, and the log cut anywhere: ``open`` raises a
-    ProtocolError or holds, per id, a full decode of the id's last frame."""
-    path, original = small_log
+    ProtocolError or holds, per id, a full decode of the id's last frame.
+    Untagged, every frame is hand-made; server-tagged, each frame left as the
+    server wrote it keeps its tag, which verifies under the store key."""
+    path, original, written = small_log
     frames = json.loads(json.dumps(original))
     ids = [f["record"]["record_id"] for f in original[1:]]
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
@@ -721,7 +840,10 @@ def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, dat
             del slot[key_path[-1]]
         else:
             slot[key_path[-1]] = data.draw(_JSON, label="value")
-    raw = [_frame(f) for f in frames]
+    raw = [
+        old if tagged and wire.canonical_json(f) == wire.canonical_json(o) else _frame(f)
+        for f, o, old in zip(frames, original, written)
+    ]
     log = b"".join(raw)
     ends = list(itertools.accumulate(map(len, raw)))
     cut = data.draw(st.just(len(log)) | st.sampled_from(ends) | st.integers(0, len(log)))
@@ -855,27 +977,32 @@ def test_open_rejects_store_without_header(tmp_path):
     w.publish(b"a", ["bp"], ["A1"], 1)
     w.server.close()
     raw = path.read_bytes()
-    header_size = 4 + int.from_bytes(raw[:4], "big")
+    header_size = 36 + int.from_bytes(raw[:4], "big")
     headless = tmp_path / "headless.log"
     headless.write_bytes(raw[header_size:])
     with pytest.raises(BadRecord):
         EscrowServer.open(headless)
 
 
+def _raw_frame(data: bytes, tag: bytes = bytes(32)) -> bytes:
+    """A v2 store frame; the default all-zero tag never verifies, so a
+    hand-made frame always takes every element check."""
+    return len(data).to_bytes(4, "big") + tag + data
+
+
 def _frame(obj) -> bytes:
-    data = json.dumps(obj).encode()
-    return len(data).to_bytes(4, "big") + data
+    return _raw_frame(json.dumps(obj).encode())
 
 
 @pytest.mark.parametrize(
     "frame",
     [
-        b"\x00\x00\x00\x02xx",
-        b"\x00\x00\x00\x02[]",
-        b"\x00\x00\x00\x02\xff\xfe",
-        b"\x00\x00\x00\x04null",
-        (20000).to_bytes(4, "big") + b"[" * 10000 + b"]" * 10000,
-        _frame({"kind": "record"}),
+        b"xx",
+        b"[]",
+        b"\xff\xfe",
+        b"null",
+        b"[" * 10000 + b"]" * 10000,
+        b'{"kind": "record"}',
         {"record_id": ["a"]},
         {"record_id": {"a": 1}},
         {"record_id": 7},
@@ -890,20 +1017,24 @@ def _frame(obj) -> bytes:
          "float-index", "string-index", "bool-index"],
 )
 def test_open_rejects_undecodable_frames(tmp_path, frame):
-    """A dict stands for the stored record's frame with those fields replaced."""
+    """Bytes stand for a frame's payload, which must reach the JSON parser (a
+    whole frame, so never the truncation check); a dict stands for the stored
+    record's frame with those fields replaced."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
     rid = w.publish(b"a", ["bp"], ["A1"], 1)
     w.server.close()
+    parser = isinstance(frame, bytes) and not frame.startswith(b"{")
     if isinstance(frame, dict):
         record = dict(record_to_wire(w.ctx, w.server.fetch(rid)), **frame)
         with pytest.raises(BadRecord):
             record_from_wire(w.ctx, record)
-        frame = _frame({"kind": "record", "record": record})
+        frame = json.dumps({"kind": "record", "record": record}).encode()
     with path.open("ab") as fh:
-        fh.write(frame)
-    with pytest.raises(BadRecord):
+        fh.write(_raw_frame(frame))
+    with pytest.raises(BadRecord, match="store frame is not" if parser else None) as exc:
         EscrowServer.open(path)
+    assert "truncated" not in str(exc.value)
 
 
 @pytest.mark.parametrize("field", ["params", "pks"])
@@ -911,7 +1042,7 @@ def test_open_rejects_incomplete_header(tmp_path, field):
     path = tmp_path / "store.log"
     World(store_path=path).server.close()
     raw = path.read_bytes()
-    header = json.loads(raw[4 : 4 + int.from_bytes(raw[:4], "big")])
+    header = json.loads(raw[36 : 36 + int.from_bytes(raw[:4], "big")])
     del header[field]
     path.write_bytes(_frame(header))
     with pytest.raises(BadRecord):
@@ -920,7 +1051,7 @@ def test_open_rejects_incomplete_header(tmp_path, field):
 
 def test_server_state_and_logs_leak_nothing(tmp_path, caplog):
     """Neither the store bytes nor the server log may contain the keyword,
-    the GID, or the owner id."""
+    the GID, the owner id or the store key."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
     secrets = [b"keyword-SENSITIVE", b"gid-SENSITIVE", b"owner-SENSITIVE"]
@@ -934,7 +1065,8 @@ def test_server_state_and_logs_leak_nothing(tmp_path, caplog):
     w.server.close()
     stored = path.read_bytes()
     log_text = caplog.text.encode()
-    for secret in secrets:
+    key = (tmp_path / "store.log.key").read_bytes()
+    for secret in secrets + [key, key.hex().encode(), wire.b64e(key).encode()]:
         assert secret not in stored
         assert secret not in log_text
     # type construction: no record field can hold those strings

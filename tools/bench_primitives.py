@@ -11,7 +11,10 @@ milliseconds, the Python version, whether gmpy2 is in use, the number of
 usable cores and ``src_lines``, the line count of every ``src/**/*.py``
 (counted as ``perfbench/run.py`` counts it).  ``store_open_ms_per_record``
 reopens a fixed 6-record store log, each record given new keywords or a new
-policy and payload after publishing, and divides by the record count.
+policy and payload after publishing, and divides by the record count: the
+trusted path, whose tags verify under the store key, so no order check runs.
+``store_open_untagged_ms_per_record`` reopens a copy of the same log without
+its key file, so every element takes every check.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
 import tempfile
@@ -30,7 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 K160 = 0x9E3779B97F4A7C15F39CC0605CEDC8341082276B  # fixed 160-bit exponent
 STORE_RECORDS = 6
-PER_CALL = {"store_open_ms_per_record": STORE_RECORDS}  # rows timed per unit, not per call
+PER_CALL = {  # rows timed per unit, not per call
+    "store_open_ms_per_record": STORE_RECORDS,
+    "store_open_untagged_ms_per_record": STORE_RECORDS,
+}
 
 
 def primitives():
@@ -84,6 +91,9 @@ def primitives():
             )
         server.reencrypt(update)
     server.close()
+    keyless = Path(tmp.name) / "keyless" / store.name  # the same log, no key file beside it
+    keyless.parent.mkdir()
+    shutil.copyfile(store, keyless)
     return {
         "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
@@ -100,6 +110,9 @@ def primitives():
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
         "store_open_ms_per_record": lambda: EscrowServer.open(Path(tmp.name) / store.name).close(),
+        "store_open_untagged_ms_per_record": lambda: EscrowServer.open(
+            Path(tmp.name) / "keyless" / store.name
+        ).close(),
     }
 
 
