@@ -250,7 +250,8 @@ WALKTHROUGH_SHA256 = {
         "df166ef9772bcf42268af58a24b835546241e5b75771983a4b60b9b26b4a643e",
     "results.json": "bd169ce914db78ddd6e711d57a10beb2d36cab2923b950dd6e287902a767ec0d",
     "srv/public.json": "d37ae5f124c8439bf713be3c0723aec000a0bacab864da04b9188be1012438d8",
-    "srv/store.log": "06deb2c3be629572eacd39d4b7352df974220ed18c37fab5223a9f2bf738c624",
+    "srv/store.log": "922cd3f517544563d98fa3051817880ce59565a1e2bc27911e48c9cb2f920a05",
+    "srv/store.log.key": "67f5f4944565948f210613f1a24dc8fdd49ea1f9ef34377357cbb8574c639f38",
     "usr/outbox/request-0001.json":
         "36f5cbd76da5e51510ff6da06a163a3017c918b6e60d1393226ea3e75e7bc020",
     "usr/session.json": "a9b04b54a93583182fc9e55b92d028e00bccb13e1783461b960f76c8dc028fc9",
