@@ -26,18 +26,15 @@ child only computes, pickles its result down a pipe (safe: only its parent
 reads it; the context goes by persistent id) and ``os._exit``s, flushing no
 shared buffer; a failed child's shard is redone here.  Without ``os.fork`` or
 beside other threads (a child would inherit their held locks) the work is
-serial.
-
-The store file is an append-only log of frames after a parameter header; the
-last frame per id wins.  A frame is a 4-byte payload length, a 32-byte
-HMAC-SHA256 tag of the payload and the payload, canonical JSON (after LevelDB's
-log format).  The key, 32 bytes from ``secrets`` or the caller, lives in
-``<log>.key`` (mode 0600), never in the log.  Trust rule: this server checked
-every element of a frame it tagged, so a frame whose tag verifies decodes
-without the two order-q checks; a failed tag, a missing key and all outside
-input get every check.  Reopen parses every frame once, noting each id's last,
-and deals the ids by that frame's decode work; each shard verifies and decodes
-only its ids' last frames, so no superseded element reaches server state.
+serial.  The store file is an append-only log of frames after a parameter
+header; the last frame per id wins.  A frame is a 4-byte payload length, a
+32-byte HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log
+format), keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
+Trust rule: this server checked every element of a frame it tagged, so a frame
+whose tag verifies decodes without the two order-q checks; a failed tag, a
+missing key and all outside input get every check.  Reopen parses every frame
+once, noting each id's last, and deals the ids by that frame's decode work;
+each shard verifies and decodes only its ids' last frames.
 """
 
 from __future__ import annotations
@@ -309,8 +306,13 @@ class EscrowServer:
             with open(os.open(key_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "wb") as fh:
                 fh.write(self._key)
             self._store = path.open("ab")
-            pks_wire = wire.pks_to_wire(ctx, pks)
-            self._append({"kind": "header", "params": ctx.param_header(), "pks": pks_wire})
+            self._append(
+                {
+                    "kind": "header",
+                    "params": ctx.param_header(),
+                    "pks": wire.pks_to_wire(ctx, pks),
+                }
+            )
 
     @classmethod
     def open(cls, store_path: str | Path) -> "EscrowServer":
@@ -331,7 +333,7 @@ class EscrowServer:
                 raise BadRecord(f"store file {path} has no parameter header")
             try:
                 ctx = context_from_header(header["params"])
-                pks = _decoded(key, *first, lambda header: wire.pks_from_wire(ctx, header["pks"]))
+                pks = _decoded(key, *first, lambda frame: wire.pks_from_wire(ctx, frame["pks"]))
             except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
                 raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
@@ -585,11 +587,9 @@ def _read_frames(path: Path):
     """(tag, payload) of each frame, unparsed (see ``_frame_obj``)."""
     with path.open("rb") as fh:
         while head := fh.read(4):
-            if len(head) != 4:
-                raise BadRecord("truncated store frame header")
             size = int.from_bytes(head, "big")
             tag, data = fh.read(TAG_BYTES), fh.read(size)
-            if len(tag) != TAG_BYTES or len(data) != size:
+            if len(head) != 4 or len(tag) != TAG_BYTES or len(data) != size:
                 raise BadRecord("truncated store frame")
             yield tag, data
 

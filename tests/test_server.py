@@ -809,15 +809,25 @@ _JSON = (
 )
 
 
-@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "server-tagged"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, tagged, data):
+def test_open_of_mutated_logs_fails_typed_or_matches_full_decodes(small_log, data):
     """Record frames with keys dropped or retyped, or layers swapped between
     frames of one id, and the log cut anywhere: ``open`` raises a
     ProtocolError or holds, per id, a full decode of the id's last frame.
-    Untagged, every frame is hand-made; server-tagged, each frame left as the
-    server wrote it keeps its tag, which verifies under the store key."""
+    Every frame is hand-made, so none carries a tag that verifies."""
+    _open_mutated_log(small_log, data, tagged=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_open_of_mutated_server_tagged_logs_fails_typed_or_matches_full_decodes(small_log, data):
+    """As above, but each frame left as the server wrote it keeps its tag,
+    which verifies under the store key, so its decode skips the order checks."""
+    _open_mutated_log(small_log, data, tagged=True)
+
+
+def _open_mutated_log(small_log, data, tagged):
     path, original, written = small_log
     frames = json.loads(json.dumps(original))
     ids = [f["record"]["record_id"] for f in original[1:]]
