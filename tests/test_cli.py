@@ -177,7 +177,7 @@ def test_deterministic_replay_produces_identical_trees(tmp_path):
 def test_store_key_comes_from_its_own_seed_label_or_secrets(tmp_path):
     """Under --seed the store key is derived from the seed under its own label,
     so the set exponents drawn from the seeded stream do not move; without a
-    seed it comes from ``secrets``.  The key file is private to its owner."""
+    seed it comes from ``secrets``."""
     for home, seed in (("s1", "a1"), ("s2", "a1"), ("u1", None), ("u2", None)):
         argv = ["setup-server", "--home", tmp_path / home, "--sets", 3, "--backend", "oracle"]
         assert run(*argv, *(("--seed", seed) if seed else ())) == EXIT_OK
@@ -186,7 +186,6 @@ def test_store_key_comes_from_its_own_seed_label_or_secrets(tmp_path):
     assert keys["s1"] == hashlib.sha256(b"store-key/a1").digest()
     assert len(keys["u1"]) == 32 and len({keys["s1"], keys["u1"], keys["u2"]}) == 3
     assert (tmp_path / "s1/public.json").read_bytes() == (tmp_path / "s2/public.json").read_bytes()
-    assert (tmp_path / "u1" / "store.log.key").stat().st_mode & 0o777 == 0o600
 
 
 def test_request_transcripts_show_fresh_blindings(tmp_path):
