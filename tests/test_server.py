@@ -660,7 +660,8 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     """Reopening a server-written curve store runs no [q]P and no GT x^q
     check: every frame decoded carries a tag that verifies under the store
     key.  The same log without its key runs both on every element of the
-    header and of each id's last frame, and yields the same records."""
+    header and of each id's last frame, and with one tag flipped on every
+    element of that frame alone; each yields the same records."""
     w, path = curve_store
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no fork
     counts = Counter()
@@ -686,14 +687,26 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     # header 6 G; last frames 12 G, 8 G (a one-attribute policy) and 12 G, 6 GT each
     decodes = {"element_from_bytes": 6 + 12 + 8 + 12, "gt_from_bytes": 3 * 6}
     assert {k: counts[k] for k in decodes} == decodes
-    keyless = tmp_path / "store.log"
-    keyless.write_bytes(path.read_bytes())
+    copy = tmp_path / "store.log"
+    copy.write_bytes(path.read_bytes())
     counts.clear()
-    with closing(EscrowServer.open(keyless)) as checked:
+    with closing(EscrowServer.open(copy)) as checked:
         pass
     assert counts == {**decodes, "_pt_mul": 38, "_unitary_pow": 18}
     for rid in w.server.record_ids():
         assert trusted.fetch(rid) == checked.fetch(rid) == w.server.fetch(rid)
+    # with the key but one tag bit flipped, only that frame (8 G + 6 GT) is checked
+    log = bytearray(path.read_bytes())
+    with closing(_read_frames(path)) as frames:
+        *_, (_, data) = frames
+    log[len(log) - len(data) - 1] ^= 1  # the last byte of the last frame's tag
+    copy.write_bytes(log)
+    copy.with_name("store.log.key").write_bytes(path.with_name("store.log.key").read_bytes())
+    counts.clear()
+    with closing(EscrowServer.open(copy)) as flipped:
+        pass
+    assert counts == {**decodes, "_pt_mul": 8, "_unitary_pow": 6}
+    assert all(flipped.fetch(rid) == w.server.fetch(rid) for rid in w.server.record_ids())
 
 
 def test_flipped_bit_in_a_tagged_frame_takes_every_check(tmp_path, monkeypatch):
