@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from . import abe, payload, recovery, sse
+from . import abe, payload, recovery, sse, wire
 from .errors import AuthenticationFailure, MissingApk, WrongKey
 from .pairing import GroupElement, HashDomain, PairingContext
 from .server import DataRecord, EscrowServer, SearchRequest, SearchResponse, UpdateRequest
@@ -285,7 +285,10 @@ class User:
                 aa_tokens={a: t for a, t in session.decrypt_tokens.items() if a in match.policy},
                 blinded_r=session.blinded_r,
             )
-            mask = recovery.recover_key(self.ctx, match.recovery, tokens, pks)
+            elems = match.recovery  # an in-process search's is the server's held wire form
+            if not isinstance(elems, recovery.KeyRecoveryElements):
+                elems = wire.recovery_from_wire(self.ctx, elems.wire)  # with every check
+            mask = recovery.recover_key(self.ctx, elems, tokens, pks)
             key = payload.derive_key(self.ctx, mask)
             try:
                 plaintext = payload.decrypt_payload(key, match.payload)

@@ -31,10 +31,12 @@ header; the last frame per id wins.  A frame is a 4-byte payload length, a
 32-byte HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log
 format), keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
 Trust rule: this server checked every element of a frame it tagged, so a frame
-whose tag verifies decodes without the two order-q checks; a failed tag, a
-missing key and all outside input get every check.  Reopen parses every frame
-once, noting each id's last, and deals the ids by that frame's decode work;
-each shard verifies and decodes only its ids' last frames.
+whose tag verifies decodes without the two order-q checks, and never decodes
+its layer 3, which the server never pairs and holds only as checked wire form
+(``HeldRecovery``); a failed tag, a missing key and all outside input get
+every check.  Reopen parses every frame once, noting each id's last, and
+deals the ids by that frame's decode work; each shard verifies and decodes
+only its ids' last frames.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .errors import (
     UpdateRejected,
 )
 from .pairing import GroupElement, PairingContext, Side, context_from_header
-from .pairing.base import _trusted_decode
+from .pairing.base import _TRUSTED, _trusted_decode
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_modifier
@@ -77,14 +79,30 @@ KEY_BYTES = TAG_BYTES = 32  # store key and frame tag
 
 
 @dataclass(frozen=True)
+class HeldRecovery:
+    """Layer 3 as the server holds it: attrs and checked wire form (sent as is: never mutate)."""
+
+    attrs: tuple[str, ...]
+    wire: dict
+
+
+def held_recovery(ctx: PairingContext, layer: KeyRecoveryElements | HeldRecovery) -> HeldRecovery:
+    """Owner elements encoded once; a held form as it is."""
+    if isinstance(layer, HeldRecovery):
+        return layer
+    obj = wire.recovery_to_wire(ctx, layer)
+    return HeldRecovery(tuple(obj["attrs"]), obj)
+
+
+@dataclass(frozen=True)
 class DataRecord:
-    """One stored object: three element layers plus the encrypted payload."""
+    """One stored object: three element layers (layer 3 held once stored) plus the payload."""
 
     record_id: str
     set_index: int
     sse: SseRecordElements
     abe: AccessPolicyElements
-    recovery: KeyRecoveryElements
+    recovery: KeyRecoveryElements | HeldRecovery
     payload: PayloadCiphertext
 
 
@@ -95,7 +113,7 @@ def record_to_wire(ctx: PairingContext, rec: DataRecord) -> dict:
         "set_index": rec.set_index,
         "sse": wire.sse_to_wire(ctx, rec.sse),
         "abe": wire.abe_to_wire(ctx, rec.abe),
-        "recovery": wire.recovery_to_wire(ctx, rec.recovery),
+        "recovery": held_recovery(ctx, rec.recovery).wire,
         "payload": wire.payload_to_wire(rec.payload),
     }
 
@@ -114,7 +132,11 @@ def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
             set_index=wire.index_from_wire(obj["set_index"]),
             sse=wire.sse_from_wire(ctx, obj["sse"]),
             abe=wire.abe_from_wire(ctx, obj["abe"]),
-            recovery=wire.recovery_from_wire(ctx, obj["recovery"]),
+            recovery=(  # a tagged frame's as this server wrote it, else checked and re-encoded
+                HeldRecovery(wire.names_from_wire(obj["recovery"]["attrs"]), obj["recovery"])
+                if _TRUSTED.get()
+                else held_recovery(ctx, wire.recovery_from_wire(ctx, obj["recovery"]))
+            ),
             payload=wire.payload_from_wire(obj["payload"]),
         )
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError, InvalidElement) as exc:
@@ -147,7 +169,7 @@ class SearchRequest:
 class MatchedRecord:
     record_id: str
     payload: PayloadCiphertext
-    recovery: KeyRecoveryElements
+    recovery: KeyRecoveryElements | HeldRecovery
     policy: tuple[str, ...]
 
 
@@ -212,7 +234,7 @@ def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
             {
                 "record_id": m.record_id,
                 "payload": wire.payload_to_wire(m.payload),
-                "recovery": wire.recovery_to_wire(ctx, m.recovery),
+                "recovery": held_recovery(ctx, m.recovery).wire,
                 "policy": list(m.policy),
             }
             for m in resp.matches
@@ -344,7 +366,7 @@ class EscrowServer:
                 obj = frame.get("record")
                 rid = _record_id(obj)  # a superseded frame is parsed, never decoded
                 last[rid] = count
-                work[rid] = sum(_strings(obj.get(k)) for k in ("sse", "abe", "recovery"))
+                work[rid] = sum(_strings(obj.get(k)) for k in ("sse", "abe"))  # not layer 3: held
 
         def decode(ids: list[str]) -> list[DataRecord]:  # as a serial open does
             wanted, records = {last[rid] for rid in ids}, {}
@@ -377,6 +399,7 @@ class EscrowServer:
             return tuple(self._records)
 
     def store_record(self, rec: DataRecord) -> str:
+        rec = replace(rec, recovery=held_recovery(self.ctx, rec.recovery))
         if not rec.record_id:
             rec = replace(rec, record_id=assign_record_id(self.ctx, rec))
         self._validate(rec)
@@ -503,7 +526,7 @@ class EscrowServer:
                 set_index=rec.set_index,
                 sse=req.new_sse or rec.sse,
                 abe=req.new_abe or rec.abe,
-                recovery=req.new_recovery or rec.recovery,
+                recovery=held_recovery(self.ctx, req.new_recovery or rec.recovery),
                 payload=req.new_payload or rec.payload,
             )
             self._validate(updated)

@@ -187,27 +187,14 @@ def _match_target(
     )
 
 
-def sse_match(
-    ctx: PairingContext,
-    elems: SseRecordElements,
-    token: SearchToken,
-    keyword_index: int,
-    pks: SetPublicKeys,
-) -> bool:
-    """True iff tagged keyword ``keyword_index`` matches the token under the
-    token's declared subset.  A mismatch is an ordinary False."""
-    target = _match_target(ctx, elems, token.token, subset_modifier(ctx, pks, token.subset))
-    return target == elems.tagged_keywords[keyword_index]
-
-
 def sse_match_any(
     ctx: PairingContext,
     elems: SseRecordElements,
     token: SearchToken,
     modifier: GroupElement,
 ) -> bool:
-    """Server-side form: the request does not say which keyword slot to try,
-    so every tagged keyword is checked against one precomputed target.
+    """The match: the request does not say which keyword slot to try, so
+    every tagged keyword is checked against one precomputed target.
     ``modifier`` is ``subset_modifier(ctx, pks, token.subset)``, computed
     once per request."""
     target = _match_target(ctx, elems, token.token, modifier)

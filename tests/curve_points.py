@@ -3,7 +3,8 @@
 E(F_p) is cyclic of order p + 1 = h*q with h = 4 * 1151 * r (r a 339-bit
 prime): y^2 = x^3 + x has the single point (0, 0) of order 2, because -1 is
 a non-square mod p.  So points of every order dividing h*q exist, and
-``small_order_points`` builds one of each kind a decoder must refuse.
+``small_order_points`` builds one of each kind a decoder must refuse, and
+``malformed_encodings`` the byte strings that encode no point at all.
 """
 
 import hashlib
@@ -60,4 +61,15 @@ def small_order_points() -> dict:
         "order 4": encode(order4),
         "order 1151": encode(order1151),
         "order h*q": encode(full),
+    }
+
+
+def malformed_encodings(good: bytes) -> dict:
+    """name -> bytes, made from the valid encoding ``good``, that no G decoder
+    may accept: they encode no curve point."""
+    return {
+        "short": good[:-1],
+        "bad tag": b"\x07" + good[1:],
+        "identity tag with a payload": b"\x00" + good[1:],
+        "x off the curve": b"\x02" + bytes(63) + b"\x05",  # x^3 + x is a non-square
     }

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from exponent_oracle import brute_inverse, sum_mod
+from keyword_match import sse_match
 from triseal import abe, payload, recovery, sse
 from triseal.actors import Authority, Owner, User, user_request
 from triseal.errors import AuthenticationFailure, UpdateRejected
@@ -108,12 +109,12 @@ def _worked_vector_sweep():
     assert token12 == sse.consent_search_token(ctx, owner, b"bp", [1, 2], pks)
     eq_gt(ctx.pair(token1.token, elems.stk_transferor), 4 * 87)
     assert sum_mod([4 * 87]) == sum_mod([10 * 3, 15]) == 45
-    assert sse.sse_match(ctx, elems, token1, 0, pks) is True
+    assert sse_match(ctx, elems, token1, 0, pks) is True
     lying = sse.SearchToken(token1.token, (2,))
     assert sum_mod([20 * 3, 15]) == 75 != 45
-    assert sse.sse_match(ctx, elems, lying, 0, pks) is False
+    assert sse_match(ctx, elems, lying, 0, pks) is False
     token_w2 = sse.consent_search_token(ctx, owner, b"w2", [1], pks)
-    assert sse.sse_match(ctx, elems, token_w2, 0, pks) is False
+    assert sse_match(ctx, elems, token_w2, 0, pks) is False
 
     # credential layer
     kp1 = abe.aa_setup(ctx, "A1", ask=11)
@@ -222,7 +223,7 @@ def _sse_trial(ctx, rng, *, mismatch):
     subset = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
     query = b"wrong-" + keyword if mismatch else keyword
     token = sse.consent_search_token(ctx, owner, query, subset, pks)
-    return sse.sse_match(ctx, elems, token, 0, pks)
+    return sse_match(ctx, elems, token, 0, pks)
 
 
 def test_criterion_2_sse_completeness_soundness(curve_ctx):
@@ -266,7 +267,7 @@ def test_criterion_3_subset_binding():
                 declared = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1))))
                 if declared != subset:
                     break
-            assert sse.sse_match(ctx, elems, sse.SearchToken(token.token, declared), 0, pks) is False
+            assert sse_match(ctx, elems, sse.SearchToken(token.token, declared), 0, pks) is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The primitive micro-benchmark runs and writes one JSON line of medians."""
+"""The primitive micro-benchmark runs and writes one JSON line of medians,
+and the committed bench file counts the ``src/`` lines of this tree."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_primitives.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "bench_primitives.py"
 
 
 def test_bench_primitives_smoke(tmp_path):
@@ -19,6 +21,9 @@ def test_bench_primitives_smoke(tmp_path):
     assert set(result) == {"python", "gmpy2", "nproc", "repeat", "median_ms", "src_lines"}
     assert result["repeat"] == 1 and isinstance(result["gmpy2"], bool)
     assert isinstance(result["src_lines"], int) and result["src_lines"] > 0
+    # a change to src/ re-records BENCH_primitives.json with its line count
+    committed = json.loads((ROOT / "BENCH_primitives.json").read_text())
+    assert committed["src_lines"] == result["src_lines"]
     assert set(result["median_ms"]) == {
         "pt_mul_q_ms", "pt_mul_h_ms", "pt_mul_160_ms", "g_exp_generator_ms",
         "element_from_bytes_ms", "gt_from_bytes_ms", "hash_to_group_ms",

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curve_points import small_order_points
+from curve_points import malformed_encodings, small_order_points
 from triseal import abe, sse, wire
 from triseal import server as server_mod
 from triseal.actors import Authority, Owner, User
-from triseal.errors import BadRecord, InvalidBlinding, ProtocolError, UpdateRejected
+from triseal.errors import BadRecord, InvalidBlinding, InvalidElement, ProtocolError, UpdateRejected
 from triseal.pairing import OracleContext, PairingContext
 from triseal.pairing import curve
 from triseal.pairing.curve import _miller_lines
@@ -391,11 +391,13 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     """A keyword miss costs one pairing product per candidate over the two
     request-wide left points, whose subset product is formed once per
-    request; recovering a key costs one product."""
+    request; recovering a key from a decoded response costs one product."""
     w = curve_world
     _, _, miss = w.request("absent", [1, 2, 3])
     session, consent, hit = w.request("bp", [1, 2, 3])
-    response = w.server.search(hit)
+    response = search_response_from_wire(
+        w.ctx, search_response_to_wire(w.ctx, w.server.search(hit))
+    )
     counts = Counter()
     for holder, name in (
         (PairingContext, "pair"),
@@ -428,6 +430,25 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
 
 
+def test_request_decoders_refuse_malformed_encodings(curve_world):
+    """Bytes that encode no curve point (short, a bad tag, the identity tag
+    with a payload, an x off the curve) in the token, a credential, the
+    blinding or ``rtk`` of a message are refused as InvalidElement, a typed
+    ProtocolError, never met with a traceback."""
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    search = search_request_to_wire(w.ctx, req)
+    rid = w.server.record_ids()[0]
+    update = update_request_to_wire(w.ctx, w.owner.update_request(rid, [1], w.pks, keywords=["x"]))
+    for raw in malformed_encodings(w.ctx.element_to_bytes(req.token.token)).values():
+        bad = wire.b64e(raw)
+        for path in (("token", "token"), ("credentials", 0, "credential"), ("blinded",)):
+            with pytest.raises(InvalidElement):
+                search_request_from_wire(w.ctx, _replaced(search, path, bad))
+        with pytest.raises(InvalidElement):
+            update_request_from_wire(w.ctx, _replaced(update, ("rtk",), bad))
+
+
 def _replaced(obj, path, value):
     """A deep copy of the JSON object ``obj`` with the slot at ``path`` set."""
     obj = json.loads(json.dumps(obj))
@@ -443,44 +464,61 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeyp
     checked for order q on its own: a point of order 2, 4, 1151 or h*q in
     any one slot is refused with a typed error, never accepted or met with a
     traceback, also where a sharded reopen deals the frame to a forked
-    child.  A stored frame that a later frame of its id replaces never
-    reaches the server, so its elements are not decoded."""
+    child.  Layer 3, which the server holds undecoded only from a frame whose
+    tag verifies, is refused from every other frame, from an update request
+    and by the user's response decoder.  A stored frame that a later frame of
+    its id replaces never reaches the server, so its elements are not decoded."""
     w = curve_world
     ctx = w.ctx
     _, _, req = w.request("bp", [1, 2, 3])
     search = search_request_to_wire(ctx, req)
+    response = search_response_to_wire(ctx, w.server.search(req))
     rid = w.server.record_ids()[0]
-    upd = w.owner.update_request(rid, [1, 2, 3], w.pks, keywords=["x"])
+    upd = w.owner.update_request(
+        rid, [1, 2, 3], w.pks, keywords=["x"], policy=["A1"], plaintext=b"v", authorities=w.publics
+    )
     update = update_request_to_wire(ctx, upd)
     record = record_to_wire(ctx, w.server.fetch(rid))
     header = {"kind": "header", "params": ctx.param_header(), "pks": wire.pks_to_wire(ctx, w.pks)}
     assert search_request_from_wire(ctx, search) == req
+    assert search_response_to_wire(ctx, search_response_from_wire(ctx, response)) == response
     assert update_request_from_wire(ctx, update) == upd
     assert record_from_wire(ctx, record) == w.server.fetch(rid)
     store = tmp_path / "store.log"
     key = bytes(range(32))  # a store key next to the log: only a verified tag skips a check
     (tmp_path / "store.log.key").write_bytes(key)
+    keyless = tmp_path / "keyless" / "store.log"
+    keyless.parent.mkdir()
     valid_data = json.dumps({"kind": "record", "record": record}).encode()
     for name, raw in small_order_points().items():
         bad = wire.b64e(raw)
         for path in (("token", "token"), ("credentials", 0, "credential"), ("blinded",)):
             with pytest.raises(ProtocolError, match="order-q subgroup"):
                 search_request_from_wire(ctx, _replaced(search, path, bad))
-        for path in (("rtk",), ("new_sse", "stk_transferor")):
+        for path in (("rtk",), ("new_sse", "stk_transferor"), ("new_recovery", "dtk_transferor")):
             with pytest.raises(ProtocolError, match="order-q subgroup"):
                 update_request_from_wire(ctx, _replaced(update, path, bad))
-        frame = {"kind": "record", "record": _replaced(record, ("sse", "kw_modifier"), bad)}
-        with pytest.raises(BadRecord, match="order-q subgroup"):
-            record_from_wire(ctx, frame["record"])
-        data = json.dumps(frame).encode()
-        for tag in (  # zeroed, forged under another key, moved from a valid frame
-            bytes(32),
-            hmac.digest(bytes(32), data, "sha256"),
-            hmac.digest(key, valid_data, "sha256"),
-        ):
-            store.write_bytes(_frame(header) + _raw_frame(data, tag))
+        path = ("matches", 0, "recovery", "dtk_aa_transferors", 0)
+        with pytest.raises(ProtocolError, match="order-q subgroup"):
+            search_response_from_wire(ctx, _replaced(response, path, bad))
+        for path in (("sse", "kw_modifier"), ("recovery", "dtk_transferor")):
+            frame = {"kind": "record", "record": _replaced(record, path, bad)}
             with pytest.raises(BadRecord, match="order-q subgroup"):
-                EscrowServer.open(store)
+                record_from_wire(ctx, frame["record"])
+            data = json.dumps(frame).encode()
+            own = hmac.digest(key, data, "sha256")  # verifies only if the key is found
+            keyless.write_bytes(_frame(header) + _raw_frame(data, own))
+            with pytest.raises(BadRecord, match="order-q subgroup"):
+                EscrowServer.open(keyless)
+            for tag in (  # zeroed, forged under another key, moved from a valid frame, flipped
+                bytes(32),
+                hmac.digest(bytes(32), data, "sha256"),
+                hmac.digest(key, valid_data, "sha256"),
+                own[:-1] + bytes([own[-1] ^ 1]),
+            ):
+                store.write_bytes(_frame(header) + _raw_frame(data, tag))
+                with pytest.raises(BadRecord, match="order-q subgroup"):
+                    EscrowServer.open(store)
         # the last frame of an id is checked, also where it supersedes a valid
         # one; a frame superseded by a valid one is never decoded
         valid = _frame({"kind": "record", "record": record})
@@ -577,7 +615,7 @@ def test_noop_refresh_changes_every_element():
     assert set(after.sse.tagged_keywords).isdisjoint(before.sse.tagged_keywords)
     assert set(after.abe.ac_transferors).isdisjoint(before.abe.ac_transferors)
     assert after.abe.plcy != before.abe.plcy
-    assert after.recovery.wrapped_key != before.recovery.wrapped_key
+    assert after.recovery.wire["wrapped_key"] != before.recovery.wire["wrapped_key"]
     assert after.payload != before.payload
     # deterministic consent still finds the refreshed record
     _, _, req = w.request("bp", [1])
@@ -629,8 +667,10 @@ def test_store_file_round_trip(tmp_path):
 
 def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch):
     """An update logs the whole record again; reopening decodes only the
-    record's last frame.  Header 6 G; last frame 12 G + 6 GT (2 keyword tags
-    and the owner's); the two superseded frames add nothing."""
+    record's last frame, and of its tagged frame only layers 1 and 2.
+    Header 6 G; last frame 6 G + 5 GT (2 keyword tags, the owner's, the
+    update id's and the policy's); its layer 3 and the two superseded frames
+    add nothing."""
     path = tmp_path / "store.log"
     w = World(ctx=curve_ctx, store_path=path)
     rid = w.publish(b"v1", ["bp", "hr"], ["A1", "A2"], 1)
@@ -652,16 +692,17 @@ def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch)
         monkeypatch.setattr(PairingContext, name, counted)
     revived = EscrowServer.open(path)
     revived.close()
-    assert counts == {"element_from_bytes": 18, "gt_from_bytes": 6}
+    assert counts == {"element_from_bytes": 12, "gt_from_bytes": 5}
     assert revived.fetch(rid) == w.server.fetch(rid)
 
 
 def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypatch):
     """Reopening a server-written curve store runs no [q]P and no GT x^q
-    check: every frame decoded carries a tag that verifies under the store
-    key.  The same log without its key runs both on every element of the
-    header and of each id's last frame, and with one tag flipped on every
-    element of that frame alone; each yields the same records."""
+    check, and decodes no layer 3: every frame decoded carries a tag that
+    verifies under the store key.  The same log without its key decodes and
+    checks every element of the header and of each id's last frame, and with
+    one tag flipped every element of that frame alone; each yields the same
+    records."""
     w, path = curve_store
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no fork
     counts = Counter()
@@ -684,18 +725,22 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     with closing(EscrowServer.open(path)) as trusted:
         pass
     assert counts["_pt_mul"] == counts["_unitary_pow"] == 0
-    # header 6 G; last frames 12 G, 8 G (a one-attribute policy) and 12 G, 6 GT each
-    decodes = {"element_from_bytes": 6 + 12 + 8 + 12, "gt_from_bytes": 3 * 6}
+    # header 6 G; layers 1 and 2 of the last frames: 6 G, 4 G (a one-attribute
+    # policy) and 6 G, 5 GT each
+    decodes = {"element_from_bytes": 6 + 6 + 4 + 6, "gt_from_bytes": 3 * 5}
     assert {k: counts[k] for k in decodes} == decodes
     copy = tmp_path / "store.log"
     copy.write_bytes(path.read_bytes())
     counts.clear()
     with closing(EscrowServer.open(copy)) as checked:
         pass
-    assert counts == {**decodes, "_pt_mul": 38, "_unitary_pow": 18}
+    # layer 3 adds 6 G, 4 G and 6 G, 1 GT each
+    full = {"element_from_bytes": 38, "gt_from_bytes": 18}
+    assert counts == {**full, "_pt_mul": 38, "_unitary_pow": 18}
     for rid in w.server.record_ids():
         assert trusted.fetch(rid) == checked.fetch(rid) == w.server.fetch(rid)
-    # with the key but one tag bit flipped, only that frame (8 G + 6 GT) is checked
+    # with the key but one tag bit flipped, only that frame (8 G + 6 GT) is
+    # checked, its layer 3 (4 G + 1 GT) decoded
     log = bytearray(path.read_bytes())
     with closing(_read_frames(path)) as frames:
         *_, (_, data) = frames
@@ -705,7 +750,8 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     counts.clear()
     with closing(EscrowServer.open(copy)) as flipped:
         pass
-    assert counts == {**decodes, "_pt_mul": 8, "_unitary_pow": 6}
+    flipped_decodes = {"element_from_bytes": 22 + 4, "gt_from_bytes": 15 + 1}
+    assert counts == {**flipped_decodes, "_pt_mul": 8, "_unitary_pow": 6}
     assert all(flipped.fetch(rid) == w.server.fetch(rid) for rid in w.server.record_ids())
 
 
@@ -1117,7 +1163,7 @@ def test_searches_concurrent_with_updates_see_whole_records():
     w = World()
     rid = w.publish(b"v0", ["v0"], ["A1"], 1)
     initial = w.server.fetch(rid)
-    expected = {"v0": (initial.payload, initial.recovery)}
+    expected = {"v0": (initial.payload, initial.recovery)}  # layer 3 as the server holds it
     requests = {}
     for i in range(8):
         kw = f"v{i + 1}"
@@ -1125,7 +1171,7 @@ def test_searches_concurrent_with_updates_see_whole_records():
             rid, [1], w.pks, keywords=[kw], policy=["A1"],
             plaintext=kw.encode(), authorities=w.publics,
         )
-        expected[kw] = (upd.new_payload, upd.new_recovery)
+        expected[kw] = (upd.new_payload, server_mod.held_recovery(w.ctx, upd.new_recovery))
         requests[kw] = upd
     search_reqs = {kw: w.request(kw, [1])[2] for kw in expected}
 

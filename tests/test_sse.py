@@ -5,6 +5,7 @@ import random
 import pytest
 
 from exponent_oracle import brute_inverse, sum_mod
+from keyword_match import sse_match
 from triseal import sse
 from triseal.errors import BadSetIndex, EmptySubset, NonInvertible
 from triseal.pairing import HashDomain, OracleContext
@@ -173,7 +174,7 @@ def test_match_vector_true():
     # left side: e(g^4, g^87) = gT^45; right side: gT^(10*3) * gT^15 = gT^45
     assert ctx.pair(token.token, elems.stk_transferor).data == 4 * 87 % 101 == 45
     assert sum_mod([10 * 3, 15]) == 45
-    assert sse.sse_match(ctx, elems, token, 0, pks) is True
+    assert sse_match(ctx, elems, token, 0, pks) is True
 
 
 def test_match_vector_wrong_subset_declared():
@@ -192,7 +193,7 @@ def test_match_vector_wrong_subset_declared():
     lying = sse.SearchToken(token=token_s1.token, subset=(2,))
     # right side becomes gT^(20*3 + 15) = gT^75 != gT^45
     assert sum_mod([20 * 3, 15]) == 75
-    assert sse.sse_match(ctx, elems, lying, 0, pks) is False
+    assert sse_match(ctx, elems, lying, 0, pks) is False
 
 
 def test_match_vector_wrong_keyword():
@@ -208,7 +209,7 @@ def test_match_vector_wrong_keyword():
         owner_point=ctx.hash_to_group(HashDomain.KEYWORD, b"o"),
     )
     token = sse.consent_search_token(ctx, owner, b"w2", [1], pks)  # H(w2) = g^6
-    assert sse.sse_match(ctx, elems, token, 0, pks) is False
+    assert sse_match(ctx, elems, token, 0, pks) is False
     modifier = sse.subset_modifier(ctx, pks, token.subset)
     assert sse.sse_match_any(ctx, elems, token, modifier) is False
 
@@ -235,8 +236,8 @@ def _random_trial(ctx, rng, *, wrong_keyword=False, wrong_subset=False):
         while True:
             other = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
             if other != list(subset):
-                return sse.sse_match(ctx, elems, sse.SearchToken(token.token, tuple(other)), j, pks)
-    return sse.sse_match(ctx, elems, token, j, pks)
+                return sse_match(ctx, elems, sse.SearchToken(token.token, tuple(other)), j, pks)
+    return sse_match(ctx, elems, token, j, pks)
 
 
 def test_completeness_random(oracle_big):
@@ -265,7 +266,7 @@ def test_keyword_soundness_exhaustive_universe(oracle_big):
         )
         for w_query in universe:
             token = sse.consent_search_token(ctx, owner, w_query, [1, 2], pks)
-            assert sse.sse_match(ctx, elems, token, 0, pks) is (w_record == w_query)
+            assert sse_match(ctx, elems, token, 0, pks) is (w_record == w_query)
 
 
 def test_subset_binding_random(oracle_big):
@@ -319,4 +320,4 @@ def test_match_rejects_empty_declared_subset():
     with pytest.raises(EmptySubset):
         sse.sse_match_any(ctx, elems, bare, sse.subset_modifier(ctx, pks, bare.subset))
     with pytest.raises(EmptySubset):
-        sse.sse_match(ctx, elems, bare, 0, pks)
+        sse_match(ctx, elems, bare, 0, pks)

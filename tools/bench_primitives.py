@@ -12,9 +12,9 @@ usable cores and ``src_lines``, the line count of every ``src/**/*.py``
 (counted as ``perfbench/run.py`` counts it).  ``store_open_ms_per_record``
 reopens a fixed 6-record store log, each record given new keywords or a new
 policy and payload after publishing, and divides by the record count: the
-trusted path, whose tags verify under the store key, so no order check runs.
-``store_open_untagged_ms_per_record`` reopens a copy of the same log without
-its key file, so every element takes every check.
+trusted path, whose tags verify under the store key, so no order check runs
+and no layer 3 is decoded.  ``store_open_untagged_ms_per_record`` reopens a
+copy of the same log without its key file, so every element takes every check.
 """
 
 from __future__ import annotations
