@@ -17,8 +17,8 @@ side is a tag enforced at the API level rather than a structural property.
 
 Invariant: every decoded element is order-checked before use, unless its
 bytes come from a store frame whose tag verifies under this server's key
-(``_trusted_decode``, called only by ``server._decoded``); such a frame's
-layer 3 is never decoded (the server holds its wire form; the user checks it).
+(``_trusted_decode``, called only from ``server.py``): at open, or for its
+layer 2 at a keyword hit on that server; its layer 3 is never decoded.
 """
 
 from __future__ import annotations

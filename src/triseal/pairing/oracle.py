@@ -45,11 +45,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 class OracleContext(PairingContext):
-    """Insecure exponent-arithmetic backend over a caller-chosen prime q.
-
-    ``hash_overrides`` maps (domain, input bytes) to a fixed exponent so that
-    worked vectors can pin H(w) = g^k.
-    """
+    """Insecure exponent-arithmetic backend over a caller-chosen prime q."""
 
     backend_id = "oracle"
 
@@ -58,13 +54,6 @@ class OracleContext(PairingContext):
             raise ValueError(f"oracle group order must be prime, got {order}")
         super().__init__(order)
         self._width = (order.bit_length() + 7) // 8
-        self.hash_overrides: dict[tuple[HashDomain, bytes], int] = {}
-
-    def set_hash_override(self, domain: HashDomain, data: bytes | str, exponent: int) -> None:
-        """Test hook: pin hash_to_group(domain, data) to g^exponent."""
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        self.hash_overrides[(domain, data)] = exponent % self.order
 
     def param_header(self) -> dict:
         from .base import WIRE_FORMAT
@@ -92,9 +81,6 @@ class OracleContext(PairingContext):
         return sum(x * y for x, y in pairs) % self.order
 
     def _hash(self, domain: HashDomain, data: bytes) -> int:
-        override = self.hash_overrides.get((domain, data))
-        if override is not None:
-            return override
         digest = hashlib.sha256(_H2G_PREFIX + domain.value + b":" + data).digest()
         # never the identity: reduce into [1, q)
         return 1 + int.from_bytes(digest, "big") % (self.order - 1)

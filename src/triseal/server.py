@@ -31,12 +31,13 @@ header; the last frame per id wins.  A frame is a 4-byte payload length, a
 32-byte HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log
 format), keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
 Trust rule: this server checked every element of a frame it tagged, so a frame
-whose tag verifies decodes without the two order-q checks, and never decodes
-its layer 3, which the server never pairs and holds only as checked wire form
-(``HeldRecovery``); a failed tag, a missing key and all outside input get
-every check.  Reopen parses every frame once, noting each id's last, and
-deals the ids by that frame's decode work; each shard verifies and decodes
-only its ids' last frames.
+whose tag verifies decodes only layer 1, without the two order-q checks, and
+holds layers 2 and 3 as wire form (``Held``): layer 2 is decoded, again
+without them, only by ``_check`` at a keyword hit after the IncompletePolicy
+check, and layer 3 never.  A failed tag, a missing key and all outside input,
+held forms included, get every check.  Reopen parses every frame once, noting
+each id's last, and deals the ids by the layer-1 work of that frame; each
+shard verifies and decodes only its ids' last frames.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import secrets
 import signal
 import threading
 from contextlib import closing, suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping
 
@@ -62,7 +63,6 @@ from .errors import (
     BadRecord,
     BadSetIndex,
     EmptySubset,
-    IncompletePolicy,
     InvalidBlinding,
     InvalidElement,
     UpdateRejected,
@@ -76,33 +76,58 @@ from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, s
 logger = logging.getLogger("triseal.server")
 _MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes
 KEY_BYTES = TAG_BYTES = 32  # store key and frame tag
+_MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError, InvalidElement)
 
 
 @dataclass(frozen=True)
-class HeldRecovery:
-    """Layer 3 as the server holds it: attrs and checked wire form (sent as is: never mutate)."""
+class Held:
+    """Layer 2 or 3 as the server holds it: attribute names, checked canonical wire
+    form (sent and logged as is: never mutate), elements (None: a tagged frame's)."""
 
     attrs: tuple[str, ...]
     wire: dict
+    elements: AccessPolicyElements | KeyRecoveryElements | None = field(default=None, compare=False)
 
 
-def held_recovery(ctx: PairingContext, layer: KeyRecoveryElements | HeldRecovery) -> HeldRecovery:
-    """Owner elements encoded once; a held form as it is."""
-    if isinstance(layer, HeldRecovery):
-        return layer
-    obj = wire.recovery_to_wire(ctx, layer)
-    return HeldRecovery(tuple(obj["attrs"]), obj)
+def held(ctx: PairingContext, layer: Any, decode: Callable) -> Held:
+    """``layer`` as a server holds it: elements encoded once, a held form with them as it
+    is, one without (never trusted: maybe another server's) decoded with every check."""
+    if isinstance(layer, Held):
+        if layer.elements is not None:
+            return layer
+        layer = _layer_from_wire(ctx, layer.wire, decode)
+    return Held(layer.attrs, _layer_wire(ctx, layer), layer)
+
+
+def _layer_wire(ctx: PairingContext, layer: Any) -> dict:
+    if isinstance(layer, AccessPolicyElements):
+        return wire.abe_to_wire(ctx, layer)
+    return layer.wire if isinstance(layer, Held) else wire.recovery_to_wire(ctx, layer)
+
+
+def _layer_from_wire(ctx: PairingContext, obj: Any, decode: Callable, trusted: bool = False):
+    """``decode`` of a layer's wire form, without the order checks only if ``trusted``."""
+    try:
+        return _trusted_decode(trusted, decode, ctx, obj)
+    except _MALFORMED as exc:
+        raise BadRecord(f"malformed record: {exc}") from exc
+
+
+def _frame_layer(ctx: PairingContext, obj: Mapping, decode: Callable) -> Held:
+    """A frame's layer 2 or 3: a tagged frame's as written, any other's checked and re-encoded."""
+    layer = Held(wire.names_from_wire(obj["attrs"]), obj)
+    return layer if _TRUSTED.get() else held(ctx, layer, decode)
 
 
 @dataclass(frozen=True)
 class DataRecord:
-    """One stored object: three element layers (layer 3 held once stored) plus the payload."""
+    """One stored object: three element layers (2 and 3 held once stored) plus the payload."""
 
     record_id: str
     set_index: int
     sse: SseRecordElements
-    abe: AccessPolicyElements
-    recovery: KeyRecoveryElements | HeldRecovery
+    abe: AccessPolicyElements | Held
+    recovery: KeyRecoveryElements | Held
     payload: PayloadCiphertext
 
 
@@ -112,8 +137,8 @@ def record_to_wire(ctx: PairingContext, rec: DataRecord) -> dict:
         "record_id": rec.record_id,
         "set_index": rec.set_index,
         "sse": wire.sse_to_wire(ctx, rec.sse),
-        "abe": wire.abe_to_wire(ctx, rec.abe),
-        "recovery": held_recovery(ctx, rec.recovery).wire,
+        "abe": _layer_wire(ctx, rec.abe),
+        "recovery": _layer_wire(ctx, rec.recovery),
         "payload": wire.payload_to_wire(rec.payload),
     }
 
@@ -131,15 +156,11 @@ def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
             record_id=_record_id(obj),
             set_index=wire.index_from_wire(obj["set_index"]),
             sse=wire.sse_from_wire(ctx, obj["sse"]),
-            abe=wire.abe_from_wire(ctx, obj["abe"]),
-            recovery=(  # a tagged frame's as this server wrote it, else checked and re-encoded
-                HeldRecovery(wire.names_from_wire(obj["recovery"]["attrs"]), obj["recovery"])
-                if _TRUSTED.get()
-                else held_recovery(ctx, wire.recovery_from_wire(ctx, obj["recovery"]))
-            ),
+            abe=_frame_layer(ctx, obj["abe"], wire.abe_from_wire),
+            recovery=_frame_layer(ctx, obj["recovery"], wire.recovery_from_wire),
             payload=wire.payload_from_wire(obj["payload"]),
         )
-    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, InvalidElement) as exc:
+    except _MALFORMED as exc:
         raise BadRecord(f"malformed record: {exc}") from exc
 
 
@@ -169,7 +190,7 @@ class SearchRequest:
 class MatchedRecord:
     record_id: str
     payload: PayloadCiphertext
-    recovery: KeyRecoveryElements | HeldRecovery
+    recovery: KeyRecoveryElements | Held
     policy: tuple[str, ...]
 
 
@@ -234,7 +255,7 @@ def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
             {
                 "record_id": m.record_id,
                 "payload": wire.payload_to_wire(m.payload),
-                "recovery": held_recovery(ctx, m.recovery).wire,
+                "recovery": _layer_wire(ctx, m.recovery),
                 "policy": list(m.policy),
             }
             for m in resp.matches
@@ -318,6 +339,8 @@ class EscrowServer:
         self._records: dict[str, DataRecord] = {}
         self._lock = threading.Lock()
         self._store: BinaryIO | None = None
+        if store_key is not None and len(store_key) != KEY_BYTES:
+            raise ValueError(f"store key must be {KEY_BYTES} bytes, got {len(store_key)}")
         self._key = None if store_path is None else store_key or secrets.token_bytes(KEY_BYTES)
         if store_path is not None:
             path = Path(store_path)
@@ -339,7 +362,8 @@ class EscrowServer:
     @classmethod
     def open(cls, store_path: str | Path) -> "EscrowServer":
         """Reload a server from its store log.  The last frame per id wins and is
-        the only one decoded, with every check (see the trust rule above); an
+        the only one decoded: with every check, or, if its tag verifies, only
+        its layer 1 and without the order checks (the trust rule above); an
         earlier frame of the id need only parse as a record frame with a string id."""
         path = Path(store_path)
         if not path.is_file():
@@ -366,7 +390,7 @@ class EscrowServer:
                 obj = frame.get("record")
                 rid = _record_id(obj)  # a superseded frame is parsed, never decoded
                 last[rid] = count
-                work[rid] = sum(_strings(obj.get(k)) for k in ("sse", "abe"))  # not layer 3: held
+                work[rid] = _strings(obj.get("sse"))  # a tagged frame's: layer 1 alone
 
         def decode(ids: list[str]) -> list[DataRecord]:  # as a serial open does
             wanted, records = {last[rid] for rid in ids}, {}
@@ -399,7 +423,8 @@ class EscrowServer:
             return tuple(self._records)
 
     def store_record(self, rec: DataRecord) -> str:
-        rec = replace(rec, recovery=held_recovery(self.ctx, rec.recovery))
+        rec = replace(rec, abe=held(self.ctx, rec.abe, wire.abe_from_wire))
+        rec = replace(rec, recovery=held(self.ctx, rec.recovery, wire.recovery_from_wire))
         if not rec.record_id:
             rec = replace(rec, record_id=assign_record_id(self.ctx, rec))
         self._validate(rec)
@@ -485,17 +510,18 @@ class EscrowServer:
     def _check(
         self, candidates: list[DataRecord], req: SearchRequest, modifier: GroupElement
     ) -> list[int]:
-        outcomes = []
+        covered, outcomes = {c.attribute_id for c in req.credentials}, []
         for rec in candidates:
             if not sse_match_any(self.ctx, rec.sse, req.token, modifier):
                 outcomes.append(_MISS)
-                continue
-            try:
-                ok = abe_verify(self.ctx, rec.abe, req.credentials, req.blinded)
-            except IncompletePolicy:
+            elif not covered.issuperset(rec.abe.attrs):  # IncompletePolicy, before any decode
                 outcomes.append(_INCOMPLETE)
-                continue
-            outcomes.append(_MATCH if ok else _DENIED)
+            else:  # a held layer 2 without elements is a frame this server tagged: no order check
+                policy = rec.abe.elements or _layer_from_wire(
+                    self.ctx, rec.abe.wire, wire.abe_from_wire, trusted=True
+                )
+                ok = abe_verify(self.ctx, policy, req.credentials, req.blinded)
+                outcomes.append(_MATCH if ok else _DENIED)
         return outcomes
 
     # -- re-encryption (update) --------------------------------------------------
@@ -521,12 +547,15 @@ class EscrowServer:
             if lhs != rhs:
                 logger.info("update rejected for record %s", rec.record_id)
                 raise UpdateRejected("re-encryption token failed verification")
-            updated = DataRecord(
-                record_id=rec.record_id,
-                set_index=rec.set_index,
+            updated = replace(
+                rec,
                 sse=req.new_sse or rec.sse,
-                abe=req.new_abe or rec.abe,
-                recovery=held_recovery(self.ctx, req.new_recovery or rec.recovery),
+                abe=held(self.ctx, req.new_abe, wire.abe_from_wire) if req.new_abe else rec.abe,
+                recovery=(
+                    held(self.ctx, req.new_recovery, wire.recovery_from_wire)
+                    if req.new_recovery
+                    else rec.recovery
+                ),
                 payload=req.new_payload or rec.payload,
             )
             self._validate(updated)

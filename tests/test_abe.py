@@ -5,6 +5,7 @@ import random
 import pytest
 
 from exponent_oracle import brute_inverse, sum_mod
+from hash_pins import pin_hash
 from triseal import abe
 from triseal.errors import BadAttribute, IncompletePolicy, InvalidBlinding, NonInvertible
 from triseal.pairing import HashDomain, OracleContext
@@ -12,7 +13,7 @@ from triseal.pairing import HashDomain, OracleContext
 
 def vector_ctx():
     ctx = OracleContext(101)
-    ctx.set_hash_override(HashDomain.GID, b"gid", 9)
+    pin_hash(ctx, HashDomain.GID, b"gid", 9)
     return ctx
 
 

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from exponent_oracle import brute_inverse, sum_mod
+from hash_pins import pin_hash
 from keyword_match import sse_match
 from triseal import abe, payload, recovery, sse
 from triseal.actors import Authority, Owner, User, user_request
@@ -48,10 +49,10 @@ def test_criterion_1_worked_vectors():
 def _worked_vector_sweep():
     q = 101
     ctx = OracleContext(q)
-    ctx.set_hash_override(HashDomain.KEYWORD, b"bp", 5)
-    ctx.set_hash_override(HashDomain.KEYWORD, b"w2", 6)
-    ctx.set_hash_override(HashDomain.GID, b"gid", 9)
-    ctx.set_hash_override(HashDomain.UPDATE_ID, b"rtk-id", 11)
+    pin_hash(ctx, HashDomain.KEYWORD, b"bp", 5)
+    pin_hash(ctx, HashDomain.KEYWORD, b"w2", 6)
+    pin_hash(ctx, HashDomain.GID, b"gid", 9)
+    pin_hash(ctx, HashDomain.UPDATE_ID, b"rtk-id", 11)
     g, gr, gt = ctx.g_left, ctx.g_right, ctx.gt_generator
 
     def eq_g(produced, exponent, side="left"):
@@ -179,7 +180,7 @@ def _worked_vector_sweep():
         8, {"A1": 12, "A2": 14}, ctx.gt_identity(),
     )
     assert recovery.recover_key(ctx, wrap_id, tokens, pks).is_identity
-    ctx.set_hash_override(HashDomain.GID, b"gid2", 25)
+    pin_hash(ctx, HashDomain.GID, b"gid2", 25)
     foreign = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid2"), 8)
     bad_tokens = recovery.DecryptionTokenSet(
         owner_token=owner_tok1, subset=(1,),

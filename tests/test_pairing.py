@@ -6,6 +6,7 @@ import pytest
 
 from curve_points import ORDER, affine_mul, malformed_encodings, raw_point, small_order_points
 from exponent_oracle import brute_inverse
+from hash_pins import pin_hash
 from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
 from triseal.pairing import HashDomain, OracleContext, Side
 from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_mul, _point_from_label
@@ -99,7 +100,7 @@ def test_hash_determinism_and_domains(oracle_big):
 def test_hash_injection_hook(oracle101):
     ctx = oracle101
     plain = OracleContext(101)
-    ctx.set_hash_override(HashDomain.KEYWORD, b"bp", 5)
+    pin_hash(ctx, HashDomain.KEYWORD, b"bp", 5)
     assert ctx.hash_to_group(HashDomain.KEYWORD, b"bp") == ctx.g_left**5
     # other inputs keep the regular hash
     assert (

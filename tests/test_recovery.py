@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from exponent_oracle import brute_inverse, sum_mod
+from hash_pins import pin_hash
 from triseal import abe, payload, recovery, sse, wire
 from triseal.errors import (
     EmptySubset,
@@ -19,7 +20,7 @@ from triseal.pairing import HashDomain, OracleContext
 
 def vector_ctx():
     ctx = OracleContext(101)
-    ctx.set_hash_override(HashDomain.GID, b"gid", 9)
+    pin_hash(ctx, HashDomain.GID, b"gid", 9)
     return ctx
 
 
@@ -178,7 +179,7 @@ def test_recover_identity_mask():
 
 def test_recover_wrong_gid_tokens_fail():
     ctx = vector_ctx()
-    ctx.set_hash_override(HashDomain.GID, b"other", 23)
+    pin_hash(ctx, HashDomain.GID, b"other", 23)
     pks = sse.server_setup(ctx, 2, exponents=[10, 20])
     elems, mask, kps = vector_wrap(ctx)
     blinded_other = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"other"), 8)

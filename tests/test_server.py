@@ -613,8 +613,8 @@ def test_noop_refresh_changes_every_element():
     assert record_bytes(w.ctx, after) != record_bytes(w.ctx, before)
     assert after.sse.stk_transferor != before.sse.stk_transferor
     assert set(after.sse.tagged_keywords).isdisjoint(before.sse.tagged_keywords)
-    assert set(after.abe.ac_transferors).isdisjoint(before.abe.ac_transferors)
-    assert after.abe.plcy != before.abe.plcy
+    assert set(after.abe.wire["ac_transferors"]).isdisjoint(before.abe.wire["ac_transferors"])
+    assert after.abe.wire["plcy"] != before.abe.wire["plcy"]
     assert after.recovery.wire["wrapped_key"] != before.recovery.wire["wrapped_key"]
     assert after.payload != before.payload
     # deterministic consent still finds the refreshed record
@@ -667,10 +667,9 @@ def test_store_file_round_trip(tmp_path):
 
 def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch):
     """An update logs the whole record again; reopening decodes only the
-    record's last frame, and of its tagged frame only layers 1 and 2.
-    Header 6 G; last frame 6 G + 5 GT (2 keyword tags, the owner's, the
-    update id's and the policy's); its layer 3 and the two superseded frames
-    add nothing."""
+    record's last frame, and of its tagged frame only layer 1.  Header 6 G;
+    last frame 2 G + 4 GT (2 keyword tags, the owner's and the update id's);
+    its layers 2 and 3 and the two superseded frames add nothing."""
     path = tmp_path / "store.log"
     w = World(ctx=curve_ctx, store_path=path)
     rid = w.publish(b"v1", ["bp", "hr"], ["A1", "A2"], 1)
@@ -692,13 +691,13 @@ def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch)
         monkeypatch.setattr(PairingContext, name, counted)
     revived = EscrowServer.open(path)
     revived.close()
-    assert counts == {"element_from_bytes": 12, "gt_from_bytes": 5}
+    assert counts == {"element_from_bytes": 8, "gt_from_bytes": 4}
     assert revived.fetch(rid) == w.server.fetch(rid)
 
 
 def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypatch):
     """Reopening a server-written curve store runs no [q]P and no GT x^q
-    check, and decodes no layer 3: every frame decoded carries a tag that
+    check, and decodes no layer 2 or 3: every frame decoded carries a tag that
     verifies under the store key.  The same log without its key decodes and
     checks every element of the header and of each id's last frame, and with
     one tag flipped every element of that frame alone; each yields the same
@@ -725,22 +724,22 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     with closing(EscrowServer.open(path)) as trusted:
         pass
     assert counts["_pt_mul"] == counts["_unitary_pow"] == 0
-    # header 6 G; layers 1 and 2 of the last frames: 6 G, 4 G (a one-attribute
-    # policy) and 6 G, 5 GT each
-    decodes = {"element_from_bytes": 6 + 6 + 4 + 6, "gt_from_bytes": 3 * 5}
+    # header 6 G; layer 1 of the last frames: 2 G, 4 GT each
+    decodes = {"element_from_bytes": 6 + 3 * 2, "gt_from_bytes": 3 * 4}
     assert {k: counts[k] for k in decodes} == decodes
     copy = tmp_path / "store.log"
     copy.write_bytes(path.read_bytes())
     counts.clear()
     with closing(EscrowServer.open(copy)) as checked:
         pass
+    # layer 2 adds 4 G, 2 G (a one-attribute policy) and 4 G, 1 GT each;
     # layer 3 adds 6 G, 4 G and 6 G, 1 GT each
     full = {"element_from_bytes": 38, "gt_from_bytes": 18}
     assert counts == {**full, "_pt_mul": 38, "_unitary_pow": 18}
     for rid in w.server.record_ids():
         assert trusted.fetch(rid) == checked.fetch(rid) == w.server.fetch(rid)
     # with the key but one tag bit flipped, only that frame (8 G + 6 GT) is
-    # checked, its layer 3 (4 G + 1 GT) decoded
+    # checked, its layers 2 and 3 (2 G + 1 GT, 4 G + 1 GT) decoded
     log = bytearray(path.read_bytes())
     with closing(_read_frames(path)) as frames:
         *_, (_, data) = frames
@@ -750,9 +749,95 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     counts.clear()
     with closing(EscrowServer.open(copy)) as flipped:
         pass
-    flipped_decodes = {"element_from_bytes": 22 + 4, "gt_from_bytes": 15 + 1}
+    flipped_decodes = {"element_from_bytes": 12 + 2 + 4, "gt_from_bytes": 12 + 1 + 1}
     assert counts == {**flipped_decodes, "_pt_mul": 8, "_unitary_pow": 6}
     assert all(flipped.fetch(rid) == w.server.fetch(rid) for rid in w.server.record_ids())
+
+
+def test_tagged_reopen_decodes_layer_2_only_at_a_keyword_hit(curve_store, monkeypatch):
+    """A reopened tagged store answers each search as the live server does: a
+    match, a denial (credentials under another blinding), an IncompletePolicy
+    and a miss.  Only a keyword hit that passes the IncompletePolicy check
+    decodes its held layer 2, 2k G + 1 GT, with no order check; the live
+    server, which holds the owner's elements, decodes nothing."""
+    w, path = curve_store
+    with closing(EscrowServer.open(path)) as revived:
+        pass
+    _, _, full = w.request("x", [1, 2, 3])  # the first record (k = 2) matches, the others miss
+    _, _, other = w.request("x", [1, 2, 3])
+    denied = replace(full, blinded=other.blinded)
+    _, _, partial = w.request("bp", [1, 2, 3], attrs=["A1"])  # k = 1 matches, two lack A2
+    _, _, miss = w.request("absent", [1, 2, 3])
+    counts = Counter()
+    for name in ("_pt_mul", "_unitary_pow"):
+        original = getattr(curve, name)
+
+        def order_check(x, k, _name=name, _original=original):
+            if k == curve.CURVE_Q:
+                counts[_name] += 1
+            return _original(x, k)
+
+        monkeypatch.setattr(curve, name, order_check)
+    for name in ("element_from_bytes", "gt_from_bytes"):
+        original = getattr(PairingContext, name)
+
+        def decoded(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(PairingContext, name, decoded)
+    for req, g, gt in ((miss, 0, 0), (full, 4, 1), (denied, 4, 1), (partial, 2, 1)):
+        live = w.server.search(req, workers=1)
+        assert not counts
+        assert revived.search(req, workers=1) == live
+        assert counts == ({"element_from_bytes": g, "gt_from_bytes": gt} if g else {})
+        counts.clear()
+    stats = {r: w.server.search(r, workers=1).stats for r in (full, denied, partial, miss)}
+    assert (stats[full].matched, stats[full].sse_matched) == (1, 1)
+    assert (stats[denied].matched, stats[denied].abe_verified) == (0, 1)
+    assert (stats[partial].matched, stats[partial].sse_matched) == (1, 3)
+    assert stats[miss].sse_matched == 0
+
+
+def test_held_layer_2_is_trusted_only_by_the_server_that_verified_its_tag(curve_store, tmp_path):
+    """A reopened record's layer 2, held without elements, is decoded with
+    every check by any other server's ``store_record``: a small-order point in
+    it is refused.  A tagged frame whose layer 2 does not decode still opens,
+    and a keyword hit on it is a typed BadRecord."""
+    w, path = curve_store
+    with closing(EscrowServer.open(path)) as revived:
+        pass
+    rid = w.server.record_ids()[0]
+    rec = revived.fetch(rid)
+    assert rec.abe.elements is None
+    fresh = EscrowServer(w.ctx, w.pks)
+    transferors = rec.abe.wire["ac_transferors"]
+    for raw in small_order_points().values():
+        bad = {**rec.abe.wire, "ac_transferors": [wire.b64e(raw), *transferors[1:]]}
+        with pytest.raises(ProtocolError, match="order-q subgroup"):
+            fresh.store_record(replace(rec, abe=replace(rec.abe, wire=bad)))
+    assert fresh.record_count == 0
+    assert fresh.store_record(rec) == rid and fresh.fetch(rid).abe.elements is not None
+    # the frame of the first record, its layer 2 off the curve, tagged under the key
+    key = path.with_name("store.log.key").read_bytes()
+    with closing(_read_frames(path)) as frames:
+        (_, header), *records = frames
+    frame = [json.loads(d) for _, d in records if json.loads(d)["record"]["record_id"] == rid][-1]
+    off_curve = malformed_encodings(wire.b64d(transferors[0]))["x off the curve"]
+    frame["record"]["abe"]["ac_transferors"][0] = wire.b64e(off_curve)
+    data = json.dumps(frame).encode()
+    store = tmp_path / "store.log"
+    store.write_bytes(
+        b"".join(_raw_frame(d, hmac.digest(key, d, "sha256")) for d in (header, data))
+    )
+    store.with_name("store.log.key").write_bytes(key)
+    with closing(EscrowServer.open(store)) as tampered:
+        pass
+    _, _, hit = w.request("x", [1])
+    for workers in (1, 2):
+        with pytest.raises(BadRecord):
+            tampered.search(hit, workers=workers)
+    _assert_no_child_left()
 
 
 def test_flipped_bit_in_a_tagged_frame_takes_every_check(tmp_path, monkeypatch):
@@ -810,6 +895,10 @@ def test_store_key_file_is_made_afresh_with_mode_0600(tmp_path):
     other = tmp_path / "other.log"
     EscrowServer(w.ctx, w.pks, store_path=other).close()
     assert (tmp_path / "other.log.key").read_bytes() != key
+    for size in (0, 16, 33):  # only a 32-byte key is ever trusted: refused before any file
+        with pytest.raises(ValueError, match="32 bytes"):
+            EscrowServer(w.ctx, w.pks, store_path=tmp_path / "short.log", store_key=b"k" * size)
+        assert not list(tmp_path.glob("short.log*"))
     seeded = tmp_path / "seeded.log"
     EscrowServer(w.ctx, w.pks, store_path=seeded, store_key=b"k" * 32).close()
     assert (tmp_path / "seeded.log.key").read_bytes() == b"k" * 32
@@ -1171,7 +1260,8 @@ def test_searches_concurrent_with_updates_see_whole_records():
             rid, [1], w.pks, keywords=[kw], policy=["A1"],
             plaintext=kw.encode(), authorities=w.publics,
         )
-        expected[kw] = (upd.new_payload, server_mod.held_recovery(w.ctx, upd.new_recovery))
+        held = server_mod.held(w.ctx, upd.new_recovery, wire.recovery_from_wire)
+        expected[kw] = (upd.new_payload, held)
         requests[kw] = upd
     search_reqs = {kw: w.request(kw, [1])[2] for kw in expected}
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from exponent_oracle import brute_inverse, sum_mod
+from hash_pins import pin_hash
 from keyword_match import sse_match
 from triseal import sse
 from triseal.errors import BadSetIndex, EmptySubset, NonInvertible
@@ -14,8 +15,8 @@ from triseal.pairing import HashDomain, OracleContext
 def vector_ctx():
     """q = 101 context with the worked-vector hash H("bp") = g^5."""
     ctx = OracleContext(101)
-    ctx.set_hash_override(HashDomain.KEYWORD, b"bp", 5)
-    ctx.set_hash_override(HashDomain.KEYWORD, b"w2", 6)
+    pin_hash(ctx, HashDomain.KEYWORD, b"bp", 5)
+    pin_hash(ctx, HashDomain.KEYWORD, b"w2", 6)
     return ctx
 
 
@@ -251,7 +252,7 @@ def test_keyword_soundness_exhaustive_universe(oracle_big):
     ctx = oracle_big
     universe = [f"u{i}".encode() for i in range(8)]
     for i, w in enumerate(universe):
-        ctx.set_hash_override(HashDomain.KEYWORD, w, 1000 + i)
+        pin_hash(ctx, HashDomain.KEYWORD, w, 1000 + i)
     rng = random.Random(22)
     pks = sse.server_setup(ctx, 2, rng)
     owner = sse.new_sse_key(ctx, rng)

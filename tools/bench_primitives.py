@@ -13,8 +13,10 @@ usable cores and ``src_lines``, the line count of every ``src/**/*.py``
 reopens a fixed 6-record store log, each record given new keywords or a new
 policy and payload after publishing, and divides by the record count: the
 trusted path, whose tags verify under the store key, so no order check runs
-and no layer 3 is decoded.  ``store_open_untagged_ms_per_record`` reopens a
+and only layer 1 is decoded.  ``store_open_untagged_ms_per_record`` reopens a
 copy of the same log without its key file, so every element takes every check.
+``held_policy_hit_decode_ms`` decodes the held layer 2 of a 2-attribute record
+as a reopened tagged store does at a keyword hit: without the order checks.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ def primitives():
     """name -> zero-argument callable, built on fixed inputs."""
     import random
 
+    from triseal import wire
     from triseal.actors import Authority, Owner
     from triseal.pairing import CurveContext, HashDomain, Side, curve
-    from triseal.server import EscrowServer, record_from_wire, record_to_wire
+    from triseal.server import EscrowServer, _layer_from_wire, record_from_wire, record_to_wire
     from triseal.sse import server_setup
 
     ctx = CurveContext()
@@ -109,6 +112,9 @@ def primitives():
         "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
+        "held_policy_hit_decode_ms": lambda: _layer_from_wire(
+            ctx, record_wire["abe"], wire.abe_from_wire, trusted=True
+        ),
         "store_open_ms_per_record": lambda: EscrowServer.open(Path(tmp.name) / store.name).close(),
         "store_open_untagged_ms_per_record": lambda: EscrowServer.open(
             Path(tmp.name) / "keyless" / store.name
