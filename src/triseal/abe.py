@@ -27,12 +27,13 @@ unblinded form.  Key recovery reuses :func:`sign_blinded` and
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadAttribute, IncompletePolicy, InvalidBlinding
-from .pairing import GroupElement, GtElement, PairingContext
+from .pairing import GroupElement, GtElement, PairingContext, Side
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,7 @@ def abe_verify(
     missing = [a for a in elems.attrs if a not in by_attr]
     if missing:
         raise IncompletePolicy(f"no credential for: {', '.join(missing)}")
-    lhs = ctx.gt_identity()
-    rhs = elems.plcy
-    for attr, transferor, modifier in zip(
-        elems.attrs, elems.ac_transferors, elems.plcy_modifiers
-    ):
-        lhs = lhs * ctx.pair(by_attr[attr], transferor)
-        rhs = rhs * ctx.pair(blinded.element, modifier)
-    return lhs == rhs
+    # prod_i e(U, M_i) = e(U, prod_i M_i): k + 1 Miller loops and two final exps
+    lhs = ctx.pairing_product(zip(map(by_attr.get, elems.attrs), elems.ac_transferors))
+    modifiers = math.prod(elems.plcy_modifiers, start=ctx.group_identity(Side.RIGHT))
+    return lhs == elems.plcy * ctx.pair(blinded.element, modifiers)

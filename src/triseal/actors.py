@@ -183,11 +183,12 @@ class Owner:
     def consent(
         self, keyword: bytes | str, subset: Iterable[int], pks: sse.SetPublicKeys
     ) -> ConsentGrant:
-        """Search and decryption tokens are granted together."""
+        """Search and decryption tokens are granted together, the latter
+        prepared: its holder unwraps every match under it."""
         token = sse.consent_search_token(self.ctx, self.sse_key, keyword, subset, pks)
         owner_dtk = recovery.consent_decrypt_token(self.ctx, self.recovery_key, token.subset, pks)
         return ConsentGrant(
-            search_token=token, owner_decrypt_token=owner_dtk, subset=token.subset
+            search_token=token, owner_decrypt_token=self.ctx.prepare(owner_dtk), subset=token.subset
         )
 
     # -- updates -------------------------------------------------------------
@@ -277,14 +278,18 @@ class User:
         pks: sse.SetPublicKeys,
     ) -> list[tuple[str, bytes]]:
         """Recover each returned record locally; no server involvement."""
+        if not response.matches:
+            return []
+        prepare, policies = self.ctx.prepare, set().union(*(m.policy for m in response.matches))
+        tokens = recovery.DecryptionTokenSet(  # every left point prepared once per response
+            owner_token=prepare(consent.owner_decrypt_token),
+            subset=consent.subset,
+            aa_tokens={a: prepare(t) for a, t in session.decrypt_tokens.items() if a in policies},
+            blinded_r=abe.BlindedIdentity(prepare(session.blinded_r.element)),
+            subset_product=prepare(pks.left_product(pks.check_subset(consent.subset))),
+        )
         results = []
         for match in response.matches:
-            tokens = recovery.DecryptionTokenSet(
-                owner_token=consent.owner_decrypt_token,
-                subset=consent.subset,
-                aa_tokens={a: t for a, t in session.decrypt_tokens.items() if a in match.policy},
-                blinded_r=session.blinded_r,
-            )
             elems = match.recovery  # an in-process search's is the server's held wire form
             if not isinstance(elems, recovery.KeyRecoveryElements):
                 elems = wire.recovery_from_wire(self.ctx, elems.wire)  # with every check

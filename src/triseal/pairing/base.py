@@ -18,7 +18,8 @@ side is a tag enforced at the API level rather than a structural property.
 Invariant: every decoded element is order-checked before use, unless its
 bytes come from a store frame whose tag verifies under this server's key
 (``_trusted_decode``, called only from ``server.py``): at open, or for its
-layer 2 at a keyword hit on that server; its layer 3 is never decoded.
+layer 2 at a keyword hit on that server; its layer 3 is never decoded.  Its
+line preparation checks a LEFT request element (``prepared_from_bytes``).
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ class PairingContext(ABC):
     def pairing_product(self, pairs: Iterable[tuple[GroupElement, GroupElement]]) -> GtElement:
         """prod_i e(x_i, y_i) over (LEFT, RIGHT) pairs, the GT identity if
         empty.  Equals multiplying ``pair`` results, but the curve backend
-        runs one Miller loop over cached lines of each x_i and one final
-        exponentiation; write e(a, b) / e(c, d) as e(a, b) * e(c^-1, d)."""
+        runs one Miller loop over the lines of each x_i (carried if prepared)
+        and one final exp; write e(a, b) / e(c, d) as e(a, b) * e(c, d^-1)."""
         data = []
         for x, y in pairs:
             self._check(x)
@@ -219,6 +220,12 @@ class PairingContext(ABC):
                 )
             data.append((x.data, y.data))
         return GtElement(self, self._pair_product(data))
+
+    def prepare(self, x: GroupElement) -> GroupElement:
+        """``x`` carrying what makes it cheap as a LEFT argument (the curve's Miller
+        lines); idempotent.  InvalidElement outside the order-q subgroup."""
+        self._check(x)
+        return GroupElement(self, x.side, self._g_prepare(x.data))
 
     def hash_to_group(self, domain: HashDomain, data: bytes | str) -> GroupElement:
         """Deterministic hash onto the LEFT group; domains are independent."""
@@ -254,6 +261,10 @@ class PairingContext(ABC):
 
     def element_from_bytes(self, raw: bytes, side: Side) -> GroupElement:
         return GroupElement(self, side, self._g_from_bytes(raw, not _TRUSTED.get()))
+
+    def prepared_from_bytes(self, raw: bytes) -> GroupElement:
+        """A LEFT request element, decoded with no [q]P and checked by ``prepare``."""
+        return self.prepare(GroupElement(self, Side.LEFT, self._g_from_bytes(raw, False)))
 
     def gt_to_bytes(self, e: GtElement) -> bytes:
         self._check(e)
@@ -292,6 +303,9 @@ class PairingContext(ABC):
 
     @abstractmethod
     def _pair_product(self, pairs: list[tuple[Any, Any]]) -> Any: ...
+
+    def _g_prepare(self, a: Any) -> Any:  # the oracle has no precomputation or order check
+        return a
 
     @abstractmethod
     def _hash(self, domain: HashDomain, data: bytes) -> Any: ...

@@ -11,11 +11,12 @@ where phi(x, y) = (-x, i*y) is the distortion map into E(F_{p^2}) and
 f_{q,P} is the Miller function.  Every F_p factor of f vanishes under the
 final exponentiation (Barreto-Kim-Lynn-Scott), so the Miller loop skips the
 vertical lines.  The lines of f_{q,P} depend on P alone: for a LEFT point
-P they are computed once, over the non-adjacent form of q with T in
-Jacobian coordinates (Chatterjee-Sarkar-Barua), made monic with one
-batched inversion, and kept in a small per-process cache (fixed-argument
-precomputation, Scott); the two generators' lines are kept for good, next
-to their doubling tables.  Every point of G, LEFT or RIGHT, lies in the
+P they are computed over the non-adjacent form of q with T in Jacobian
+coordinates (Chatterjee-Sarkar-Barua), made monic with one batched
+inversion, and carried by a point that ``prepare`` returns (fixed-argument
+precomputation, Scott); that walk ends at [q]P, so it is also P's subgroup
+check.  The two generators' lines are kept for good, next to their doubling
+tables.  Every point of G, LEFT or RIGHT, lies in the
 one cyclic order-q subgroup, so the pairing is symmetric, e(P, Q) =
 e(Q, P), and a pair whose RIGHT point is a generator runs over that
 generator's lines at phi(P) (Costello-Stebila).  A product of pairings
@@ -198,8 +199,9 @@ def _pt_mul(a, k):
 
 
 def _jac_add_affine(X, Y, Z, x2, y2):
-    """Mixed addition of Jacobian (X, Y, Z) and the affine point (x2, y2);
-    Z is None for the point at infinity, on input and output."""
+    """Mixed addition of Jacobian (X, Y, Z), Z None at infinity, and the affine
+    point (x2, y2) != +-(X, Y, Z): in ``_table_mul`` the sum so far is [m]g and
+    the point [2^i]g with 0 < m < 2^i and m + 2^i <= k < q, so h != 0."""
     if Z is None:
         return mpz(x2), mpz(y2), mpz(1)
     zz = Z * Z % _P
@@ -207,14 +209,6 @@ def _jac_add_affine(X, Y, Z, x2, y2):
     s2 = y2 * Z * zz % _P
     h = (u2 - X) % _P
     r = 2 * (s2 - Y) % _P
-    if h == 0:
-        if r == 0:
-            # the accumulator equals the affine point: rare doubling case
-            dbl = _pt_add((x2, y2), (x2, y2))
-            if dbl is None:
-                return None, None, None
-            return mpz(dbl[0]), mpz(dbl[1]), mpz(1)
-        return None, None, None
     hh = h * h % _P
     i = 4 * hh % _P
     j = h * i % _P
@@ -232,7 +226,7 @@ def _doubling_table(g):
 
 
 def _table_mul(table, k):
-    """k * g from the doubling table of g: one mixed addition per set bit."""
+    """k * g for 0 <= k < q from the doubling table of g: one mixed addition per set bit."""
     X = Y = Z = None
     for i, bit in enumerate(reversed(bin(k)[2:])):
         if bit == "1":
@@ -262,7 +256,6 @@ def _batch_inv(values):
     return out
 
 
-@functools.lru_cache(maxsize=8)
 def _miller_lines(p_pt):
     """Every line of the Miller loop of P, independent of the other argument.
 
@@ -271,12 +264,13 @@ def _miller_lines(p_pt):
     (a + b*x_Q) + y_Q*i at phi(Q), i.e. the affine line divided by its F_p
     denominator; (None, None) where a step has no chord.  T = [n]P stays in
     Jacobian coordinates and all denominators share one batched inversion.
-    P has order q, so T = -digit*P (a vertical chord, an F_p factor) happens
-    only at the last digit, and T = +digit*P never."""
+    The walk is P's subgroup check: T is [n]P exactly while no doubling meets
+    O (Z = 0) and no chord is vertical (h = 0), so it raises InvalidElement
+    unless the last chord alone is, at T = -digit*P (r != 0): [q]P = O."""
     xp, yp0 = p_pt
     X, Y, Z = mpz(xp), mpz(yp0), mpz(1)
     nums = []  # (a*D, b*D, D) per line, None for a missing chord
-    for digit in _Q_NAF:
+    for i, digit in enumerate(_Q_NAF, 1 - len(_Q_NAF)):  # i = 0 at the last digit
         # tangent slope M / (2*Y*Z), M = 3*X^2 + Z^4; D = 2*Y*Z^3
         xx = X * X % _P
         yy = Y * Y % _P
@@ -295,10 +289,11 @@ def _miller_lines(p_pt):
         yp = yp0 if digit > 0 else -yp0 % _P
         zz = Z * Z % _P
         h = (xp * zz - X) % _P
-        if h == 0:
-            nums.append(None)
-            break
         r = (yp * Z * zz - Y) % _P
+        if h == 0 or i == 0:  # T = -digit*P may only close the walk, at [q]P = O
+            if h == 0 and r and i == 0:
+                nums.append(None)  # a vertical chord: an F_p factor
+            break
         z3 = Z * h % _P
         nums.append((r * xp - yp * z3, r, z3))
         hh = h * h % _P
@@ -307,6 +302,8 @@ def _miller_lines(p_pt):
         X = (r * r - hhh - 2 * v) % _P
         Y = (r * (v - X) - Y * hhh) % _P
         Z = z3
+    if Z == 0 or len(nums) != 2 * len(_Q_NAF):  # Z = 0 from the first doubling that met O
+        raise InvalidElement("point is not in the order-q subgroup")
     invs = iter(_batch_inv([n[2] for n in nums if n is not None]))
     lines = []
     for n in nums:
@@ -318,6 +315,10 @@ def _miller_lines(p_pt):
     return tuple(lines)
 
 
+class _Lined(tuple):
+    """An affine point carrying its Miller ``lines``: equal, hashed and encoded alike."""
+
+
 def _prepared(p_pt, q_pt):
     """(lines, x, y) for e(P, Q): one argument's lines, the other's point."""
     for table, lines in map(_base_table, Side):
@@ -326,13 +327,13 @@ def _prepared(p_pt, q_pt):
         if q_pt == table[0]:
             # P and Q lie in the one order-q subgroup, so e(P, Q) = e(Q, P)
             return (lines, *p_pt)
-    return (_miller_lines(p_pt), *q_pt)
+    return (getattr(p_pt, "lines", None) or _miller_lines(p_pt), *q_pt)
 
 
 def _multi_pairing(pairs):
     """prod e(P, Q) over (P, Q) pairs: one F_{p^2} accumulator squared once
-    per NAF digit, each pair's cached lines evaluated at the other point's
-    phi image, and one final exponentiation for the whole product."""
+    per NAF digit, each pair's lines (carried or computed) evaluated at the
+    other point's phi image, and one final exponentiation for the product."""
     prepared = [_prepared(p, q) for p, q in pairs if p is not None and q is not None]
     if not prepared:
         return _ONE
@@ -388,9 +389,9 @@ _BASE_LABELS = {Side.LEFT: b"triseal/v1/base/left", Side.RIGHT: b"triseal/v1/bas
 def _base_table(side: Side):
     """(doubling table, Miller lines) of the generator on ``side``.  Both
     depend only on the fixed curve constants, so they are built once per
-    process, shared by every context and kept out of the lines' LRU."""
+    process and shared by every context."""
     g = _point_from_label(_BASE_LABELS[side])
-    return _doubling_table(g), _miller_lines.__wrapped__(g)
+    return _doubling_table(g), _miller_lines(g)
 
 
 class CurveContext(PairingContext):
@@ -434,6 +435,12 @@ class CurveContext(PairingContext):
 
     def _pair_product(self, pairs):
         return _multi_pairing(pairs)
+
+    def _g_prepare(self, a):
+        if a is not None and not isinstance(a, _Lined):
+            a = _Lined(a)
+            a.lines = _miller_lines(a)
+        return a
 
     def _hash(self, domain: HashDomain, data: bytes):
         return _point_from_label(_H2G_PREFIX + domain.value + b":" + data)

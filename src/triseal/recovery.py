@@ -101,6 +101,7 @@ class DecryptionTokenSet:
     subset: tuple[int, ...]
     aa_tokens: Mapping[str, GroupElement]
     blinded_r: BlindedIdentity
+    subset_product: GroupElement | None = None  # prod_{i in S} pk_i, if prepared once
 
 
 def wrap_key(
@@ -166,13 +167,13 @@ def recover_key(
     missing = [a for a in elems.attrs if a not in tokens.aa_tokens]
     if missing:
         raise IncompleteTokens(f"no decryption token for: {', '.join(missing)}")
-    subset = pks.check_subset(tokens.subset)
-    # one pairing product; prod_i e(U, M_i)^-1 is folded into e(U^-1, prod_i M_i)
+    subset_product = tokens.subset_product or pks.left_product(pks.check_subset(tokens.subset))
+    # one pairing product, each division inverting its RIGHT point: e(U, (prod_i M_i)^-1)
     modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity(Side.RIGHT))
     pairs = [
         (tokens.owner_token, elems.dtk_transferor),
-        (ctx.group_inverse(pks.left_product(subset)), elems.dtk_owner_modifier),
+        (subset_product, ctx.group_inverse(elems.dtk_owner_modifier)),
         *((tokens.aa_tokens[a], t) for a, t in zip(elems.attrs, elems.dtk_aa_transferors)),
-        (ctx.group_inverse(tokens.blinded_r.element), modifiers),
+        (tokens.blinded_r.element, ctx.group_inverse(modifiers)),
     ]
     return elems.wrapped_key / ctx.pairing_product(pairs)

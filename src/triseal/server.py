@@ -67,7 +67,7 @@ from .errors import (
     InvalidElement,
     UpdateRejected,
 )
-from .pairing import GroupElement, PairingContext, Side, context_from_header
+from .pairing import GroupElement, PairingContext, context_from_header
 from .pairing.base import _TRUSTED, _trusted_decode
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
@@ -82,7 +82,7 @@ _MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError, In
 @dataclass(frozen=True)
 class Held:
     """Layer 2 or 3 as the server holds it: attribute names, checked canonical wire
-    form (sent and logged as is: never mutate), elements (None: a tagged frame's)."""
+    form (sent and logged as is: never mutate), layer 2's elements (None: a tagged frame's)."""
 
     attrs: tuple[str, ...]
     wire: dict
@@ -96,7 +96,8 @@ def held(ctx: PairingContext, layer: Any, decode: Callable) -> Held:
         if layer.elements is not None:
             return layer
         layer = _layer_from_wire(ctx, layer.wire, decode)
-    return Held(layer.attrs, _layer_wire(ctx, layer), layer)
+    kept = layer if isinstance(layer, AccessPolicyElements) else None  # layer 3: never read
+    return Held(layer.attrs, _layer_wire(ctx, layer), kept)
 
 
 def _layer_wire(ctx: PairingContext, layer: Any) -> dict:
@@ -307,7 +308,7 @@ def update_request_to_wire(ctx: PairingContext, req: UpdateRequest) -> dict:
 def _update_request_body(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
     return UpdateRequest(
         record_id=_record_id(obj),
-        rtk=wire.dec_elem(ctx, obj["rtk"], Side.LEFT),
+        rtk=ctx.prepared_from_bytes(wire.b64d(obj["rtk"])),
         subset=tuple(map(wire.index_from_wire, obj["subset"])),
         new_sse=None if obj["new_sse"] is None else wire.sse_from_wire(ctx, obj["new_sse"]),
         new_abe=None if obj["new_abe"] is None else wire.abe_from_wire(ctx, obj["new_abe"]),
@@ -368,9 +369,10 @@ class EscrowServer:
         path = Path(store_path)
         if not path.is_file():
             raise BadRecord(f"no store file at {path}")
-        key = None  # a missing or short key file: every frame gets every check
-        with suppress(OSError):
+        key = None  # a missing key file, or one not KEY_BYTES long: every frame gets
+        with suppress(OSError):  # every check, and new frames are written untagged
             key = path.with_name(path.name + ".key").read_bytes()
+        key = key if key and len(key) == KEY_BYTES else None
         # frames are streamed, so superseded ones are never all held at once
         with closing(_read_frames(path)) as frames:
             first = next(frames, None)
@@ -474,7 +476,11 @@ class EscrowServer:
         if req.blinded is None or req.blinded.element.is_identity:
             raise InvalidBlinding("search request carries no blinded identity")
         subset = self.pks.check_subset(req.token.subset)
-        modifier = subset_modifier(self.ctx, self.pks, subset)
+        prepare = self.ctx.prepare  # before the fork, so every child inherits the lines
+        modifier = prepare(subset_modifier(self.ctx, self.pks, subset))
+        token = replace(req.token, token=prepare(req.token.token))  # no-op if decoded
+        creds = tuple(replace(c, credential=prepare(c.credential)) for c in req.credentials)
+        req = SearchRequest(token, creds, BlindedIdentity(prepare(req.blinded.element)))
         with self._lock:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
@@ -631,7 +637,7 @@ def _strings(layer: Any) -> int:
 
 def _decoded(key: bytes | None, tag: bytes, data: bytes, decode: Callable[[dict], Any]) -> Any:
     """``decode`` of frame ``data``, with no order check only if ``tag`` verifies."""
-    ok = len(key or b"") == KEY_BYTES and hmac.compare_digest(tag, hmac.digest(key, data, "sha256"))
+    ok = key is not None and hmac.compare_digest(tag, hmac.digest(key, data, "sha256"))
     return _trusted_decode(ok, decode, _frame_obj(data))
 
 

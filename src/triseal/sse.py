@@ -181,7 +181,7 @@ def _match_target(
     """Left side of the match equation plus the subset modifier division:
     returns e(token, g^(r/sk)) * e((prod pk_i)^-1, g^r) as one pairing
     product, to compare against a tagged keyword.  Both left points are
-    fixed per request, so the curve backend reuses their Miller lines."""
+    fixed per request, so the server prepares them once, before the scan."""
     return ctx.pairing_product(
         [(token_like, elems.stk_transferor), (modifier, elems.kw_modifier)]
     )

@@ -134,7 +134,7 @@ def token_to_wire(ctx: PairingContext, token: SearchToken) -> dict:
 
 def token_from_wire(ctx: PairingContext, obj: Mapping) -> SearchToken:
     return SearchToken(
-        token=dec_elem(ctx, obj["token"], Side.LEFT),
+        token=ctx.prepared_from_bytes(b64d(obj["token"])),
         subset=tuple(map(index_from_wire, obj["subset"])),
     )
 
@@ -195,7 +195,7 @@ def credential_from_wire(ctx: PairingContext, obj: Mapping) -> AttributeCredenti
     attribute_id = obj["attribute_id"]
     if not isinstance(attribute_id, str):
         raise BadRecord(f"credential attribute {attribute_id!r} is not a string")
-    return AttributeCredential(attribute_id, dec_elem(ctx, obj["credential"], Side.LEFT))
+    return AttributeCredential(attribute_id, ctx.prepared_from_bytes(b64d(obj["credential"])))
 
 
 def blinded_to_wire(ctx: PairingContext, blinded: BlindedIdentity) -> str:
@@ -203,7 +203,7 @@ def blinded_to_wire(ctx: PairingContext, blinded: BlindedIdentity) -> str:
 
 
 def blinded_from_wire(ctx: PairingContext, text: str) -> BlindedIdentity:
-    return BlindedIdentity(element=dec_elem(ctx, text, Side.LEFT))
+    return BlindedIdentity(element=ctx.prepared_from_bytes(b64d(text)))
 
 
 # -- layer 3 -------------------------------------------------------------

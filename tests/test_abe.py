@@ -1,6 +1,7 @@
 """Credential layer: worked vectors at q = 101 plus anti-collusion trials."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -190,3 +191,35 @@ def test_credential_matching_is_order_insensitive():
     blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     creds = [abe.issue_credential(ctx, kp2, blinded), abe.issue_credential(ctx, kp1, blinded)]
     assert abe.abe_verify(ctx, elems, creds, blinded) is True
+
+
+@pytest.mark.parametrize("backend", ["oracle", "curve"])
+def test_folded_policy_check_denies_wrong_credentials(backend, oracle_big, curve_ctx):
+    """The policy check, one k-pair product against plcy * e(U, prod_i M_i),
+    passes the honest request and denies a credential under another
+    authority's key, credentials swapped between attributes, and credentials
+    under another blinding, with the left points prepared or not."""
+    ctx = oracle_big if backend == "oracle" else curve_ctx
+    rng = random.Random(34)
+    attrs, kps, elems = _random_setup(ctx, rng, 2)
+    gid = ctx.hash_to_group(HashDomain.GID, "gid")
+    blinded, other = (abe.blind_identity(ctx, gid, ctx.random_scalar(rng)) for _ in range(2))
+    creds = [abe.issue_credential(ctx, kps[a], blinded) for a in attrs]
+    forged = abe.issue_credential(ctx, abe.aa_setup(ctx, attrs[0], rng), blinded)
+    swapped = [replace(c, credential=d.credential) for c, d in zip(creds, creds[::-1])]
+    cases = {
+        "honest": (creds, blinded, True),
+        "another authority's key": ([forged, creds[1]], blinded, False),
+        "swapped attributes": (swapped, blinded, False),
+        "one under another blinding": (
+            [creds[0], abe.issue_credential(ctx, kps[attrs[1]], other)], blinded, False
+        ),
+        "all under another blinding": (
+            [abe.issue_credential(ctx, kps[a], other) for a in attrs], blinded, False
+        ),
+    }
+    for name, (presented, u, ok) in cases.items():
+        assert abe.abe_verify(ctx, elems, presented, u) is ok, name
+        presented = [replace(c, credential=ctx.prepare(c.credential)) for c in presented]
+        u = abe.BlindedIdentity(ctx.prepare(u.element))
+        assert abe.abe_verify(ctx, elems, presented, u) is ok, name

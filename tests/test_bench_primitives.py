@@ -29,6 +29,6 @@ def test_bench_primitives_smoke(tmp_path):
         "element_from_bytes_ms", "gt_from_bytes_ms", "hash_to_group_ms",
         "miller_lines_ms", "pair_cached_lines_ms", "keyword_check_ms", "final_exp_ms",
         "record_from_wire_ms", "store_open_ms_per_record", "store_open_untagged_ms_per_record",
-        "held_policy_hit_decode_ms",
+        "held_policy_hit_decode_ms", "request_element_decode_ms", "policy_check_ms",
     }
     assert all(ms > 0 for ms in result["median_ms"].values())

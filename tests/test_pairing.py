@@ -8,7 +8,7 @@ from curve_points import ORDER, affine_mul, malformed_encodings, raw_point, smal
 from exponent_oracle import brute_inverse
 from hash_pins import pin_hash
 from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
-from triseal.pairing import HashDomain, OracleContext, Side
+from triseal.pairing import GroupElement, HashDomain, OracleContext, Side
 from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_mul, _point_from_label
 
 
@@ -291,6 +291,52 @@ def test_ladder_matches_affine_double_and_add(curve_ctx):
             assert _pt_mul(pt, k) == affine_mul(pt, k), (pt, k)
     assert _pt_mul(points[0], CURVE_Q - 1) == (points[0][0], CURVE_P - points[0][1])
     assert _pt_mul((0, 0), 3) == (0, 0) and _pt_mul((0, 0), 2) is None
+
+
+def test_prepare_is_the_subgroup_check(curve_ctx):
+    """The line preparation walks [q]P, so ``prepare`` refuses every point
+    outside the order-q subgroup: (0, 0), orders 4, 1151 and h*q, and raw
+    try-and-increment points.  It accepts hashed points and both generators,
+    returning an equal element with equal bytes and hash, idempotently, that
+    pairs as the point does.  Over seeded random points of E(F_p) and their
+    multiples it agrees with [q]P = O by the ladder."""
+    ctx = curve_ctx
+
+    def prepared(pt):
+        return ctx.prepare(GroupElement(ctx, Side.LEFT, pt))
+
+    for raw in small_order_points().values():
+        with pytest.raises(InvalidElement, match="order-q subgroup"):
+            prepared(ctx._g_from_bytes(raw, False))
+    for i in range(3):
+        with pytest.raises(InvalidElement, match="order-q subgroup"):
+            prepared(raw_point(b"prepare-raw-%d" % i))
+    right = ctx.g_right ** 12345
+    for point in (ctx.hash_to_group(HashDomain.KEYWORD, b"prepare"), ctx.g_left, ctx.g_right):
+        left = GroupElement(ctx, Side.LEFT, point.data)
+        p = ctx.prepare(left)
+        assert p == left and hash(p) == hash(left) and p.data.lines
+        assert ctx.element_to_bytes(p) == ctx.element_to_bytes(left)
+        assert ctx.prepare(p).data is p.data
+        assert ctx.pair(p, right) == ctx.pairing_product([(left, right)])
+    assert ctx.prepare(ctx.group_identity(Side.LEFT)).is_identity
+    rng = random.Random(2010)
+    agreed = {True: 0, False: 0}
+    for i in range(5):
+        base = raw_point(b"prepare-random-%d" % rng.getrandbits(64))
+        multiples = (1, 2, 4, 1151, CURVE_H // 4, CURVE_H // 1151, CURVE_H)
+        for m in (*multiples, CURVE_H * rng.randrange(1, CURVE_Q)):
+            pt = _pt_mul(base, m)
+            if pt is None:
+                continue
+            in_g = _pt_mul(pt, CURVE_Q) is None
+            try:
+                prepared(pt)
+                assert in_g, (i, m)
+            except InvalidElement:
+                assert not in_g, (i, m)
+            agreed[in_g] += 1
+    assert agreed[True] >= 5 and agreed[False] >= 20
 
 
 def test_curve_generators_have_order_q(curve_ctx):

@@ -23,7 +23,6 @@ from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, InvalidElement, ProtocolError, UpdateRejected
 from triseal.pairing import OracleContext, PairingContext
 from triseal.pairing import curve
-from triseal.pairing.curve import _miller_lines
 from triseal.recovery import DecryptionTokenSet, issue_decrypt_token, recover_key
 from triseal.server import (
     DataRecord,
@@ -239,8 +238,9 @@ def curve_store(curve_ctx, tmp_path_factory):
 
 def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
     """Two workers fork one child, which checks the round-robin shard
-    {1, 3, 5} and computes its own Miller lines; the parent checks {0, 2, 4}
-    once and merges both in candidate order.  Each shard holds one hit."""
+    {1, 3, 5} over the Miller lines prepared before the fork; the parent
+    checks {0, 2, 4} once and merges both in candidate order.  Each shard
+    holds one hit."""
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
     serial = w.server.search(req, workers=1)
@@ -254,7 +254,6 @@ def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(holder, name, counted)
-    _miller_lines.cache_clear()
     assert w.server.search(req, workers=2) == serial
     assert calls == {"fork": 1, "_check": 1}  # the child's shard was not rechecked
     _assert_no_child_left()
@@ -391,7 +390,10 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     """A keyword miss costs one pairing product per candidate over the two
     request-wide left points, whose subset product is formed once per
-    request; recovering a key from a decoded response costs one product."""
+    request, and each left point of the request is prepared once, before the
+    scan.  Recovering a key from a decoded response costs one product; a
+    user's decrypt prepares its left points once per response, but for the
+    consent's decryption token, which the owner prepared."""
     w = curve_world
     _, _, miss = w.request("absent", [1, 2, 3])
     session, consent, hit = w.request("bp", [1, 2, 3])
@@ -403,6 +405,7 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
         (PairingContext, "pair"),
         (PairingContext, "pairing_product"),
         (sse.SetPublicKeys, "left_product"),
+        (curve, "_miller_lines"),
     ):
         original = getattr(holder, name)
 
@@ -411,11 +414,10 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(holder, name, counted)
-    _miller_lines.cache_clear()
     stats = w.server.search(miss, workers=1).stats  # counted in this process only
     assert stats.candidates == 6 and stats.sse_matched == 0
-    assert counts == {"pairing_product": 6, "left_product": 1}
-    assert _miller_lines.cache_info().misses == 2
+    # lines of the token, the subset modifier, two credentials and the blinding
+    assert counts == {"pairing_product": 6, "left_product": 1, "_miller_lines": 5}
     assert w.server.search(miss).stats == stats
     for match in response.matches:
         counts.clear()
@@ -426,8 +428,59 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
             blinded_r=session.blinded_r,
         )
         recover_key(w.ctx, match.recovery, tokens, w.pks)
-        assert counts == {"pairing_product": 1, "left_product": 1}
+        lines = 2 + len(match.policy)  # each left point's once; the consent's token came prepared
+        assert counts == {"pairing_product": 1, "left_product": 1, "_miller_lines": lines}
+    counts.clear()
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
+    # two aa tokens, the blinding and the subset product
+    assert counts == {"pairing_product": 2, "left_product": 1, "_miller_lines": 4}
+
+
+def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, monkeypatch):
+    """At k = 8 a decoded request makes one line preparation per distinct
+    left point: the token, 8 credentials and the blinding at decode, the
+    subset modifier before the fork.  None is made per candidate or in the
+    forked child; an in-process request is prepared by the search, as often.
+    The user's decrypt prepares 8 aa tokens, the blinding and the subset
+    product once per response; the owner's decryption token comes prepared
+    with the consent."""
+    attrs = tuple(f"A{i}" for i in range(1, 9))
+    w = World(seed=81, attrs=attrs, ctx=curve_ctx)
+    for i, keyword in enumerate(("bp", "hr", "bp", "hr")):  # two hits, two misses in set 1
+        w.publish(b"k8-%d" % i, [keyword], list(attrs), 1)
+    session, consent, req = w.request("bp", [1])
+    decoded_wire = search_request_to_wire(w.ctx, req)
+    log = tmp_path / "lines.log"
+    lines = curve._miller_lines
+
+    def logged(pt):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return lines(pt)
+
+    monkeypatch.setattr(curve, "_miller_lines", logged)
+    forks = Counter()
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
+    _two_cores(monkeypatch)
+
+    def prepared_by(pids):
+        counts = Counter(log.read_text().split())
+        log.unlink()
+        assert set(counts) == pids
+        return counts[str(os.getpid())]
+
+    decoded = search_request_from_wire(w.ctx, decoded_wire)
+    assert prepared_by({str(os.getpid())}) == 1 + 8 + 1
+    response = w.server.search(decoded)
+    assert response.stats.candidates == 4 and response.stats.matched == 2
+    assert prepared_by({str(os.getpid())}) == 1
+    assert w.server.search(req) == response
+    assert prepared_by({str(os.getpid())}) == 1 + 1 + 8 + 1
+    assert forks["fork"] == 2
+    _assert_no_child_left()
+    assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
+    assert prepared_by({str(os.getpid())}) == 8 + 1 + 1
 
 
 def test_request_decoders_refuse_malformed_encodings(curve_world):
@@ -878,6 +931,66 @@ def test_flipped_bit_in_a_tagged_frame_takes_every_check(tmp_path, monkeypatch):
             outcomes["refused"] += 1
         assert len(unchecked) == 2 * w.pks.n, i  # the header's elements only
     assert outcomes["checked"] >= 32 and outcomes["refused"] > 0
+
+
+def test_open_treats_a_key_file_not_of_32_bytes_as_absent(tmp_path, monkeypatch):
+    """A 16-byte key file beside the log is no key: the reopen checks every
+    element of every frame, the frame an update then appends is not tagged
+    under it, and the next reopen again checks everything."""
+    path = tmp_path / "store.log"
+    w = World(store_path=path)
+    rid = w.publish(b"a", ["bp"], ["A1"], 1)
+    w.server.close()
+    short = b"k" * 16
+    path.with_name("store.log.key").write_bytes(short)
+    unchecked = []
+    for name in ("_g_from_bytes", "_gt_from_bytes"):
+        original = getattr(OracleContext, name)
+
+        def hook(self, raw, check_order=True, _original=original):
+            if not check_order:
+                unchecked.append(raw)
+            return _original(self, raw, check_order)
+
+        monkeypatch.setattr(OracleContext, name, hook)
+    with closing(EscrowServer.open(path)) as revived:
+        revived.reencrypt(w.owner.update_request(rid, [1], w.pks, keywords=["hr"]))
+        updated = revived.fetch(rid)
+    with closing(EscrowServer.open(path)) as again:
+        assert again.fetch(rid) == updated
+    assert unchecked == []
+    with closing(_read_frames(path)) as frames:
+        tags = [(tag, data) for tag, data in frames]
+    assert len(tags) == 3
+    assert all(tag != hmac.digest(short, data, "sha256") for tag, data in tags)
+    assert tags[-1][0] == bytes(32)
+
+
+def test_held_layer_3_keeps_no_elements(tmp_path):
+    """The server never reads layer 3, so it holds only the names and the
+    checked wire form, from a publish, an update and an untagged frame; the
+    record bytes are those of the owner's record.  Layer 2 keeps its
+    elements, which a keyword hit reads."""
+    path = tmp_path / "store.log"
+    w = World(store_path=path)
+    rec = w.owner.publish(b"a", ["bp"], ["A1", "A2"], 1, w.publics)
+    rid = w.server.store_record(rec)
+    stored = w.server.fetch(rid)
+    assert stored.recovery.elements is None and stored.abe.elements is not None
+    assert record_bytes(w.ctx, stored) == record_bytes(w.ctx, replace(rec, record_id=rid))
+    assert stored.recovery.wire == wire.recovery_to_wire(w.ctx, rec.recovery)
+    w.server.reencrypt(
+        w.owner.update_request(rid, [1], w.pks, policy=["A2"], plaintext=b"b", authorities=w.publics)
+    )
+    assert w.server.fetch(rid).recovery.elements is None
+    w.server.close()
+    path.with_name("store.log.key").unlink()
+    with closing(EscrowServer.open(path)) as revived:
+        assert revived.fetch(rid).recovery.elements is None
+        assert revived.fetch(rid) == w.server.fetch(rid)
+    session, consent, req = w.request("bp", [1])
+    response = w.server.search(req)
+    assert w.user.decrypt_matches(session, consent, response, w.pks) == [(rid, b"b")]
 
 
 def test_store_key_file_is_made_afresh_with_mode_0600(tmp_path):

@@ -17,6 +17,10 @@ and only layer 1 is decoded.  ``store_open_untagged_ms_per_record`` reopens a
 copy of the same log without its key file, so every element takes every check.
 ``held_policy_hit_decode_ms`` decodes the held layer 2 of a 2-attribute record
 as a reopened tagged store does at a keyword hit: without the order checks.
+``request_element_decode_ms`` decodes a LEFT request element (a token,
+credential, blinding or ``rtk``) as the server does: prepared, which is its
+order check.  ``policy_check_ms`` is ``abe_verify`` of that record's policy
+(k = 2) over prepared credentials and blinding, as a search runs it at a hit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +52,8 @@ def primitives():
     import random
 
     from triseal import wire
-    from triseal.actors import Authority, Owner
+    from triseal.abe import BlindedIdentity, abe_verify
+    from triseal.actors import Authority, Owner, User
     from triseal.pairing import CurveContext, HashDomain, Side, curve
     from triseal.server import EscrowServer, _layer_from_wire, record_from_wire, record_to_wire
     from triseal.sse import server_setup
@@ -56,11 +62,10 @@ def primitives():
     h = ctx.hash_to_group(HashDomain.KEYWORD, b"bench")
     right = ctx.g_right**K160
     h_raw = ctx.element_to_bytes(h)
-    gt_raw = ctx.gt_to_bytes(ctx.pair(h, right))  # also caches h's lines
-    # the keyword check: two left points fixed per request, lines cached
-    h2 = ctx.hash_to_group(HashDomain.KEYWORD, b"bench-modifier")
+    gt_raw = ctx.gt_to_bytes(ctx.pair(h, right))
+    # the keyword check: two left points fixed per request, prepared once
+    h, h2 = ctx.prepare(h), ctx.prepare(ctx.hash_to_group(HashDomain.KEYWORD, b"bench-modifier"))
     right2 = ctx.g_right ** (K160 // 3)
-    ctx.pair(h2, right2)
     # a point before cofactor clearing, as hash_to_group meets it
     x = curve._P - 1
     while True:
@@ -73,7 +78,8 @@ def primitives():
     labels = itertools.count()
     # one stored record, as a store reopen decodes it: 2 keywords, 2 attributes
     rng = random.Random(1)
-    publics = {a: Authority.create(ctx, a, rng).public() for a in ("A1", "A2")}
+    authorities = [Authority.create(ctx, a, rng) for a in ("A1", "A2")]
+    publics = {auth.attribute_id: auth.public() for auth in authorities}
     owner = Owner.create(ctx, "bench-owner", rng)
     record = owner.publish(b"bench", ["k1", "k2"], ["A1", "A2"], 1, publics)
     record_wire = record_to_wire(ctx, record)
@@ -97,6 +103,13 @@ def primitives():
     keyless = Path(tmp.name) / "keyless" / store.name  # the same log, no key file beside it
     keyless.parent.mkdir()
     shutil.copyfile(store, keyless)
+    user = User(ctx, "bench-user", rng)
+    session = user.new_session()
+    for auth in authorities:
+        user.collect(session, auth)
+    blinded = BlindedIdentity(ctx.prepare(session.blinded.element))
+    creds = [replace(c, credential=ctx.prepare(c.credential)) for c in session.credentials.values()]
+    assert abe_verify(ctx, record.abe, creds, blinded)
     return {
         "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
@@ -107,9 +120,11 @@ def primitives():
         "hash_to_group_ms": lambda: ctx.hash_to_group(
             HashDomain.KEYWORD, b"bench-%d" % next(labels)
         ),
-        "miller_lines_ms": lambda: curve._miller_lines.__wrapped__(h.data),
+        "request_element_decode_ms": lambda: ctx.prepared_from_bytes(h_raw),
+        "miller_lines_ms": lambda: curve._miller_lines(h.data),
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
         "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
+        "policy_check_ms": lambda: abe_verify(ctx, record.abe, creds, blinded),
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
         "held_policy_hit_decode_ms": lambda: _layer_from_wire(
