@@ -292,7 +292,7 @@ class User:
         for match in response.matches:
             elems = match.recovery  # an in-process search's is the server's held wire form
             if not isinstance(elems, recovery.KeyRecoveryElements):
-                elems = wire.recovery_from_wire(self.ctx, elems.wire)  # with every check
+                elems = wire.RECOVERY.decode(self.ctx, elems.wire)  # with every check
             mask = recovery.recover_key(self.ctx, elems, tokens, pks)
             key = payload.derive_key(self.ctx, mask)
             try:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import abe, recovery, wire
 from .actors import Authority, AuthorityPublic, ConsentGrant, Owner, User, UserSession
 from .errors import BadRecord, ProtocolError
-from .pairing import PairingContext, Side
+from .pairing import PairingContext
 from .server import (
     EscrowServer,
     record_to_wire,
@@ -101,7 +101,7 @@ def _server_paths(home: str) -> tuple[Path, Path]:
 
 def _load_server_public(home: str, ctx: PairingContext | None = None):
     def decode(ctx: PairingContext, obj) -> tuple[PairingContext, SetPublicKeys]:
-        return ctx, wire.pks_from_wire(ctx, obj["pks"])
+        return ctx, wire.PKS.decode(ctx, obj["pks"])
 
     return _load(_server_paths(home)[0], "server-public", decode, ctx)
 
@@ -113,10 +113,10 @@ def _open_server(home: str) -> EscrowServer:
 def _owner_from_wire(ctx: PairingContext, state) -> Owner:
     return Owner(
         ctx=ctx,
-        owner_id=state["owner_id"],
+        owner_id=wire.NAME.decode(ctx, state["owner_id"]),
         sse_key=OwnerSseKey(int(state["sk"], 16)),
         recovery_key=recovery.OwnerRecoveryKey(int(state["sk_dtk"], 16)),
-        update_id=state["update_id"],
+        update_id=wire.NAME.decode(ctx, state["update_id"]),
         rng=_rng(None),
     )
 
@@ -126,7 +126,7 @@ def _load_owner(home: str) -> Owner:
 
 
 def _authority_from_wire(ctx: PairingContext, state) -> Authority:
-    attr, ask = state["attribute_id"], int(state["ask"], 16)
+    attr, ask = wire.NAME.decode(ctx, state["attribute_id"]), int(state["ask"], 16)
     return Authority(
         ctx=ctx,
         attribute_id=attr,
@@ -137,37 +137,34 @@ def _authority_from_wire(ctx: PairingContext, state) -> Authority:
     )
 
 
-def _authority_public_from_wire(ctx: PairingContext, state) -> AuthorityPublic:
-    return AuthorityPublic(
-        attribute_id=state["attribute_id"],
-        apk=wire.dec_elem(ctx, state["apk"], Side.RIGHT),
-        apk_dtk=wire.dec_elem(ctx, state["apk_dtk"], Side.RIGHT),
-    )
+_AA_PUBLIC = wire.Form(
+    AuthorityPublic, attribute_id=wire.NAME, apk=wire.G_RIGHT, apk_dtk=wire.G_RIGHT
+)
+_CONSENT = wire.Form(
+    ConsentGrant, search_token=wire.TOKEN, owner_decrypt_token=wire.G_LEFT, subset=wire.INDICES
+)
 
 
 def _load_user(home: str, ctx: PairingContext) -> str:
     """The user's global identity, from a file under ``ctx``."""
-    return _load(Path(home) / "user.json", "user", lambda _ctx, obj: obj["gid"], ctx)
-
-
-def _consent_to_file(ctx: PairingContext, grant: ConsentGrant, path: Path) -> None:
-    body = {
-        "search_token": wire.token_to_wire(ctx, grant.search_token),
-        "owner_decrypt_token": wire.enc_elem(ctx, grant.owner_decrypt_token),
-        "subset": list(grant.subset),
-    }
-    _write_json(path, wire.envelope("consent", ctx, body))
-
-
-def _consent_from_wire(ctx: PairingContext, obj) -> ConsentGrant:
-    return ConsentGrant(
-        search_token=wire.token_from_wire(ctx, obj["search_token"]),
-        owner_decrypt_token=wire.dec_elem(ctx, obj["owner_decrypt_token"], Side.LEFT),
-        subset=tuple(map(wire.index_from_wire, obj["subset"])),
+    return _load(
+        Path(home) / "user.json", "user", lambda ctx, obj: wire.NAME.decode(ctx, obj["gid"]), ctx
     )
 
 
 # -- session files -----------------------------------------------------------
+
+# issue and search never pair the session's points, and decrypt prepares the
+# one it pairs once per response: each is decoded with its order check alone
+_SESSION = wire.Form(
+    UserSession,
+    blinded=wire.blinded(wire.G_LEFT),
+    blinded_r=wire.blinded(wire.G_LEFT),
+    credentials=wire.keyed(
+        wire.Form(abe.AttributeCredential, attribute_id=wire.NAME, credential=wire.G_LEFT)
+    ),
+    decrypt_tokens=wire.keyed(wire.G_LEFT),
+)
 
 
 def _session_path(home: str) -> Path:
@@ -175,32 +172,12 @@ def _session_path(home: str) -> Path:
 
 
 def _session_to_file(ctx: PairingContext, session: UserSession, used: bool, home: str) -> None:
-    body = {
-        "used": used,
-        "blinded": wire.blinded_to_wire(ctx, session.blinded),
-        "blinded_r": wire.blinded_to_wire(ctx, session.blinded_r),
-        "credentials": {
-            a: wire.credential_to_wire(ctx, c) for a, c in sorted(session.credentials.items())
-        },
-        "decrypt_tokens": {
-            a: wire.enc_elem(ctx, t) for a, t in sorted(session.decrypt_tokens.items())
-        },
-    }
+    body = {"used": used, **_SESSION.encode(ctx, session)}
     _write_json(_session_path(home), wire.envelope("session", ctx, body))
 
 
 def _session_from_wire(ctx: PairingContext, obj) -> tuple[PairingContext, UserSession, bool]:
-    session = UserSession(
-        blinded=wire.blinded_from_wire(ctx, obj["blinded"]),
-        blinded_r=wire.blinded_from_wire(ctx, obj["blinded_r"]),
-        credentials={
-            a: wire.credential_from_wire(ctx, c) for a, c in obj["credentials"].items()
-        },
-        decrypt_tokens={
-            a: wire.dec_elem(ctx, t, Side.LEFT) for a, t in obj["decrypt_tokens"].items()
-        },
-    )
-    return ctx, session, obj["used"]
+    return ctx, _SESSION.decode(ctx, obj), wire.FLAG.decode(ctx, obj["used"])
 
 
 def _load_session(home: str, ctx: PairingContext | None = None):
@@ -220,7 +197,7 @@ def _cmd_setup_server(args) -> int:
     store_path.parent.mkdir(parents=True, exist_ok=True)
     key = None if args.seed is None else hashlib.sha256(b"store-key/%x" % args.seed).digest()
     EscrowServer(ctx, pks, store_path=store_path, store_key=key).close()
-    body = {"pks": wire.pks_to_wire(ctx, pks)}
+    body = {"pks": wire.PKS.encode(ctx, pks)}
     _write_json(public_path, wire.envelope("server-public", ctx, body))
     print(f"server ready: backend={args.backend} sets={args.sets} home={args.home}")
     return EXIT_OK
@@ -237,12 +214,7 @@ def _cmd_setup_aa(args) -> int:
         "ask_dtk": format(authority.kp_dtk.ask_dtk, "x"),
     }
     _write_json(home / "aa.json", wire.envelope("aa-secret", ctx, secret))
-    public = authority.public()
-    body = {
-        "attribute_id": public.attribute_id,
-        "apk": wire.enc_elem(ctx, public.apk),
-        "apk_dtk": wire.enc_elem(ctx, public.apk_dtk),
-    }
+    body = _AA_PUBLIC.encode(ctx, authority.public())
     _write_json(home / "public.json", wire.envelope("aa-public", ctx, body))
     print(f"authority ready: attr={args.attr} home={args.home}")
     return EXIT_OK
@@ -266,7 +238,7 @@ def _cmd_setup_owner(args) -> int:
 def _authority_publics(ctx: PairingContext, homes) -> dict[str, AuthorityPublic]:
     publics = {}
     for home in homes or []:
-        public = _load(Path(home) / "public.json", "aa-public", _authority_public_from_wire, ctx)
+        public = _load(Path(home) / "public.json", "aa-public", _AA_PUBLIC.decode, ctx)
         publics[public.attribute_id] = public
     return publics
 
@@ -296,7 +268,8 @@ def _cmd_consent(args) -> int:
     owner = _load_owner(args.home)
     _, pks = _load_server_public(args.server, owner.ctx)
     grant = owner.consent(args.keyword, args.subset, pks)
-    _consent_to_file(owner.ctx, grant, Path(args.out))
+    body = _CONSENT.encode(owner.ctx, grant)
+    _write_json(Path(args.out), wire.envelope("consent", owner.ctx, body))
     print(f"consent written: {args.out}")
     return EXIT_OK
 
@@ -327,7 +300,7 @@ def _cmd_issue(args) -> int:
 
 def _cmd_search(args) -> int:
     ctx, session, _used = _load_session(args.home)
-    grant = _load(Path(args.consent), "consent", _consent_from_wire, ctx)
+    grant = _load(Path(args.consent), "consent", _CONSENT.decode, ctx)
     user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))
     request = user.build_search_request(session, grant)
 
@@ -354,7 +327,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     ctx, session, _used = _load_session(args.home)
-    grant = _load(Path(args.consent), "consent", _consent_from_wire, ctx)
+    grant = _load(Path(args.consent), "consent", _CONSENT.decode, ctx)
     response = search_response_from_wire(ctx, _read_json(Path(args.results)))
     _, pks = _load_server_public(args.server, ctx)
     user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))

@@ -53,7 +53,7 @@ import secrets
 import signal
 import threading
 from contextlib import closing, suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping
 
@@ -82,42 +82,50 @@ _MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError, In
 @dataclass(frozen=True)
 class Held:
     """Layer 2 or 3 as the server holds it: attribute names, checked canonical wire
-    form (sent and logged as is: never mutate), layer 2's elements (None: a tagged frame's)."""
+    form (sent and logged as is: never mutate), the layer's dataclass, and layer 2's
+    elements (None: a tagged frame's)."""
 
     attrs: tuple[str, ...]
     wire: dict
+    kind: type = field(compare=False)
     elements: AccessPolicyElements | KeyRecoveryElements | None = field(default=None, compare=False)
 
 
-def held(ctx: PairingContext, layer: Any, decode: Callable) -> Held:
+_LAYERS = {AccessPolicyElements: wire.ABE, KeyRecoveryElements: wire.RECOVERY}
+
+
+def held(ctx: PairingContext, layer: Any) -> Held:
     """``layer`` as a server holds it: elements encoded once, a held form with them as it
     is, one without (never trusted: maybe another server's) decoded with every check."""
     if isinstance(layer, Held):
         if layer.elements is not None:
             return layer
-        layer = _layer_from_wire(ctx, layer.wire, decode)
+        layer = _layer_from_wire(ctx, layer.wire, layer.kind)
     kept = layer if isinstance(layer, AccessPolicyElements) else None  # layer 3: never read
-    return Held(layer.attrs, _layer_wire(ctx, layer), kept)
+    return Held(layer.attrs, _layer_wire(ctx, layer), type(layer), kept)
 
 
 def _layer_wire(ctx: PairingContext, layer: Any) -> dict:
-    if isinstance(layer, AccessPolicyElements):
-        return wire.abe_to_wire(ctx, layer)
-    return layer.wire if isinstance(layer, Held) else wire.recovery_to_wire(ctx, layer)
+    return layer.wire if isinstance(layer, Held) else _LAYERS[type(layer)].encode(ctx, layer)
 
 
-def _layer_from_wire(ctx: PairingContext, obj: Any, decode: Callable, trusted: bool = False):
-    """``decode`` of a layer's wire form, without the order checks only if ``trusted``."""
+def _layer_from_wire(ctx: PairingContext, obj: Any, kind: type, trusted: bool = False):
+    """The ``kind`` layer of wire form ``obj``, without the order checks only if ``trusted``."""
     try:
-        return _trusted_decode(trusted, decode, ctx, obj)
+        return _trusted_decode(trusted, _LAYERS[kind].decode, ctx, obj)
     except _MALFORMED as exc:
         raise BadRecord(f"malformed record: {exc}") from exc
 
 
-def _frame_layer(ctx: PairingContext, obj: Mapping, decode: Callable) -> Held:
-    """A frame's layer 2 or 3: a tagged frame's as written, any other's checked and re-encoded."""
-    layer = Held(wire.names_from_wire(obj["attrs"]), obj)
-    return layer if _TRUSTED.get() else held(ctx, layer, decode)
+def _held_layer(kind: type) -> wire.Shape:
+    """A record's layer 2 or 3: a tagged frame's held as written, any other's checked and
+    re-encoded."""
+
+    def decode(ctx: PairingContext, obj: Mapping) -> Held:
+        layer = Held(wire.NAMES.decode(ctx, obj["attrs"]), obj, kind)
+        return layer if _TRUSTED.get() else held(ctx, layer)
+
+    return wire.Shape(_layer_wire, decode)
 
 
 @dataclass(frozen=True)
@@ -132,16 +140,19 @@ class DataRecord:
     payload: PayloadCiphertext
 
 
+_RECORD = wire.Form(
+    DataRecord,
+    record_id=wire.NAME,
+    set_index=wire.INDEX,
+    sse=wire.SSE,
+    abe=_held_layer(AccessPolicyElements),
+    recovery=_held_layer(KeyRecoveryElements),
+    payload=wire.PAYLOAD,
+)
+
+
 def record_to_wire(ctx: PairingContext, rec: DataRecord) -> dict:
-    return {
-        "params": ctx.param_header(),
-        "record_id": rec.record_id,
-        "set_index": rec.set_index,
-        "sse": wire.sse_to_wire(ctx, rec.sse),
-        "abe": _layer_wire(ctx, rec.abe),
-        "recovery": _layer_wire(ctx, rec.recovery),
-        "payload": wire.payload_to_wire(rec.payload),
-    }
+    return {"params": ctx.param_header(), **_RECORD.encode(ctx, rec)}
 
 
 def _record_id(obj: Mapping) -> str:
@@ -153,14 +164,7 @@ def _record_id(obj: Mapping) -> str:
 
 def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
     try:
-        return DataRecord(
-            record_id=_record_id(obj),
-            set_index=wire.index_from_wire(obj["set_index"]),
-            sse=wire.sse_from_wire(ctx, obj["sse"]),
-            abe=_frame_layer(ctx, obj["abe"], wire.abe_from_wire),
-            recovery=_frame_layer(ctx, obj["recovery"], wire.recovery_from_wire),
-            payload=wire.payload_from_wire(obj["payload"]),
-        )
+        return _RECORD.decode(ctx, obj)
     except _MALFORMED as exc:
         raise BadRecord(f"malformed record: {exc}") from exc
 
@@ -227,102 +231,58 @@ class UpdateRequest:
 
 # -- message wire envelopes -----------------------------------------------------
 
+_SEARCH_REQUEST = wire.Form(
+    SearchRequest, token=wire.TOKEN, credentials=wire.listed(wire.CREDENTIAL), blinded=wire.BLINDED
+)
+_SEARCH_RESPONSE = wire.Form(
+    SearchResponse,
+    subset=wire.INDICES,
+    matches=wire.listed(
+        wire.Form(
+            MatchedRecord,
+            record_id=wire.NAME,
+            payload=wire.PAYLOAD,
+            recovery=wire.Shape(_layer_wire, wire.RECOVERY.decode),  # the user's: every check
+            policy=wire.NAMES,
+        )
+    ),
+    incomplete_policy=wire.NAMES,
+    stats=wire.Form(SearchStats, **{f.name: wire.INDEX for f in fields(SearchStats)}),
+)
+_UPDATE_REQUEST = wire.Form(
+    UpdateRequest,
+    record_id=wire.NAME,
+    rtk=wire.PREPARED,
+    subset=wire.INDICES,
+    new_sse=wire.optional(wire.SSE),
+    new_abe=wire.optional(wire.ABE),
+    new_recovery=wire.optional(wire.RECOVERY),
+    new_payload=wire.optional(wire.PAYLOAD),
+)
+
 
 def search_request_to_wire(ctx: PairingContext, req: SearchRequest) -> dict:
-    body = {
-        "token": wire.token_to_wire(ctx, req.token),
-        "credentials": [wire.credential_to_wire(ctx, c) for c in req.credentials],
-        "blinded": wire.blinded_to_wire(ctx, req.blinded),
-    }
-    return wire.envelope("search-request", ctx, body)
-
-
-def _search_request_body(ctx: PairingContext, obj: Mapping) -> SearchRequest:
-    return SearchRequest(
-        token=wire.token_from_wire(ctx, obj["token"]),
-        credentials=tuple(wire.credential_from_wire(ctx, c) for c in obj["credentials"]),
-        blinded=wire.blinded_from_wire(ctx, obj["blinded"]),
-    )
+    return wire.envelope("search-request", ctx, _SEARCH_REQUEST.encode(ctx, req))
 
 
 def search_request_from_wire(ctx: PairingContext, obj: Mapping) -> SearchRequest:
-    return wire.open_envelope(obj, "search-request", _search_request_body, ctx)
+    return wire.open_envelope(obj, "search-request", _SEARCH_REQUEST.decode, ctx)
 
 
 def search_response_to_wire(ctx: PairingContext, resp: SearchResponse) -> dict:
-    body = {
-        "subset": list(resp.subset),
-        "matches": [
-            {
-                "record_id": m.record_id,
-                "payload": wire.payload_to_wire(m.payload),
-                "recovery": _layer_wire(ctx, m.recovery),
-                "policy": list(m.policy),
-            }
-            for m in resp.matches
-        ],
-        "incomplete_policy": list(resp.incomplete_policy),
-        "stats": asdict(resp.stats),
-    }
-    return wire.envelope("search-response", ctx, body)
-
-
-def _search_response_body(ctx: PairingContext, obj: Mapping) -> SearchResponse:
-    return SearchResponse(
-        subset=tuple(map(wire.index_from_wire, obj["subset"])),
-        matches=tuple(
-            MatchedRecord(
-                record_id=_record_id(m),
-                payload=wire.payload_from_wire(m["payload"]),
-                recovery=wire.recovery_from_wire(ctx, m["recovery"]),
-                policy=wire.names_from_wire(m["policy"]),
-            )
-            for m in obj["matches"]
-        ),
-        incomplete_policy=wire.names_from_wire(obj["incomplete_policy"]),
-        stats=SearchStats(**{k: wire.index_from_wire(v) for k, v in obj["stats"].items()}),
-    )
+    return wire.envelope("search-response", ctx, _SEARCH_RESPONSE.encode(ctx, resp))
 
 
 def search_response_from_wire(ctx: PairingContext, obj: Mapping) -> SearchResponse:
-    return wire.open_envelope(obj, "search-response", _search_response_body, ctx)
+    return wire.open_envelope(obj, "search-response", _SEARCH_RESPONSE.decode, ctx)
 
 
 def update_request_to_wire(ctx: PairingContext, req: UpdateRequest) -> dict:
-    body = {
-        "record_id": req.record_id,
-        "rtk": wire.enc_elem(ctx, req.rtk),
-        "subset": list(req.subset),
-        "new_sse": None if req.new_sse is None else wire.sse_to_wire(ctx, req.new_sse),
-        "new_abe": None if req.new_abe is None else wire.abe_to_wire(ctx, req.new_abe),
-        "new_recovery": (
-            None if req.new_recovery is None else wire.recovery_to_wire(ctx, req.new_recovery)
-        ),
-        "new_payload": (
-            None if req.new_payload is None else wire.payload_to_wire(req.new_payload)
-        ),
-    }
-    return wire.envelope("update-request", ctx, body)
-
-
-def _update_request_body(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
-    return UpdateRequest(
-        record_id=_record_id(obj),
-        rtk=ctx.prepared_from_bytes(wire.b64d(obj["rtk"])),
-        subset=tuple(map(wire.index_from_wire, obj["subset"])),
-        new_sse=None if obj["new_sse"] is None else wire.sse_from_wire(ctx, obj["new_sse"]),
-        new_abe=None if obj["new_abe"] is None else wire.abe_from_wire(ctx, obj["new_abe"]),
-        new_recovery=(
-            None if obj["new_recovery"] is None else wire.recovery_from_wire(ctx, obj["new_recovery"])
-        ),
-        new_payload=(
-            None if obj["new_payload"] is None else wire.payload_from_wire(obj["new_payload"])
-        ),
-    )
+    return wire.envelope("update-request", ctx, _UPDATE_REQUEST.encode(ctx, req))
 
 
 def update_request_from_wire(ctx: PairingContext, obj: Mapping) -> UpdateRequest:
-    return wire.open_envelope(obj, "update-request", _update_request_body, ctx)
+    return wire.open_envelope(obj, "update-request", _UPDATE_REQUEST.decode, ctx)
 
 
 class EscrowServer:
@@ -356,7 +316,7 @@ class EscrowServer:
                 {
                     "kind": "header",
                     "params": ctx.param_header(),
-                    "pks": wire.pks_to_wire(ctx, pks),
+                    "pks": wire.PKS.encode(ctx, pks),
                 }
             )
 
@@ -381,7 +341,7 @@ class EscrowServer:
                 raise BadRecord(f"store file {path} has no parameter header")
             try:
                 ctx = context_from_header(header["params"])
-                pks = _decoded(key, *first, lambda frame: wire.pks_from_wire(ctx, frame["pks"]))
+                pks = _decoded(key, *first, lambda frame: wire.PKS.decode(ctx, frame["pks"]))
             except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
                 raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
@@ -425,8 +385,7 @@ class EscrowServer:
             return tuple(self._records)
 
     def store_record(self, rec: DataRecord) -> str:
-        rec = replace(rec, abe=held(self.ctx, rec.abe, wire.abe_from_wire))
-        rec = replace(rec, recovery=held(self.ctx, rec.recovery, wire.recovery_from_wire))
+        rec = replace(rec, abe=held(self.ctx, rec.abe), recovery=held(self.ctx, rec.recovery))
         if not rec.record_id:
             rec = replace(rec, record_id=assign_record_id(self.ctx, rec))
         self._validate(rec)
@@ -524,7 +483,7 @@ class EscrowServer:
                 outcomes.append(_INCOMPLETE)
             else:  # a held layer 2 without elements is a frame this server tagged: no order check
                 policy = rec.abe.elements or _layer_from_wire(
-                    self.ctx, rec.abe.wire, wire.abe_from_wire, trusted=True
+                    self.ctx, rec.abe.wire, AccessPolicyElements, trusted=True
                 )
                 ok = abe_verify(self.ctx, policy, req.credentials, req.blinded)
                 outcomes.append(_MATCH if ok else _DENIED)
@@ -556,12 +515,8 @@ class EscrowServer:
             updated = replace(
                 rec,
                 sse=req.new_sse or rec.sse,
-                abe=held(self.ctx, req.new_abe, wire.abe_from_wire) if req.new_abe else rec.abe,
-                recovery=(
-                    held(self.ctx, req.new_recovery, wire.recovery_from_wire)
-                    if req.new_recovery
-                    else rec.recovery
-                ),
+                abe=held(self.ctx, req.new_abe) if req.new_abe else rec.abe,
+                recovery=held(self.ctx, req.new_recovery) if req.new_recovery else rec.recovery,
                 payload=req.new_payload or rec.payload,
             )
             self._validate(updated)

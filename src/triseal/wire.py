@@ -6,19 +6,24 @@ reader can rebuild or check the pairing context before decoding elements.
 :func:`envelope` writes that header and :func:`open_envelope` checks it;
 no other module builds or reads one.  Canonical bytes (sorted keys, compact
 separators) make equality checks and record ids stable.
+
+Each element-bearing wire form is declared once, as a :class:`Form`: the one
+statement of its wire shape, walked by one encoder and one decoder.  The LEFT
+slots of a request (token, credentials, blinding, ``rtk``) are ``PREPARED``:
+decoded with no [q]P, checked by their Miller-line preparation.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity
 from .errors import BackendMismatch, BadRecord
 from .pairing import WIRE_FORMAT as WIRE_FORMAT_VERSION
-from .pairing import GroupElement, GtElement, PairingContext, Side, context_from_header
-from .payload import PayloadCiphertext, payload_from_bytes
+from .pairing import PairingContext, Side, context_from_header
+from .payload import payload_from_bytes
 from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements
 
@@ -74,170 +79,125 @@ def open_envelope(
         raise BadRecord(f"malformed {kind} envelope: {type(exc).__name__}: {exc}") from exc
 
 
-def index_from_wire(value: Any) -> int:
-    """A set index or a count: only a JSON integer, not a bool, float or string."""
-    if type(value) is not int:
-        raise BadRecord(f"{value!r} is not an integer")
+class Shape(NamedTuple):
+    """A field on the wire: ``encode(ctx, value)``, ``decode(ctx, wire value)``,
+    and whether it is a list in the order of its form's sorted ``attrs``."""
+
+    encode: Callable[[PairingContext, Any], Any]
+    decode: Callable[[PairingContext, Any], Any]
+    aligned: bool = False
+
+
+def _typed(value: Any, kind: type, nonempty: bool = False) -> Any:
+    """``value`` if exactly of JSON type ``kind`` (a bool is no int), non-empty if ``nonempty``."""
+    if type(value) is not kind or (nonempty and not value):
+        raise BadRecord(f"{value!r} is not a{' non-empty' * nonempty} JSON {kind.__name__}")
     return value
 
 
-def names_from_wire(value: Any) -> tuple[str, ...]:
-    """Attribute names or record ids: only a JSON list of strings."""
-    if type(value) is not list or not all(isinstance(v, str) for v in value):
-        raise BadRecord(f"{value!r} is not a list of strings")
-    return tuple(value)
-
-
-def enc_elem(ctx: PairingContext, e: GroupElement) -> str:
-    return b64e(ctx.element_to_bytes(e))
-
-
-def dec_elem(ctx: PairingContext, text: str, side: Side) -> GroupElement:
-    return ctx.element_from_bytes(b64d(text), side)
-
-
-def enc_gt(ctx: PairingContext, e: GtElement) -> str:
-    return b64e(ctx.gt_to_bytes(e))
-
-
-def dec_gt(ctx: PairingContext, text: str) -> GtElement:
-    return ctx.gt_from_bytes(b64d(text))
-
-
-# -- layer 1 ----------------------------------------------------------------
-
-
-def sse_to_wire(ctx: PairingContext, elems: SseRecordElements) -> dict:
-    return {
-        "stk_transferor": enc_elem(ctx, elems.stk_transferor),
-        "kw_modifier": enc_elem(ctx, elems.kw_modifier),
-        "tagged_keywords": [enc_gt(ctx, t) for t in elems.tagged_keywords],
-        "update_keyword": enc_gt(ctx, elems.update_keyword),
-    }
-
-
-def sse_from_wire(ctx: PairingContext, obj: Mapping) -> SseRecordElements:
-    tags = obj["tagged_keywords"]
-    if not tags:
-        raise BadRecord("record carries no tagged keywords")
-    return SseRecordElements(
-        stk_transferor=dec_elem(ctx, obj["stk_transferor"], Side.RIGHT),
-        kw_modifier=dec_elem(ctx, obj["kw_modifier"], Side.RIGHT),
-        tagged_keywords=tuple(dec_gt(ctx, t) for t in tags),
-        update_keyword=dec_gt(ctx, obj["update_keyword"]),
+def listed(item: Shape, *, nonempty: bool = False, aligned: bool = False) -> Shape:
+    """A JSON list of ``item`` (not empty if ``nonempty``), decoded to a tuple."""
+    return Shape(
+        lambda ctx, values: [item.encode(ctx, v) for v in values],
+        lambda ctx, value: tuple(item.decode(ctx, v) for v in _typed(value, list, nonempty)),
+        aligned,
     )
 
 
-def token_to_wire(ctx: PairingContext, token: SearchToken) -> dict:
-    return {"token": enc_elem(ctx, token.token), "subset": list(token.subset)}
-
-
-def token_from_wire(ctx: PairingContext, obj: Mapping) -> SearchToken:
-    return SearchToken(
-        token=ctx.prepared_from_bytes(b64d(obj["token"])),
-        subset=tuple(map(index_from_wire, obj["subset"])),
+def keyed(item: Shape) -> Shape:
+    """A JSON object of ``item`` by attribute name, decoded to a dict."""
+    return Shape(
+        lambda ctx, values: {k: item.encode(ctx, v) for k, v in values.items()},
+        lambda ctx, value: {k: item.decode(ctx, v) for k, v in _typed(value, dict).items()},
     )
 
 
-def pks_to_wire(ctx: PairingContext, pks: SetPublicKeys) -> dict:
-    return {
-        "left": [enc_elem(ctx, e) for e in pks.left],
-        "right": [enc_elem(ctx, e) for e in pks.right],
-    }
-
-
-def pks_from_wire(ctx: PairingContext, obj: Mapping) -> SetPublicKeys:
-    return SetPublicKeys(
-        left=tuple(dec_elem(ctx, e, Side.LEFT) for e in obj["left"]),
-        right=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["right"]),
+def optional(shape: Shape) -> Shape:
+    """``shape`` or JSON null."""
+    return Shape(
+        lambda ctx, value: None if value is None else shape.encode(ctx, value),
+        lambda ctx, value: None if value is None else shape.decode(ctx, value),
     )
 
 
-# -- layer 2 --------------------------------------------------------------------
-
-
-def _attrs_from_wire(obj: Mapping) -> tuple[str, ...]:
-    """Attribute names, non-empty and in the sorted order the encoders write."""
-    attrs = names_from_wire(obj["attrs"])
-    if not attrs or list(attrs) != sorted(attrs):
-        raise BadRecord(f"policy attributes {list(attrs)!r} are not sorted strings")
-    return attrs
-
-
-def abe_to_wire(ctx: PairingContext, elems: AccessPolicyElements) -> dict:
-    # attributes serialize sorted; element pairs stay aligned with them
-    order = sorted(range(len(elems.attrs)), key=lambda i: elems.attrs[i])
-    return {
-        "attrs": [elems.attrs[i] for i in order],
-        "ac_transferors": [enc_elem(ctx, elems.ac_transferors[i]) for i in order],
-        "plcy_modifiers": [enc_elem(ctx, elems.plcy_modifiers[i]) for i in order],
-        "plcy": enc_gt(ctx, elems.plcy),
-    }
-
-
-def abe_from_wire(ctx: PairingContext, obj: Mapping) -> AccessPolicyElements:
-    attrs = _attrs_from_wire(obj)
-    if len(obj["ac_transferors"]) != len(attrs) or len(obj["plcy_modifiers"]) != len(attrs):
-        raise BadRecord("policy element count does not match the attribute list")
-    return AccessPolicyElements(
-        attrs=attrs,
-        ac_transferors=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["ac_transferors"]),
-        plcy_modifiers=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["plcy_modifiers"]),
-        plcy=dec_gt(ctx, obj["plcy"]),
+def blinded(element: Shape) -> Shape:
+    """A BlindedIdentity, on the wire as its element alone."""
+    return Shape(
+        lambda ctx, value: element.encode(ctx, value.element),
+        lambda ctx, text: BlindedIdentity(element.decode(ctx, text)),
     )
 
 
-def credential_to_wire(ctx: PairingContext, cred: AttributeCredential) -> dict:
-    return {"attribute_id": cred.attribute_id, "credential": enc_elem(ctx, cred.credential)}
+INDEX = Shape(lambda ctx, value: value, lambda ctx, value: _typed(value, int))
+NAME = INDEX._replace(decode=lambda ctx, value: _typed(value, str))
+FLAG = INDEX._replace(decode=lambda ctx, value: _typed(value, bool))
+INDICES, NAMES = listed(INDEX), listed(NAME)
+ATTRS = listed(NAME, nonempty=True, aligned=True)  # sorted, by Form.decode
+G_LEFT = Shape(
+    lambda ctx, e: b64e(ctx.element_to_bytes(e)),
+    lambda ctx, s: ctx.element_from_bytes(b64d(s), Side.LEFT),
+)  # the other G shapes write the same text
+G_RIGHT = G_LEFT._replace(decode=lambda ctx, s: ctx.element_from_bytes(b64d(s), Side.RIGHT))
+ALIGNED_RIGHT = listed(G_RIGHT, aligned=True)
+PREPARED = G_LEFT._replace(decode=lambda ctx, s: ctx.prepared_from_bytes(b64d(s)))
+GT = Shape(lambda ctx, e: b64e(ctx.gt_to_bytes(e)), lambda ctx, s: ctx.gt_from_bytes(b64d(s)))
+PAYLOAD = Shape(lambda ctx, ct: b64e(ct.to_bytes()), lambda ctx, s: payload_from_bytes(b64d(s)))
 
 
-def credential_from_wire(ctx: PairingContext, obj: Mapping) -> AttributeCredential:
-    attribute_id = obj["attribute_id"]
-    if not isinstance(attribute_id, str):
-        raise BadRecord(f"credential attribute {attribute_id!r} is not a string")
-    return AttributeCredential(attribute_id, ctx.prepared_from_bytes(b64d(obj["credential"])))
+class Form:
+    """A dataclass on the wire: a JSON object holding each declared field under
+    its name, in that field's shape.  A form is also the shape of a nested field."""
+
+    aligned = False
+
+    def __init__(self, cls: type, **fields: Shape):
+        self.cls, self.fields = cls, fields
+
+    def encode(self, ctx: PairingContext, obj: Any) -> dict:
+        attrs = getattr(obj, "attrs", ())  # written sorted, the aligned lists in its order
+        order = sorted(range(len(attrs)), key=attrs.__getitem__)
+        out = {}
+        for name, shape in self.fields.items():
+            value = getattr(obj, name)
+            out[name] = shape.encode(ctx, [value[i] for i in order] if shape.aligned else value)
+        return out
+
+    def decode(self, ctx: PairingContext, obj: Mapping) -> Any:
+        fields: dict[str, Any] = {}
+        for name, shape in self.fields.items():  # ``attrs`` is declared first
+            value = obj[name]
+            if shape.aligned and name != "attrs" and len(value) != len(fields["attrs"]):
+                raise BadRecord(f"{name} count does not match the attribute list")
+            fields[name] = shape.decode(ctx, value)
+            if name == "attrs" and list(fields[name]) != sorted(fields[name]):
+                raise BadRecord(f"policy attributes {value!r} are not in sorted order")
+        return self.cls(**fields)
 
 
-def blinded_to_wire(ctx: PairingContext, blinded: BlindedIdentity) -> str:
-    return enc_elem(ctx, blinded.element)
-
-
-def blinded_from_wire(ctx: PairingContext, text: str) -> BlindedIdentity:
-    return BlindedIdentity(element=ctx.prepared_from_bytes(b64d(text)))
-
-
-# -- layer 3 -------------------------------------------------------------
-
-
-def recovery_to_wire(ctx: PairingContext, elems: KeyRecoveryElements) -> dict:
-    order = sorted(range(len(elems.attrs)), key=lambda i: elems.attrs[i])
-    return {
-        "attrs": [elems.attrs[i] for i in order],
-        "dtk_transferor": enc_elem(ctx, elems.dtk_transferor),
-        "dtk_owner_modifier": enc_elem(ctx, elems.dtk_owner_modifier),
-        "dtk_aa_transferors": [enc_elem(ctx, elems.dtk_aa_transferors[i]) for i in order],
-        "dtk_aa_modifiers": [enc_elem(ctx, elems.dtk_aa_modifiers[i]) for i in order],
-        "wrapped_key": enc_gt(ctx, elems.wrapped_key),
-    }
-
-
-def recovery_from_wire(ctx: PairingContext, obj: Mapping) -> KeyRecoveryElements:
-    attrs = _attrs_from_wire(obj)
-    if len(obj["dtk_aa_transferors"]) != len(attrs) or len(obj["dtk_aa_modifiers"]) != len(attrs):
-        raise BadRecord("recovery element count does not match the attribute list")
-    return KeyRecoveryElements(
-        attrs=attrs,
-        dtk_transferor=dec_elem(ctx, obj["dtk_transferor"], Side.RIGHT),
-        dtk_owner_modifier=dec_elem(ctx, obj["dtk_owner_modifier"], Side.RIGHT),
-        dtk_aa_transferors=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["dtk_aa_transferors"]),
-        dtk_aa_modifiers=tuple(dec_elem(ctx, e, Side.RIGHT) for e in obj["dtk_aa_modifiers"]),
-        wrapped_key=dec_gt(ctx, obj["wrapped_key"]),
-    )
-
-
-def payload_to_wire(ct: PayloadCiphertext) -> str:
-    return b64e(ct.to_bytes())
-
-
-def payload_from_wire(text: str) -> PayloadCiphertext:
-    return payload_from_bytes(b64d(text))
+SSE = Form(  # layer 1
+    SseRecordElements,
+    stk_transferor=G_RIGHT,
+    kw_modifier=G_RIGHT,
+    tagged_keywords=listed(GT, nonempty=True),
+    update_keyword=GT,
+)
+TOKEN = Form(SearchToken, token=PREPARED, subset=INDICES)
+PKS = Form(SetPublicKeys, left=listed(G_LEFT), right=listed(G_RIGHT))
+ABE = Form(  # layer 2
+    AccessPolicyElements,
+    attrs=ATTRS,
+    ac_transferors=ALIGNED_RIGHT,
+    plcy_modifiers=ALIGNED_RIGHT,
+    plcy=GT,
+)
+CREDENTIAL = Form(AttributeCredential, attribute_id=NAME, credential=PREPARED)
+BLINDED = blinded(PREPARED)
+RECOVERY = Form(  # layer 3
+    KeyRecoveryElements,
+    attrs=ATTRS,
+    dtk_transferor=G_RIGHT,
+    dtk_owner_modifier=G_RIGHT,
+    dtk_aa_transferors=ALIGNED_RIGHT,
+    dtk_aa_modifiers=ALIGNED_RIGHT,
+    wrapped_key=GT,
+)

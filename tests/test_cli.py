@@ -1,13 +1,21 @@
 """Command-line drivers: workflows, exit codes, isolation, replayability."""
 
 import hashlib
+import io
 import json
+import os
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from json_mutations import JSON, key_paths, parent
+from triseal import cli
 from triseal.cli import EXIT_NO_MATCH, EXIT_OK, EXIT_PROTOCOL, main
+from triseal.pairing import PairingContext
 
 
 def run(*argv):
@@ -289,19 +297,31 @@ UPDATE = ("update", "--home", "own", "--server", "srv", "--record-id",
           "af09862074729217eb0d1f307fbd9a17", "--subset", "2")
 REPOLICY = (*UPDATE, "--policy", "DOCTOR", "--file", "data.txt", "--aa", "aa1")
 ALL_FAULTS = ("other-kind", "missing", "not-json", "deep")
+# the scalar a retyped-scalar fault retypes, by file and command
+RETYPED = {
+    ("own/owner.json", "consent"): ("owner_id", 5),
+    ("own/owner.json", "publish"): ("update_id", 5),
+    ("aa1/aa.json", "issue"): ("attribute_id", 5),
+    ("aa1/public.json", "publish"): ("attribute_id", 5),
+    ("usr/session.json", "search"): ("used", "yes"),
+    ("usr/user.json", "issue"): ("gid", 5),
+    ("usr/user.json", "search"): ("gid", 5),
+    ("usr/user.json", "decrypt"): ("gid", 5),
+}
 
 # (file a command reads, the command, a file of another kind, faults to try)
 READERS = [
     ("srv/public.json", CONSENT, "aa1/public.json", ALL_FAULTS),
-    ("own/owner.json", CONSENT, "aa1/aa.json", ALL_FAULTS),
-    ("aa1/aa.json", ISSUE, "own/owner.json", ALL_FAULTS),
-    ("aa1/public.json", PUBLISH, "srv/public.json", ALL_FAULTS),
+    ("own/owner.json", CONSENT, "aa1/aa.json", (*ALL_FAULTS, "retyped-scalar")),
+    ("own/owner.json", PUBLISH, None, ("retyped-scalar",)),
+    ("aa1/aa.json", ISSUE, "own/owner.json", (*ALL_FAULTS, "retyped-scalar")),
+    ("aa1/public.json", PUBLISH, "srv/public.json", (*ALL_FAULTS, "retyped-scalar")),
     ("consent.json", SEARCH, "usr/session.json", ALL_FAULTS),
-    ("usr/session.json", SEARCH, "consent.json", ALL_FAULTS),
+    ("usr/session.json", SEARCH, "consent.json", (*ALL_FAULTS, "retyped-scalar")),
     ("results.json", DECRYPT, "consent.json", ALL_FAULTS),
-    ("usr/user.json", ISSUE, "own/owner.json", ("other-kind", "not-json")),  # absent = first use
-    ("usr/user.json", SEARCH, "own/owner.json", ALL_FAULTS),
-    ("usr/user.json", DECRYPT, "own/owner.json", ALL_FAULTS),
+    ("usr/user.json", ISSUE, "own/owner.json", ("other-kind", "not-json", "retyped-scalar")),
+    ("usr/user.json", SEARCH, "own/owner.json", (*ALL_FAULTS, "retyped-scalar")),
+    ("usr/user.json", DECRYPT, "own/owner.json", (*ALL_FAULTS, "retyped-scalar")),
     ("srv/store.log", SEARCH, None, ("missing", "bad-frame")),
     ("data.txt", PUBLISH, None, ("missing",)),
     ("data.txt", REPOLICY, None, ("missing",)),
@@ -328,6 +348,9 @@ def test_bad_input_files_exit_1_with_one_error_line(
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x02xx")
     elif fault == "deep":
         path.write_text("[" * 1000 + "]" * 1000)
+    elif fault == "retyped-scalar":
+        key, value = RETYPED[target, argv[0]]
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
     else:
         path.write_text("not json\n")
     capsys.readouterr()
@@ -363,3 +386,67 @@ def test_malformed_arguments_exit_2(walked, tmp_path, monkeypatch, capsys, argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and ": error: " in err.splitlines()[-1], err
+
+
+def test_session_file_loads_without_preparing_a_point(walked, monkeypatch):
+    """The session's blindings and credentials decode with their order check
+    alone: ``issue`` and ``search`` never pair them, and ``decrypt`` prepares
+    what it pairs once per response."""
+    prepared = []
+    original = PairingContext.prepared_from_bytes
+    monkeypatch.setattr(
+        PairingContext, "prepared_from_bytes", lambda *args: prepared.append(args) or original(*args)
+    )
+    _, session, used = cli._load_session(walked / "usr")
+    assert prepared == []
+    assert used is True and sorted(session.credentials) == ["DOCTOR", "RESEARCHER"]
+
+
+# a file of the walked tree and a command that reads it
+FUZZED = {
+    "srv/public.json": CONSENT,
+    "aa1/public.json": PUBLISH,
+    "aa1/aa.json": ISSUE,
+    "own/owner.json": CONSENT,
+    "usr/user.json": SEARCH,
+    "usr/session.json": SEARCH,
+    "consent.json": SEARCH,
+    "results.json": DECRYPT,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_commands_on_mutated_files_exit_cleanly_or_with_one_error_line(
+    walked, tmp_path_factory, data
+):
+    """A file of the walked tree with 1-3 keys dropped or retyped: the command
+    that reads it exits normally, or exits 1 with one ``error:`` line; it never
+    meets a traceback."""
+    target = data.draw(st.sampled_from(sorted(FUZZED)), label="file")
+    root = tmp_path_factory.mktemp("fuzz") / "tree"
+    shutil.copytree(walked, root)
+    obj = json.loads((root / target).read_text())
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(key_paths(obj))
+        if not paths:
+            break
+        key_path = data.draw(st.sampled_from(paths), label="path")
+        slot = parent(obj, key_path)
+        if data.draw(st.booleans(), label="drop"):
+            del slot[key_path[-1]]
+        else:
+            slot[key_path[-1]] = data.draw(JSON, label="value")
+    (root / target).write_text(json.dumps(obj))
+    cwd, err = os.getcwd(), io.StringIO()
+    os.chdir(root)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(*FUZZED[target])
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    if code != EXIT_PROTOCOL:
+        assert code in (EXIT_OK, EXIT_NO_MATCH) and not lines, err.getvalue()
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

@@ -316,10 +316,10 @@ def test_recovery_is_local_from_serialized_bytes(oracle_big):
         ctx, owner, ["A1"], {"A1": kp.apk_dtk}, ctx.random_scalar(rng),
         {"A1": ctx.random_scalar(rng)}, mask,
     )
-    blob = wire.canonical_json(wire.recovery_to_wire(ctx, elems))
+    blob = wire.canonical_json(wire.RECOVERY.encode(ctx, elems))
     import json
 
-    revived = wire.recovery_from_wire(ctx, json.loads(blob))
+    revived = wire.RECOVERY.decode(ctx, json.loads(blob))
     blinded_r = abe.blind_identity(
         ctx, ctx.hash_to_group(HashDomain.GID, "gid"), ctx.random_scalar(rng)
     )

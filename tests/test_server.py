@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_points import malformed_encodings, small_order_points
+from json_mutations import JSON as _JSON, key_paths as _key_paths, parent as _parent
 from triseal import abe, sse, wire
 from triseal import server as server_mod
 from triseal.actors import Authority, Owner, User
@@ -532,7 +533,7 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeyp
     )
     update = update_request_to_wire(ctx, upd)
     record = record_to_wire(ctx, w.server.fetch(rid))
-    header = {"kind": "header", "params": ctx.param_header(), "pks": wire.pks_to_wire(ctx, w.pks)}
+    header = {"kind": "header", "params": ctx.param_header(), "pks": wire.PKS.encode(ctx, w.pks)}
     assert search_request_from_wire(ctx, search) == req
     assert search_response_to_wire(ctx, search_response_from_wire(ctx, response)) == response
     assert update_request_from_wire(ctx, update) == upd
@@ -978,7 +979,7 @@ def test_held_layer_3_keeps_no_elements(tmp_path):
     stored = w.server.fetch(rid)
     assert stored.recovery.elements is None and stored.abe.elements is not None
     assert record_bytes(w.ctx, stored) == record_bytes(w.ctx, replace(rec, record_id=rid))
-    assert stored.recovery.wire == wire.recovery_to_wire(w.ctx, rec.recovery)
+    assert stored.recovery.wire == wire.RECOVERY.encode(w.ctx, rec.recovery)
     w.server.reencrypt(
         w.owner.update_request(rid, [1], w.pks, policy=["A2"], plaintext=b"b", authorities=w.publics)
     )
@@ -1042,32 +1043,6 @@ def small_log(tmp_path_factory):
     with closing(_read_frames(path)) as frames:
         raw = list(frames)
     return path, [json.loads(data) for _, data in raw], [_raw_frame(d, t) for t, d in raw]
-
-
-def _key_paths(obj, prefix=()):
-    """Every dict key and list index in ``obj``, down to four levels."""
-    if isinstance(obj, dict):
-        items = obj.items()
-    else:
-        items = enumerate(obj if isinstance(obj, list) else ())
-    for key, value in items:
-        yield prefix + (key,)
-        if len(prefix) < 3:
-            yield from _key_paths(value, prefix + (key,))
-
-
-def _parent(obj, key_path):
-    """The dict or list in ``obj`` that holds the last key of ``key_path``."""
-    for key in key_path[:-1]:
-        obj = obj[key]
-    return obj
-
-
-_JSON = (
-    st.none() | st.booleans() | st.integers(-1, 2**70) | st.floats() | st.text(max_size=4)
-    | st.lists(st.text(max_size=3), max_size=3)
-    | st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2)
-)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1373,7 +1348,7 @@ def test_searches_concurrent_with_updates_see_whole_records():
             rid, [1], w.pks, keywords=[kw], policy=["A1"],
             plaintext=kw.encode(), authorities=w.publics,
         )
-        held = server_mod.held(w.ctx, upd.new_recovery, wire.recovery_from_wire)
+        held = server_mod.held(w.ctx, upd.new_recovery)
         expected[kw] = (upd.new_payload, held)
         requests[kw] = upd
     search_reqs = {kw: w.request(kw, [1])[2] for kw in expected}

@@ -67,7 +67,7 @@ def test_record_rejects_corrupted_elements(world):
 
 def test_pks_round_trip(world):
     ctx, pks, *_ = world
-    revived = wire.pks_from_wire(ctx, roundtrip(wire.pks_to_wire(ctx, pks)))
+    revived = wire.PKS.decode(ctx, roundtrip(wire.PKS.encode(ctx, pks)))
     assert revived == pks
 
 
@@ -157,9 +157,9 @@ def test_abe_wire_sorts_policy_attributes():
         {a: kp.apk for a, kp in kps.items()},
         {a: ctx.random_scalar(rng) for a in kps},
     )
-    blob = wire.abe_to_wire(ctx, elems)
+    blob = wire.ABE.encode(ctx, elems)
     assert blob["attrs"] == ["A1", "B2", "C3"]
-    revived = wire.abe_from_wire(ctx, blob)
+    revived = wire.ABE.decode(ctx, blob)
     blinded = abe.blind_identity(
         ctx, ctx.hash_to_group(HashDomain.GID, "gid"), ctx.random_scalar(rng)
     )
@@ -191,8 +191,8 @@ def test_policy_attributes_decode_only_as_sorted_strings():
         ctx.random_gt(rng),
     )
     for to_wire, from_wire, elems in (
-        (wire.abe_to_wire, wire.abe_from_wire, abe_elems),
-        (wire.recovery_to_wire, wire.recovery_from_wire, recovery_elems),
+        (wire.ABE.encode, wire.ABE.decode, abe_elems),
+        (wire.RECOVERY.encode, wire.RECOVERY.decode, recovery_elems),
     ):
         blob = to_wire(ctx, elems)
         decoded = from_wire(ctx, blob)

@@ -51,8 +51,7 @@ def primitives():
     """name -> zero-argument callable, built on fixed inputs."""
     import random
 
-    from triseal import wire
-    from triseal.abe import BlindedIdentity, abe_verify
+    from triseal.abe import AccessPolicyElements, BlindedIdentity, abe_verify
     from triseal.actors import Authority, Owner, User
     from triseal.pairing import CurveContext, HashDomain, Side, curve
     from triseal.server import EscrowServer, _layer_from_wire, record_from_wire, record_to_wire
@@ -128,7 +127,7 @@ def primitives():
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
         "held_policy_hit_decode_ms": lambda: _layer_from_wire(
-            ctx, record_wire["abe"], wire.abe_from_wire, trusted=True
+            ctx, record_wire["abe"], AccessPolicyElements, trusted=True
         ),
         "store_open_ms_per_record": lambda: EscrowServer.open(Path(tmp.name) / store.name).close(),
         "store_open_untagged_ms_per_record": lambda: EscrowServer.open(
