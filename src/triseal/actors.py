@@ -281,12 +281,11 @@ class User:
         if not response.matches:
             return []
         prepare, policies = self.ctx.prepare, set().union(*(m.policy for m in response.matches))
-        tokens = recovery.DecryptionTokenSet(  # every left point prepared once per response
-            owner_token=prepare(consent.owner_decrypt_token),
+        tokens = recovery.DecryptionTokenSet(  # left points prepared once per response
+            owner_token=prepare(consent.owner_decrypt_token),  # the subset product is kept
             subset=consent.subset,
             aa_tokens={a: prepare(t) for a, t in session.decrypt_tokens.items() if a in policies},
             blinded_r=abe.BlindedIdentity(prepare(session.blinded_r.element)),
-            subset_product=prepare(pks.left_product(pks.check_subset(consent.subset))),
         )
         results = []
         for match in response.matches:

@@ -143,6 +143,9 @@ _AA_PUBLIC = wire.Form(
 _CONSENT = wire.Form(
     ConsentGrant, search_token=wire.TOKEN, owner_decrypt_token=wire.G_LEFT, subset=wire.INDICES
 )
+_DECRYPT_CONSENT = wire.Form(  # decrypt pairs the owner's token alone, checked by its lines
+    lambda **f: ConsentGrant(None, **f), owner_decrypt_token=wire.PREPARED, subset=wire.INDICES
+)
 
 
 def _load_user(home: str, ctx: PairingContext) -> str:
@@ -327,7 +330,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     ctx, session, _used = _load_session(args.home)
-    grant = _load(Path(args.consent), "consent", _CONSENT.decode, ctx)
+    grant = _load(Path(args.consent), "consent", _DECRYPT_CONSENT.decode, ctx)
     response = search_response_from_wire(ctx, _read_json(Path(args.results)))
     _, pks = _load_server_public(args.server, ctx)
     user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))

@@ -19,13 +19,16 @@ Invariant: every decoded element is order-checked before use, unless its
 bytes come from a store frame whose tag verifies under this server's key
 (``_trusted_decode``, called only from ``server.py``): at open, or for its
 layer 2 at a keyword hit on that server; its layer 3 is never decoded.  Its
-line preparation checks a LEFT request element (``prepared_from_bytes``).
+line preparation checks a LEFT request element (``prepared_from_bytes``).  A hit
+in the table of points kept across requests (``kept``) is a point whose line walk
+ran when it was first kept; a point that fails the walk is never kept.
 """
 
 from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import hashlib
 import json
 import random
@@ -37,6 +40,7 @@ from ..errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatc
 
 WIRE_FORMAT = 1
 _TRUSTED = contextvars.ContextVar("trusted_frame", default=False)
+KEPT_POINTS = 16  # the prepared LEFT points a process keeps, least recently used evicted
 
 
 def _trusted_decode(trusted: bool, decode: Callable, *args) -> Any:
@@ -265,6 +269,12 @@ class PairingContext(ABC):
     def prepared_from_bytes(self, raw: bytes) -> GroupElement:
         """A LEFT request element, decoded with no [q]P and checked by ``prepare``."""
         return self.prepare(GroupElement(self, Side.LEFT, self._g_from_bytes(raw, False)))
+
+    @functools.lru_cache(maxsize=KEPT_POINTS)  # one table per process
+    def kept(self, raw: bytes) -> GroupElement:
+        """``prepared_from_bytes(raw)`` from the table of the last ``KEPT_POINTS`` such
+        points, keyed by (context, encoding): prepared once while kept; never kept if refused."""
+        return self.prepared_from_bytes(raw)
 
     def gt_to_bytes(self, e: GtElement) -> bytes:
         self._check(e)

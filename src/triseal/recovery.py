@@ -40,7 +40,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 from .abe import BlindedIdentity, aa_setup, encode_policy, sign_blinded
 from .errors import IncompleteTokens, NonceReuse
 from .pairing import GroupElement, GtElement, PairingContext, Side
-from .sse import SetPublicKeys
+from .sse import SetPublicKeys, subset_product
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,6 @@ class DecryptionTokenSet:
     subset: tuple[int, ...]
     aa_tokens: Mapping[str, GroupElement]
     blinded_r: BlindedIdentity
-    subset_product: GroupElement | None = None  # prod_{i in S} pk_i, if prepared once
 
 
 def wrap_key(
@@ -167,12 +166,11 @@ def recover_key(
     missing = [a for a in elems.attrs if a not in tokens.aa_tokens]
     if missing:
         raise IncompleteTokens(f"no decryption token for: {', '.join(missing)}")
-    subset_product = tokens.subset_product or pks.left_product(pks.check_subset(tokens.subset))
     # one pairing product, each division inverting its RIGHT point: e(U, (prod_i M_i)^-1)
     modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity(Side.RIGHT))
     pairs = [
         (tokens.owner_token, elems.dtk_transferor),
-        (subset_product, ctx.group_inverse(elems.dtk_owner_modifier)),
+        (subset_product(ctx, pks, tokens.subset), ctx.group_inverse(elems.dtk_owner_modifier)),
         *((tokens.aa_tokens[a], t) for a, t in zip(elems.attrs, elems.dtk_aa_transferors)),
         (tokens.blinded_r.element, ctx.group_inverse(modifiers)),
     ]

@@ -7,7 +7,10 @@ kinds of request:
 * search -- candidates are first confined to the declared data-set subset,
   then keyword-matched (cheap, one check per record), and only the keyword
   matches go through policy verification (per-attribute pairings).  The
-  counters on the response expose that ordering.
+  counters on the response expose that ordering.  A request's left points
+  are prepared once, before the scan; the consent's token and the subset
+  product repeat across requests, so they come from the table of kept
+  points (``PairingContext.kept``).  An update's are prepared per request.
 * re-encryption -- an update is applied only if the supplied token proves
   ownership against the record's own search elements and the separate
   update-id tag:
@@ -71,7 +74,7 @@ from .pairing import GroupElement, PairingContext, context_from_header
 from .pairing.base import _TRUSTED, _trusted_decode
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
-from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_modifier
+from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_product
 
 logger = logging.getLogger("triseal.server")
 _MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes
@@ -434,10 +437,10 @@ class EscrowServer:
         """Check the declared subset's records, sharded over ``workers`` processes."""
         if req.blinded is None or req.blinded.element.is_identity:
             raise InvalidBlinding("search request carries no blinded identity")
-        subset = self.pks.check_subset(req.token.subset)
-        prepare = self.ctx.prepare  # before the fork, so every child inherits the lines
-        modifier = prepare(subset_modifier(self.ctx, self.pks, subset))
-        token = replace(req.token, token=prepare(req.token.token))  # no-op if decoded
+        ctx, subset = self.ctx, self.pks.check_subset(req.token.subset)
+        prepare = ctx.prepare  # before the fork, so every child inherits the lines
+        product = subset_product(ctx, self.pks, subset)  # both kept across requests
+        token = replace(req.token, token=ctx.kept(ctx.element_to_bytes(req.token.token)))
         creds = tuple(replace(c, credential=prepare(c.credential)) for c in req.credentials)
         req = SearchRequest(token, creds, BlindedIdentity(prepare(req.blinded.element)))
         with self._lock:
@@ -445,7 +448,7 @@ class EscrowServer:
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
         outcomes = _forked(  # dealt round-robin: a query's hits are often adjacent
-            self.ctx, candidates, lambda shard: self._check(shard, req, modifier), workers=workers
+            ctx, candidates, lambda shard: self._check(shard, req, product), workers=workers
         )
 
         hits = [rec for rec, out in zip(candidates, outcomes) if out == _MATCH]
@@ -473,11 +476,11 @@ class EscrowServer:
         )
 
     def _check(
-        self, candidates: list[DataRecord], req: SearchRequest, modifier: GroupElement
+        self, candidates: list[DataRecord], req: SearchRequest, product: GroupElement
     ) -> list[int]:
         covered, outcomes = {c.attribute_id for c in req.credentials}, []
         for rec in candidates:
-            if not sse_match_any(self.ctx, rec.sse, req.token, modifier):
+            if not sse_match_any(self.ctx, rec.sse, req.token, product):
                 outcomes.append(_MISS)
             elif not covered.issuperset(rec.abe.attrs):  # IncompletePolicy, before any decode
                 outcomes.append(_INCOMPLETE)

@@ -163,27 +163,25 @@ def consent_search_token(
     return SearchToken(token=base**owner.sk, subset=subset)
 
 
-def subset_modifier(
-    ctx: PairingContext, pks: SetPublicKeys, subset: Iterable[int]
-) -> GroupElement:
-    """(prod_{i in S} pk_i)^-1 for a checked S: the left point that divides
-    the subset modifier out of the match equation.  It is fixed per request,
-    so a scan computes it once."""
-    return ctx.group_inverse(pks.left_product(pks.check_subset(subset)))
+def subset_product(ctx: PairingContext, pks: SetPublicKeys, subset: Iterable[int]):
+    """prod_{i in S} pk_i for a checked S, prepared and kept across requests
+    (``ctx.kept``): the left point a match pairs with the inverted keyword
+    modifier, and a key recovery with the inverted owner modifier."""
+    return ctx.kept(ctx.element_to_bytes(pks.left_product(pks.check_subset(subset))))
 
 
 def _match_target(
     ctx: PairingContext,
     elems: SseRecordElements,
     token_like: GroupElement,
-    modifier: GroupElement,
+    product: GroupElement,
 ) -> GtElement:
-    """Left side of the match equation plus the subset modifier division:
-    returns e(token, g^(r/sk)) * e((prod pk_i)^-1, g^r) as one pairing
-    product, to compare against a tagged keyword.  Both left points are
-    fixed per request, so the server prepares them once, before the scan."""
+    """Left side of the match equation divided by the subset modifier: returns
+    e(token, g^(r/sk)) * e(prod pk_i, (g^r)^-1) as one pairing product, to
+    compare against a tagged keyword.  The division inverts the RIGHT point,
+    so both left points repeat across requests and stay prepared."""
     return ctx.pairing_product(
-        [(token_like, elems.stk_transferor), (modifier, elems.kw_modifier)]
+        [(token_like, elems.stk_transferor), (product, ctx.group_inverse(elems.kw_modifier))]
     )
 
 
@@ -191,11 +189,10 @@ def sse_match_any(
     ctx: PairingContext,
     elems: SseRecordElements,
     token: SearchToken,
-    modifier: GroupElement,
+    product: GroupElement,
 ) -> bool:
     """The match: the request does not say which keyword slot to try, so
     every tagged keyword is checked against one precomputed target.
-    ``modifier`` is ``subset_modifier(ctx, pks, token.subset)``, computed
-    once per request."""
-    target = _match_target(ctx, elems, token.token, modifier)
+    ``product`` is ``subset_product(ctx, pks, token.subset)``."""
+    target = _match_target(ctx, elems, token.token, product)
     return any(target == tag for tag in elems.tagged_keywords)

@@ -10,7 +10,8 @@ separators) make equality checks and record ids stable.
 Each element-bearing wire form is declared once, as a :class:`Form`: the one
 statement of its wire shape, walked by one encoder and one decoder.  The LEFT
 slots of a request (token, credentials, blinding, ``rtk``) are ``PREPARED``:
-decoded with no [q]P, checked by their Miller-line preparation.
+decoded with no [q]P, checked by their Miller-line preparation; the token,
+which repeats across requests, through the table of kept points (``KEPT``).
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ G_LEFT = Shape(
 G_RIGHT = G_LEFT._replace(decode=lambda ctx, s: ctx.element_from_bytes(b64d(s), Side.RIGHT))
 ALIGNED_RIGHT = listed(G_RIGHT, aligned=True)
 PREPARED = G_LEFT._replace(decode=lambda ctx, s: ctx.prepared_from_bytes(b64d(s)))
+KEPT = G_LEFT._replace(decode=lambda ctx, s: ctx.kept(b64d(s)))
 GT = Shape(lambda ctx, e: b64e(ctx.gt_to_bytes(e)), lambda ctx, s: ctx.gt_from_bytes(b64d(s)))
 PAYLOAD = Shape(lambda ctx, ct: b64e(ct.to_bytes()), lambda ctx, s: payload_from_bytes(b64d(s)))
 
@@ -181,7 +183,7 @@ SSE = Form(  # layer 1
     tagged_keywords=listed(GT, nonempty=True),
     update_keyword=GT,
 )
-TOKEN = Form(SearchToken, token=PREPARED, subset=INDICES)
+TOKEN = Form(SearchToken, token=KEPT, subset=INDICES)
 PKS = Form(SetPublicKeys, left=listed(G_LEFT), right=listed(G_RIGHT))
 ABE = Form(  # layer 2
     AccessPolicyElements,

@@ -10,5 +10,5 @@ from triseal import sse
 def sse_match(ctx, elems, token, keyword_index, pks) -> bool:
     """True iff tagged keyword ``keyword_index`` matches the token under the
     token's declared subset.  A mismatch is an ordinary False."""
-    target = sse._match_target(ctx, elems, token.token, sse.subset_modifier(ctx, pks, token.subset))
+    target = sse._match_target(ctx, elems, token.token, sse.subset_product(ctx, pks, token.subset))
     return target == elems.tagged_keywords[keyword_index]

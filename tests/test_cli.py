@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from json_mutations import JSON, key_paths, parent
-from triseal import cli
+from triseal import cli, wire
 from triseal.cli import EXIT_NO_MATCH, EXIT_OK, EXIT_PROTOCOL, main
 from triseal.pairing import PairingContext
 
@@ -400,6 +400,30 @@ def test_session_file_loads_without_preparing_a_point(walked, monkeypatch):
     _, session, used = cli._load_session(walked / "usr")
     assert prepared == []
     assert used is True and sorted(session.credentials) == ["DOCTOR", "RESEARCHER"]
+
+
+def test_decrypt_reads_the_consent_owner_token_alone_checked_once(walked, tmp_path, monkeypatch):
+    """``decrypt`` decodes the consent's owner token once, checked by its
+    preparation alone, and never decodes the search token, which it does not
+    pair."""
+    root = tmp_path / "tree"
+    shutil.copytree(walked, root)
+    monkeypatch.chdir(root)
+    consent = json.loads((root / "consent.json").read_text())
+    search_raw = wire.b64d(consent["search_token"]["token"])
+    owner_raw = wire.b64d(consent["owner_decrypt_token"])
+    decoded = []
+    for name in ("element_from_bytes", "prepared_from_bytes"):
+        original = getattr(PairingContext, name)
+
+        def logged(self, raw, *args, _name=name, _original=original):
+            decoded.append((_name, raw))
+            return _original(self, raw, *args)
+
+        monkeypatch.setattr(PairingContext, name, logged)
+    assert run(*DECRYPT) == EXIT_OK
+    assert [d for d in decoded if d[1] == owner_raw] == [("prepared_from_bytes", owner_raw)]
+    assert all(raw != search_raw for _, raw in decoded)
 
 
 # a file of the walked tree and a command that reads it

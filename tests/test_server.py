@@ -1,5 +1,6 @@
 """Escrow server: storage, search pipeline, re-encryption, hygiene."""
 
+import functools
 import hmac
 import itertools
 import json
@@ -22,8 +23,9 @@ from triseal import abe, sse, wire
 from triseal import server as server_mod
 from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, InvalidElement, ProtocolError, UpdateRejected
-from triseal.pairing import OracleContext, PairingContext
+from triseal.pairing import GroupElement, OracleContext, PairingContext, Side
 from triseal.pairing import curve
+from triseal.pairing.base import KEPT_POINTS
 from triseal.recovery import DecryptionTokenSet, issue_decrypt_token, recover_key
 from triseal.server import (
     DataRecord,
@@ -391,10 +393,13 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     """A keyword miss costs one pairing product per candidate over the two
     request-wide left points, whose subset product is formed once per
-    request, and each left point of the request is prepared once, before the
-    scan.  Recovering a key from a decoded response costs one product; a
-    user's decrypt prepares its left points once per response, but for the
-    consent's decryption token, which the owner prepared."""
+    request and kept from an earlier search over the subset, and each left
+    point of the request not kept is prepared once, before the scan.
+    Recovering a key from a decoded response costs one product; a user's
+    decrypt prepares its left points once per response, but for the
+    consent's decryption token, which the owner prepared, and the kept
+    subset product."""
+    PairingContext.kept.cache_clear()
     w = curve_world
     _, _, miss = w.request("absent", [1, 2, 3])
     session, consent, hit = w.request("bp", [1, 2, 3])
@@ -417,8 +422,8 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
         monkeypatch.setattr(holder, name, counted)
     stats = w.server.search(miss, workers=1).stats  # counted in this process only
     assert stats.candidates == 6 and stats.sse_matched == 0
-    # lines of the token, the subset modifier, two credentials and the blinding
-    assert counts == {"pairing_product": 6, "left_product": 1, "_miller_lines": 5}
+    # lines of the token, two credentials and the blinding: the hit's search kept the product
+    assert counts == {"pairing_product": 6, "left_product": 1, "_miller_lines": 4}
     assert w.server.search(miss).stats == stats
     for match in response.matches:
         counts.clear()
@@ -429,22 +434,24 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
             blinded_r=session.blinded_r,
         )
         recover_key(w.ctx, match.recovery, tokens, w.pks)
-        lines = 2 + len(match.policy)  # each left point's once; the consent's token came prepared
+        lines = 1 + len(match.policy)  # the aa tokens' and the blinding's; the product is kept
         assert counts == {"pairing_product": 1, "left_product": 1, "_miller_lines": lines}
     counts.clear()
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
-    # two aa tokens, the blinding and the subset product
-    assert counts == {"pairing_product": 2, "left_product": 1, "_miller_lines": 4}
+    # two aa tokens and the blinding; the kept product is formed and looked up per match
+    assert counts == {"pairing_product": 2, "left_product": 2, "_miller_lines": 3}
 
 
 def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, monkeypatch):
     """At k = 8 a decoded request makes one line preparation per distinct
     left point: the token, 8 credentials and the blinding at decode, the
-    subset modifier before the fork.  None is made per candidate or in the
-    forked child; an in-process request is prepared by the search, as often.
-    The user's decrypt prepares 8 aa tokens, the blinding and the subset
-    product once per response; the owner's decryption token comes prepared
-    with the consent."""
+    subset product before the fork.  None is made per candidate or in the
+    forked child.  An in-process request of the same consent is prepared by
+    the search, but for the token and the subset product, which are kept.
+    The user's decrypt prepares 8 aa tokens and the blinding once per
+    response; the owner's decryption token comes prepared with the consent,
+    and the subset product is kept."""
+    PairingContext.kept.cache_clear()
     attrs = tuple(f"A{i}" for i in range(1, 9))
     w = World(seed=81, attrs=attrs, ctx=curve_ctx)
     for i, keyword in enumerate(("bp", "hr", "bp", "hr")):  # two hits, two misses in set 1
@@ -477,11 +484,139 @@ def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, 
     assert response.stats.candidates == 4 and response.stats.matched == 2
     assert prepared_by({str(os.getpid())}) == 1
     assert w.server.search(req) == response
-    assert prepared_by({str(os.getpid())}) == 1 + 1 + 8 + 1
+    assert prepared_by({str(os.getpid())}) == 8 + 1
     assert forks["fork"] == 2
     _assert_no_child_left()
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
-    assert prepared_by({str(os.getpid())}) == 8 + 1 + 1
+    assert prepared_by({str(os.getpid())}) == 8 + 1
+
+
+def _walked_points(monkeypatch) -> list:
+    """The points whose Miller lines are walked from now on, in order."""
+    walked, lines = [], curve._miller_lines
+    monkeypatch.setattr(curve, "_miller_lines", lambda pt: walked.append(pt) or lines(pt))
+    return walked
+
+
+def test_second_search_under_a_consent_prepares_only_the_session(curve_world, monkeypatch):
+    """A consent's token and its subset product are kept across requests: a
+    second request under the same consent, decoded from the wire, prepares
+    only its session's credentials and blinding, and its search nothing."""
+    PairingContext.kept.cache_clear()
+    w = curve_world
+    _, consent, first = w.request("bp", [1, 2, 3])
+    expected = w.server.search(first, workers=1)
+    session = w.user.new_session()
+    for authority in w.authorities.values():
+        w.user.collect(session, authority)
+    second = search_request_to_wire(w.ctx, w.user.build_search_request(session, consent))
+    walked = _walked_points(monkeypatch)
+    decoded = search_request_from_wire(w.ctx, second)
+    assert walked == [*(c.credential.data for c in decoded.credentials), decoded.blinded.element.data]
+    walked.clear()
+    assert w.server.search(decoded, workers=1) == expected
+    assert walked == []
+
+
+def test_decrypt_matches_prepares_the_subset_product_once(curve_world, monkeypatch):
+    """Two responses under one consent, decrypted in a process whose table
+    is empty: the subset product is prepared for the first and kept for the
+    second; each response's aa tokens and blinding are prepared once."""
+    w = curve_world
+    sessions, responses = [], []
+    for _ in range(2):
+        session, consent, req = w.request("bp", [1, 2, 3])
+        wired = search_response_to_wire(w.ctx, w.server.search(req))
+        sessions.append(session)
+        responses.append(search_response_from_wire(w.ctx, wired))
+    PairingContext.kept.cache_clear()
+    walked = _walked_points(monkeypatch)
+    for session, response in zip(sessions, responses):
+        assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
+    assert walked.count(w.pks.left_product((1, 2, 3)).data) == 1
+    assert len(walked) == 1 + 2 * (2 + 1)
+
+
+def test_out_of_subgroup_token_is_refused_on_every_request_and_never_kept(
+    curve_world, monkeypatch
+):
+    """A token outside the order-q subgroup fails its line walk on every
+    request, decoded from the wire or handed in-process to the search, and
+    never enters the table of kept points; the search keeps its subset
+    product before it meets the token."""
+    PairingContext.kept.cache_clear()
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    search = search_request_to_wire(w.ctx, req)
+    points = small_order_points()
+    walked = _walked_points(monkeypatch)
+    for raw in points.values():
+        bad = _replaced(search, ("token", "token"), wire.b64e(raw))
+        point = GroupElement(w.ctx, Side.LEFT, w.ctx._g_from_bytes(raw, False))
+        in_process = replace(req, token=replace(req.token, token=point))
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="order-q subgroup"):
+                search_request_from_wire(w.ctx, bad)
+            with pytest.raises(InvalidElement, match="order-q subgroup"):
+                w.server.search(in_process, workers=1)
+    # each token on each request, and the subset product of the first in-process search
+    assert len(walked) == 2 * 2 * len(points) + 1
+    assert PairingContext.kept.cache_info().currsize == 1  # the product alone
+
+
+def test_kept_token_equals_a_fresh_decode(curve_world):
+    """A token decoded twice is prepared once: the second decode is the kept
+    point, equal to a fresh decode in bytes, lines and pairing."""
+    PairingContext.kept.cache_clear()
+    w = curve_world
+    token = w.owner.consent("bp", [1, 2], w.pks).search_token
+    encoded = wire.TOKEN.encode(w.ctx, token)
+    first = wire.TOKEN.decode(w.ctx, encoded)
+    hit = wire.TOKEN.decode(w.ctx, encoded)
+    assert PairingContext.kept.cache_info()[:2] == (1, 1)  # (hits, misses)
+    fresh = w.ctx.prepared_from_bytes(w.ctx.element_to_bytes(token.token))
+    assert hit == first == token and hit.token is first.token
+    assert hit.token == fresh and hit.token.data.lines == fresh.data.lines
+    assert w.ctx.element_to_bytes(hit.token) == w.ctx.element_to_bytes(fresh)
+    right = w.ctx.g_right**12345
+    assert w.ctx.pair(hit.token, right) == w.ctx.pair(fresh, right) == w.ctx.pair(token.token, right)
+
+
+def test_threads_searching_more_consents_than_the_table_holds_match_serial(curve_world):
+    """Two threads search through one context, each decoding its requests from
+    the wire, under more distinct tokens and subset products than the table
+    of kept points holds, so entries are evicted while others are read: every
+    response equals the serial one and no thread raises."""
+    w = curve_world
+    consents = [(k, [s]) for k in ("bp", "hr", "a", "b", "c", "d") for s in (1, 2, 3)]
+    assert len(consents) > KEPT_POINTS
+    wired, serial = [], []
+    for keyword, subset in consents:
+        _, _, req = w.request(keyword, subset)
+        wired.append(search_request_to_wire(w.ctx, req))
+        serial.append(w.server.search(req, workers=1))
+    assert sum(r.stats.matched for r in serial) == 6
+    PairingContext.kept.cache_clear()
+    results, errors = {}, []
+
+    def serve(order):
+        try:
+            for i in order:
+                request = search_request_from_wire(w.ctx, wired[i])
+                results.setdefault(i, []).append(w.server.search(request))
+        except Exception as exc:  # noqa: BLE001 - any failure is the finding
+            errors.append(exc)
+
+    order = list(range(len(consents)))
+    threads = [threading.Thread(target=serve, args=(o,)) for o in (order, order[::-1])]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(results[i] == [serial[i], serial[i]] for i in order)
+    assert PairingContext.kept.cache_info().currsize == KEPT_POINTS
 
 
 def test_request_decoders_refuse_malformed_encodings(curve_world):
@@ -1295,19 +1430,35 @@ def test_open_rejects_incomplete_header(tmp_path, field):
         EscrowServer.open(path)
 
 
-def test_server_state_and_logs_leak_nothing(tmp_path, caplog):
+def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     """Neither the store bytes nor the server log may contain the keyword,
-    the GID, the owner id or the store key."""
+    the GID, the owner id or the store key.  The table of kept points holds
+    only element encodings, each of the point it maps to, under the context."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
     secrets = [b"keyword-SENSITIVE", b"gid-SENSITIVE", b"owner-SENSITIVE"]
     w.owner.owner_id = "owner-SENSITIVE"
     w.user.gid = "gid-SENSITIVE"
+    entered = []  # (context, key, point) of each entry the table takes
+
+    def kept(ctx, raw):
+        entered.append((ctx, raw, ctx.prepared_from_bytes(raw)))
+        return entered[-1][2]
+
+    monkeypatch.setattr(PairingContext, "kept", functools.lru_cache(KEPT_POINTS)(kept))
     with caplog.at_level(logging.DEBUG, logger="triseal.server"):
         rid = w.publish(b"data", ["keyword-SENSITIVE"], ["A1"], 1)
         _, _, req = w.request("keyword-SENSITIVE", [1])
-        resp = w.server.search(req)
+        resp = w.server.search(search_request_from_wire(w.ctx, search_request_to_wire(w.ctx, req)))
+        assert w.server.search(req) == resp
     assert [m.record_id for m in resp.matches] == [rid]
+    # the token and the subset product, each entered once
+    assert [point for _, _, point in entered] == [req.token.token, w.pks.left[0]]
+    assert PairingContext.kept.cache_info().currsize == len(entered)
+    for ctx, raw, point in entered:
+        assert ctx is w.ctx and type(raw) is bytes and type(point) is GroupElement
+        assert point.side is Side.LEFT and ctx.element_to_bytes(point) == raw
+        assert all(secret not in raw for secret in secrets)
     w.server.close()
     stored = path.read_bytes()
     log_text = caplog.text.encode()

@@ -19,8 +19,11 @@ copy of the same log without its key file, so every element takes every check.
 as a reopened tagged store does at a keyword hit: without the order checks.
 ``request_element_decode_ms`` decodes a LEFT request element (a token,
 credential, blinding or ``rtk``) as the server does: prepared, which is its
-order check.  ``policy_check_ms`` is ``abe_verify`` of that record's policy
-(k = 2) over prepared credentials and blinding, as a search runs it at a hit.
+order check.  ``kept_token_decode_ms`` decodes a consent's search token that an
+earlier request kept: a hit in the table of kept points, which a token repeated
+across requests meets instead of ``request_element_decode_ms``.
+``policy_check_ms`` is ``abe_verify`` of that record's policy (k = 2) over
+prepared credentials and blinding, as a search runs it at a hit.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ def primitives():
     blinded = BlindedIdentity(ctx.prepare(session.blinded.element))
     creds = [replace(c, credential=ctx.prepare(c.credential)) for c in session.credentials.values()]
     assert abe_verify(ctx, record.abe, creds, blinded)
+    token_raw = ctx.element_to_bytes(owner.consent("k1", [1, 2], pks).search_token.token)
+    ctx.kept(token_raw)  # as the first request under the consent keeps it
     return {
         "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
@@ -120,6 +125,7 @@ def primitives():
             HashDomain.KEYWORD, b"bench-%d" % next(labels)
         ),
         "request_element_decode_ms": lambda: ctx.prepared_from_bytes(h_raw),
+        "kept_token_decode_ms": lambda: ctx.kept(token_raw),
         "miller_lines_ms": lambda: curve._miller_lines(h.data),
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
         "keyword_check_ms": lambda: ctx.pairing_product([(h, right), (h2, right2)]),
