@@ -167,7 +167,9 @@ def abe_verify(
     missing = [a for a in elems.attrs if a not in by_attr]
     if missing:
         raise IncompletePolicy(f"no credential for: {', '.join(missing)}")
-    # prod_i e(U, M_i) = e(U, prod_i M_i): k + 1 Miller loops and two final exps
-    lhs = ctx.pairing_product(zip(map(by_attr.get, elems.attrs), elems.ac_transferors))
+    # prod_i e(U, M_i) = e(U, prod_i M_i), moved left as e(U, (prod_i M_i)^-1):
+    # one product of k + 1 pairings, so k + 1 Miller loops and one final exp
     modifiers = math.prod(elems.plcy_modifiers, start=ctx.group_identity(Side.RIGHT))
-    return lhs == elems.plcy * ctx.pair(blinded.element, modifiers)
+    pairs = list(zip(map(by_attr.get, elems.attrs), elems.ac_transferors))
+    pairs.append((blinded.element, ctx.group_inverse(modifiers)))
+    return ctx.pairing_product(pairs) == elems.plcy

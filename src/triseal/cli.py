@@ -157,8 +157,8 @@ def _load_user(home: str, ctx: PairingContext) -> str:
 
 # -- session files -----------------------------------------------------------
 
-# issue and search never pair the session's points, and decrypt prepares the
-# one it pairs once per response: each is decoded with its order check alone
+# issue and search never pair the session's points: each is decoded with its order
+# check alone.  decrypt reads only the points it pairs, each checked once, by its lines
 _SESSION = wire.Form(
     UserSession,
     blinded=wire.blinded(wire.G_LEFT),
@@ -167,6 +167,11 @@ _SESSION = wire.Form(
         wire.Form(abe.AttributeCredential, attribute_id=wire.NAME, credential=wire.G_LEFT)
     ),
     decrypt_tokens=wire.keyed(wire.G_LEFT),
+)
+_DECRYPT_SESSION = wire.Form(
+    lambda **f: UserSession(None, **f),
+    blinded_r=wire.blinded(wire.PREPARED),
+    decrypt_tokens=wire.keyed(wire.PREPARED),
 )
 
 
@@ -329,7 +334,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    ctx, session, _used = _load_session(args.home)
+    ctx, session = _load(
+        _session_path(args.home), "session", lambda c, obj: (c, _DECRYPT_SESSION.decode(c, obj))
+    )
     grant = _load(Path(args.consent), "consent", _DECRYPT_CONSENT.decode, ctx)
     response = search_response_from_wire(ctx, _read_json(Path(args.results)))
     _, pks = _load_server_public(args.server, ctx)

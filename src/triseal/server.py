@@ -11,6 +11,9 @@ kinds of request:
   are prepared once, before the scan; the consent's token and the subset
   product repeat across requests, so they come from the table of kept
   points (``PairingContext.kept``).  An update's are prepared per request.
+  A keyword check is one pairing times the record's subset term, kept per
+  (layer 1, subset) from the first check that needs it: a forked child sends
+  its terms back with its outcomes, installed only while that layer 1 is current.
 * re-encryption -- an update is applied only if the supplied token proves
   ownership against the record's own search elements and the separate
   update-id tag:
@@ -55,6 +58,7 @@ import pickle
 import secrets
 import signal
 import threading
+import weakref
 from contextlib import closing, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -70,11 +74,12 @@ from .errors import (
     InvalidElement,
     UpdateRejected,
 )
-from .pairing import GroupElement, PairingContext, context_from_header
+from .pairing import GroupElement, GtElement, PairingContext, context_from_header
 from .pairing.base import _TRUSTED, _trusted_decode
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
-from .sse import SearchToken, SetPublicKeys, SseRecordElements, sse_match_any, subset_product
+from .sse import SearchToken, SetPublicKeys, SseRecordElements
+from .sse import sse_match_any, subset_product, subset_term
 
 logger = logging.getLogger("triseal.server")
 _MISS, _INCOMPLETE, _DENIED, _MATCH = range(4)  # search outcomes
@@ -301,6 +306,8 @@ class EscrowServer:
         self.ctx = ctx
         self.pks = pks
         self._records: dict[str, DataRecord] = {}
+        # a layer 1's kw_modifier -> {subset: its subset_term}, dropped with that layer 1
+        self._terms = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
         self._store: BinaryIO | None = None
         if store_key is not None and len(store_key) != KEY_BYTES:
@@ -440,16 +447,21 @@ class EscrowServer:
         ctx, subset = self.ctx, self.pks.check_subset(req.token.subset)
         prepare = ctx.prepare  # before the fork, so every child inherits the lines
         product = subset_product(ctx, self.pks, subset)  # both kept across requests
-        token = replace(req.token, token=ctx.kept(ctx.element_to_bytes(req.token.token)))
+        token = SearchToken(ctx.kept(ctx.element_to_bytes(req.token.token)), subset)
         creds = tuple(replace(c, credential=prepare(c.credential)) for c in req.credentials)
         req = SearchRequest(token, creds, BlindedIdentity(prepare(req.blinded.element)))
         with self._lock:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
-        outcomes = _forked(  # dealt round-robin: a query's hits are often adjacent
+        checked = _forked(  # dealt round-robin: a query's hits are often adjacent
             ctx, candidates, lambda shard: self._check(shard, req, product), workers=workers
         )
+        with self._lock:  # each term a shard computed, for a layer 1 still current
+            for rec, (_, term) in zip(candidates, checked):
+                if term is not None and self._records[rec.record_id].sse is rec.sse:
+                    self._terms.setdefault(rec.sse.kw_modifier, {})[subset] = term
+        outcomes = [out for out, _ in checked]
 
         hits = [rec for rec, out in zip(candidates, outcomes) if out == _MATCH]
         matches = [MatchedRecord(r.record_id, r.payload, r.recovery, r.abe.attrs) for r in hits]
@@ -477,20 +489,24 @@ class EscrowServer:
 
     def _check(
         self, candidates: list[DataRecord], req: SearchRequest, product: GroupElement
-    ) -> list[int]:
-        covered, outcomes = {c.attribute_id for c in req.credentials}, []
+    ) -> list[tuple[int, GtElement | None]]:
+        """(outcome, the subset term if computed here, else None) per candidate."""
+        covered, checked = {c.attribute_id for c in req.credentials}, []
         for rec in candidates:
-            if not sse_match_any(self.ctx, rec.sse, req.token, product):
-                outcomes.append(_MISS)
+            kept = self._terms.get(rec.sse.kw_modifier, {}).get(req.token.subset)
+            term = subset_term(self.ctx, rec.sse, product) if kept is None else kept
+            if not sse_match_any(self.ctx, rec.sse, req.token, term):
+                outcome = _MISS
             elif not covered.issuperset(rec.abe.attrs):  # IncompletePolicy, before any decode
-                outcomes.append(_INCOMPLETE)
+                outcome = _INCOMPLETE
             else:  # a held layer 2 without elements is a frame this server tagged: no order check
                 policy = rec.abe.elements or _layer_from_wire(
                     self.ctx, rec.abe.wire, AccessPolicyElements, trusted=True
                 )
                 ok = abe_verify(self.ctx, policy, req.credentials, req.blinded)
-                outcomes.append(_MATCH if ok else _DENIED)
-        return outcomes
+                outcome = _MATCH if ok else _DENIED
+            checked.append((outcome, None if kept is not None else term))
+        return checked
 
     # -- re-encryption (update) --------------------------------------------------
 

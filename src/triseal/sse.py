@@ -15,7 +15,8 @@ for a data-set subset S, and the server accepts record j as a match iff
 Both sides equal e(prod pk_i, g)^r * e(H(w), g)^r exactly when the keyword
 and the declared subset agree with the token, and the server learns nothing
 but the boolean.  The subset is never empty: tokens and matches both reject
-S = (), so there is no modifier-free form of the equation.
+S = (), so there is no modifier-free form of the equation.  The server checks
+e(token, g^(r/sk)) * ``subset_term`` = e(H(w_j), g)^r: one pairing times a kept term.
 """
 
 from __future__ import annotations
@@ -165,34 +166,27 @@ def consent_search_token(
 
 def subset_product(ctx: PairingContext, pks: SetPublicKeys, subset: Iterable[int]):
     """prod_{i in S} pk_i for a checked S, prepared and kept across requests
-    (``ctx.kept``): the left point a match pairs with the inverted keyword
+    (``ctx.kept``): the left point a subset term pairs with the inverted keyword
     modifier, and a key recovery with the inverted owner modifier."""
     return ctx.kept(ctx.element_to_bytes(pks.left_product(pks.check_subset(subset))))
 
 
-def _match_target(
-    ctx: PairingContext,
-    elems: SseRecordElements,
-    token_like: GroupElement,
-    product: GroupElement,
-) -> GtElement:
-    """Left side of the match equation divided by the subset modifier: returns
-    e(token, g^(r/sk)) * e(prod pk_i, (g^r)^-1) as one pairing product, to
-    compare against a tagged keyword.  The division inverts the RIGHT point,
-    so both left points repeat across requests and stay prepared."""
-    return ctx.pairing_product(
-        [(token_like, elems.stk_transferor), (product, ctx.group_inverse(elems.kw_modifier))]
-    )
+def subset_term(ctx: PairingContext, elems: SseRecordElements, product: GroupElement) -> GtElement:
+    """e(prod_{i in S} pk_i, (g^r)^-1): the half of the match fixed by the record's
+    layer 1 and the declared subset, which a server keeps across requests.  The
+    division inverts the RIGHT point, so the kept ``product`` stays prepared."""
+    return ctx.pair(product, ctx.group_inverse(elems.kw_modifier))
 
 
 def sse_match_any(
     ctx: PairingContext,
     elems: SseRecordElements,
     token: SearchToken,
-    product: GroupElement,
+    term: GtElement,
 ) -> bool:
-    """The match: the request does not say which keyword slot to try, so
-    every tagged keyword is checked against one precomputed target.
-    ``product`` is ``subset_product(ctx, pks, token.subset)``."""
-    target = _match_target(ctx, elems, token.token, product)
+    """The match as one pairing times the kept term: e(token, g^(r/sk)) * ``term``,
+    with ``term`` = ``subset_term(ctx, elems, subset_product(ctx, pks, token.subset))``.
+    The request does not say which keyword slot to try, so every tagged keyword is
+    checked against that one value."""
+    target = ctx.pair(token.token, elems.stk_transferor) * term
     return any(target == tag for tag in elems.tagged_keywords)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from json_mutations import JSON, key_paths, parent
 from triseal import cli, wire
 from triseal.cli import EXIT_NO_MATCH, EXIT_OK, EXIT_PROTOCOL, main
-from triseal.pairing import PairingContext
+from triseal.pairing import PairingContext, curve
 
 
 def run(*argv):
@@ -227,10 +228,10 @@ def test_issue_requires_gid_on_first_use(tmp_path):
     ) == EXIT_PROTOCOL
 
 
-def walkthrough(root: Path) -> None:
+def walkthrough(root: Path, backend: str = "oracle") -> None:
     """bootstrap, consent, two issues, search and decrypt, every step seeded."""
     root.mkdir(parents=True)
-    bootstrap(root)
+    bootstrap(root, backend=backend)
     assert run("consent", "--home", root / "own", "--server", root / "srv",
                "--keyword", "bp", "--subset", "1,2", "--out", root / "consent.json") == EXIT_OK
     assert run("issue", "--home", root / "usr", "--aa", root / "aa1", "--gid", "bob",
@@ -424,6 +425,31 @@ def test_decrypt_reads_the_consent_owner_token_alone_checked_once(walked, tmp_pa
     assert run(*DECRYPT) == EXIT_OK
     assert [d for d in decoded if d[1] == owner_raw] == [("prepared_from_bytes", owner_raw)]
     assert all(raw != search_raw for _, raw in decoded)
+
+
+def test_curve_decrypt_checks_each_point_it_reads_once(tmp_path, monkeypatch):
+    """A curve walkthrough's ``decrypt`` checks each point it reads once: the
+    server keys (3 + 3) and the returned layer 3 (6) by [q]P, and the five
+    left points it pairs (the owner's token, ``blinded_r``, two decrypt tokens
+    and the subset product) by their Miller lines alone.  It never decodes the
+    session's ``blinded`` or credentials."""
+    root = tmp_path / "tree"
+    walkthrough(root, backend="curve")
+    monkeypatch.chdir(root)
+    PairingContext.kept.cache_clear()  # as in a fresh process
+    counts = Counter()
+    pt_mul, lines = curve._pt_mul, curve._miller_lines
+
+    def order_check(pt, k):
+        counts.update(["[q]P"] * (k == curve.CURVE_Q))
+        return pt_mul(pt, k)
+
+    monkeypatch.setattr(curve, "_pt_mul", order_check)
+    monkeypatch.setattr(curve, "_miller_lines", lambda pt: counts.update(["lines"]) or lines(pt))
+    assert run(*DECRYPT) == EXIT_OK
+    assert counts == {"[q]P": 12, "lines": 5}
+    plain = [p.read_bytes() for p in (root / "out").glob("*.bin")]
+    assert plain == [(root / "data.txt").read_bytes()]
 
 
 # a file of the walked tree and a command that reads it

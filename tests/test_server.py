@@ -8,7 +8,9 @@ import logging
 import os
 import random
 import stat
+import sys
 import threading
+import time
 from collections import Counter
 from contextlib import closing
 from dataclasses import FrozenInstanceError, fields, replace
@@ -391,9 +393,9 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
 
 
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
-    """A keyword miss costs one pairing product per candidate over the two
-    request-wide left points, whose subset product is formed once per
-    request and kept from an earlier search over the subset, and each left
+    """A keyword miss costs one pairing per candidate, e(token, stk), times the
+    record's subset term kept from an earlier search over the subset; the
+    subset product is formed once per request and kept too, and each left
     point of the request not kept is prepared once, before the scan.
     Recovering a key from a decoded response costs one product; a user's
     decrypt prepares its left points once per response, but for the
@@ -422,8 +424,9 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
         monkeypatch.setattr(holder, name, counted)
     stats = w.server.search(miss, workers=1).stats  # counted in this process only
     assert stats.candidates == 6 and stats.sse_matched == 0
-    # lines of the token, two credentials and the blinding: the hit's search kept the product
-    assert counts == {"pairing_product": 6, "left_product": 1, "_miller_lines": 4}
+    # lines of the token, two credentials and the blinding: the hit's search kept the
+    # product and the terms; each pair is a one-pairing product
+    assert counts == {"pair": 6, "pairing_product": 6, "left_product": 1, "_miller_lines": 4}
     assert w.server.search(miss).stats == stats
     for match in response.matches:
         counts.clear()
@@ -489,6 +492,103 @@ def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, 
     _assert_no_child_left()
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
     assert prepared_by({str(os.getpid())}) == 8 + 1
+
+
+def test_forked_children_send_their_subset_terms_to_the_parent(curve_ctx, monkeypatch):
+    """A search keeps each candidate's subset term, and the terms a forked child
+    computes reach the parent: a second search over the subset pays one pairing
+    per candidate, e(token, stk), and computes no term."""
+    w = World(seed=83, ctx=curve_ctx)
+    for i, keyword in enumerate(("bp", "hr", "hr", "bp")):
+        w.publish(b"t-%d" % i, [keyword], ["A1"], 1 + i % 2)
+    _, _, req = w.request("bp", [2, 1])
+    counts, pair, fork = Counter(), PairingContext.pair, os.fork
+    monkeypatch.setattr(PairingContext, "pair", lambda *a: counts.update(["pair"]) or pair(*a))
+    monkeypatch.setattr(os, "fork", lambda: counts.update(["fork"]) or fork())
+    first = w.server.search(req, workers=2)
+    assert first.stats.candidates == 4 and first.stats.matched == 2
+    # this process's shard of two: a term and a keyword pairing each
+    assert counts == {"fork": 1, "pair": 2 * 2}
+    _assert_no_child_left()
+    counts.clear()
+    assert w.server.search(req, workers=1) == first
+    assert counts == {"pair": 4}
+    assert {s for terms in w.server._terms.values() for s in terms} == {(1, 2)}
+    assert len(w.server._terms) == 4
+
+
+@pytest.mark.parametrize("backend", ["oracle", "curve"])
+def test_rotated_keywords_never_meet_an_old_subset_term(backend, curve_ctx):
+    """On one long-lived server a search keeps the record's subset term, an
+    update gives the record a new layer 1, and the next searches match the new
+    keyword and miss the old one: a term is kept per layer 1, not per record."""
+    w = World(seed=84, ctx=curve_ctx if backend == "curve" else None)
+    rid = w.publish(b"v1", ["old"], ["A1"], 1)
+    (_, _, old), (_, _, new) = w.request("old", [1]), w.request("new", [1])
+    assert [m.record_id for m in w.server.search(old).matches] == [rid]
+    assert w.server.search(new).stats.sse_matched == 0
+    w.server.reencrypt(w.owner.update_request(rid, [1], w.pks, keywords=["new"]))
+    assert [m.record_id for m in w.server.search(new).matches] == [rid]
+    assert w.server.search(old).stats.sse_matched == 0
+
+
+def test_searches_racing_keyword_rotations_answer_as_serial_searches():
+    """Two threads search while a third rotates one record's keywords v0 -> v1
+    -> ... -> v8 beside a record that keeps v3: each response equals a serial
+    search of the state before or after some rotation, and nothing raises."""
+    w = World(seed=85)
+    rid = w.publish(b"rotated", ["v0"], ["A1"], 1)
+    w.publish(b"still", ["v3"], ["A1"], 1)
+    updates = [w.owner.update_request(rid, [1], w.pks, keywords=[f"v{i}"]) for i in range(1, 9)]
+    reqs = {f"v{i}": w.request(f"v{i}", [1])[2] for i in range(9)}
+    replay, serial = EscrowServer(w.ctx, w.pks), {kw: [] for kw in reqs}
+    for stored in w.server.record_ids():
+        replay.store_record(w.server.fetch(stored))
+    for update in [None, *updates]:
+        if update is not None:
+            replay.reencrypt(update)
+        fresh = EscrowServer(w.ctx, w.pks)  # each state searched by a server that kept no term
+        for stored in replay.record_ids():
+            fresh.store_record(replay.fetch(stored))
+        for kw, req in reqs.items():
+            serial[kw].append(fresh.search(req))
+    failures, searched, stop = [], Counter(), threading.Event()
+
+    def searcher(seed):
+        rng = random.Random(seed)
+        try:
+            while not stop.is_set() or searched[seed] < 20:
+                kw = rng.choice(sorted(reqs))
+                if w.server.search(reqs[kw]) not in serial[kw]:
+                    failures.append(kw)
+                searched[seed] += 1
+        except Exception as exc:  # reported below
+            failures.append(exc)
+
+    def rotator():
+        try:
+            for update in updates:
+                w.server.reencrypt(update)
+                time.sleep(0.002)
+        except Exception as exc:
+            failures.append(exc)
+        finally:
+            stop.set()
+
+    threads = [threading.Thread(target=searcher, args=(i,)) for i in range(2)]
+    threads.append(threading.Thread(target=rotator))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert all(w.server.search(req) == serial[kw][-1] for kw, req in reqs.items())
 
 
 def _walked_points(monkeypatch) -> list:
@@ -1433,7 +1533,9 @@ def test_open_rejects_incomplete_header(tmp_path, field):
 def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     """Neither the store bytes nor the server log may contain the keyword,
     the GID, the owner id or the store key.  The table of kept points holds
-    only element encodings, each of the point it maps to, under the context."""
+    only element encodings, each of the point it maps to, under the context;
+    the table of subset terms, only e(prod pk_i, kw_modifier^-1) of a stored
+    record's public layer 1 and the public set keys."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
     secrets = [b"keyword-SENSITIVE", b"gid-SENSITIVE", b"owner-SENSITIVE"]
@@ -1452,6 +1554,11 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
         resp = w.server.search(search_request_from_wire(w.ctx, search_request_to_wire(w.ctx, req)))
         assert w.server.search(req) == resp
     assert [m.record_id for m in resp.matches] == [rid]
+    # the table of subset terms: one GT value of the record's kw_modifier and pks alone
+    kw_modifier = w.server.fetch(rid).sse.kw_modifier
+    term = w.ctx.pair(w.pks.left[0], w.ctx.group_inverse(kw_modifier))
+    assert list(w.server._terms.items()) == [(kw_modifier, {(1,): term})]
+    assert all(secret not in w.ctx.gt_to_bytes(term) for secret in secrets)
     # the token and the subset product, each entered once
     assert [point for _, _, point in entered] == [req.token.token, w.pks.left[0]]
     assert PairingContext.kept.cache_info().currsize == len(entered)

@@ -211,8 +211,8 @@ def test_match_vector_wrong_keyword():
     )
     token = sse.consent_search_token(ctx, owner, b"w2", [1], pks)  # H(w2) = g^6
     assert sse_match(ctx, elems, token, 0, pks) is False
-    product = sse.subset_product(ctx, pks, token.subset)
-    assert sse.sse_match_any(ctx, elems, token, product) is False
+    term = sse.subset_term(ctx, elems, sse.subset_product(ctx, pks, token.subset))
+    assert sse.sse_match_any(ctx, elems, token, term) is False
 
 
 def _random_trial(ctx, rng, *, wrong_keyword=False, wrong_subset=False):
@@ -305,7 +305,7 @@ def test_record_unlinkability(oracle_big):
 def test_match_rejects_empty_declared_subset():
     """A token declaring S = () has no modifier-free equation to fall back
     on: both match forms refuse it instead of checking e(token, .) alone
-    (the server form through the kept ``subset_product``)."""
+    (the server form through the subset term of the kept ``subset_product``)."""
     ctx = vector_ctx()
     pks = vector_pks(ctx)
     owner = sse.OwnerSseKey(sk=7)
@@ -319,6 +319,6 @@ def test_match_rejects_empty_declared_subset():
     )
     bare = sse.SearchToken(token=ctx.hash_to_group(HashDomain.KEYWORD, b"bp") ** 7, subset=())
     with pytest.raises(EmptySubset):
-        sse.sse_match_any(ctx, elems, bare, sse.subset_product(ctx, pks, bare.subset))
+        sse.subset_term(ctx, elems, sse.subset_product(ctx, pks, bare.subset))
     with pytest.raises(EmptySubset):
         sse_match(ctx, elems, bare, 0, pks)
