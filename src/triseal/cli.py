@@ -114,8 +114,8 @@ def _owner_from_wire(ctx: PairingContext, state) -> Owner:
     return Owner(
         ctx=ctx,
         owner_id=wire.NAME.decode(ctx, state["owner_id"]),
-        sse_key=OwnerSseKey(int(state["sk"], 16)),
-        recovery_key=recovery.OwnerRecoveryKey(int(state["sk_dtk"], 16)),
+        sse_key=OwnerSseKey(wire.SCALAR.decode(ctx, state["sk"])),
+        recovery_key=recovery.OwnerRecoveryKey(wire.SCALAR.decode(ctx, state["sk_dtk"])),
         update_id=wire.NAME.decode(ctx, state["update_id"]),
         rng=_rng(None),
     )
@@ -126,13 +126,13 @@ def _load_owner(home: str) -> Owner:
 
 
 def _authority_from_wire(ctx: PairingContext, state) -> Authority:
-    attr, ask = wire.NAME.decode(ctx, state["attribute_id"]), int(state["ask"], 16)
+    attr, ask = wire.NAME.decode(ctx, state["attribute_id"]), wire.SCALAR.decode(ctx, state["ask"])
     return Authority(
         ctx=ctx,
         attribute_id=attr,
         kp=abe.aa_setup(ctx, attr, ask=ask),
         kp_dtk=recovery.recovery_aa_setup(
-            ctx, attr, ask=int(state["ask_dtk"], 16), distinct_from=(ask,)
+            ctx, attr, ask=wire.SCALAR.decode(ctx, state["ask_dtk"]), distinct_from=(ask,)
         ),
     )
 
@@ -218,8 +218,8 @@ def _cmd_setup_aa(args) -> int:
     home = Path(args.home)
     secret = {
         "attribute_id": authority.attribute_id,
-        "ask": format(authority.kp.ask, "x"),
-        "ask_dtk": format(authority.kp_dtk.ask_dtk, "x"),
+        "ask": wire.SCALAR.encode(ctx, authority.kp.ask),
+        "ask_dtk": wire.SCALAR.encode(ctx, authority.kp_dtk.ask_dtk),
     }
     _write_json(home / "aa.json", wire.envelope("aa-secret", ctx, secret))
     body = _AA_PUBLIC.encode(ctx, authority.public())
@@ -234,8 +234,8 @@ def _cmd_setup_owner(args) -> int:
     owner = Owner.create(ctx, args.owner_id, rng)
     secret = {
         "owner_id": owner.owner_id,
-        "sk": format(owner.sse_key.sk, "x"),
-        "sk_dtk": format(owner.recovery_key.sk_dtk, "x"),
+        "sk": wire.SCALAR.encode(ctx, owner.sse_key.sk),
+        "sk_dtk": wire.SCALAR.encode(ctx, owner.recovery_key.sk_dtk),
         "update_id": owner.update_id,
     }
     _write_json(Path(args.home) / "owner.json", wire.envelope("owner-secret", ctx, secret))

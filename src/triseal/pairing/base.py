@@ -137,16 +137,10 @@ class PairingContext(ABC):
         if order < 3:
             raise ValueError("group order must be an odd prime")
         self.order = order
-        self._fingerprint: str | None = None
+        blob = json.dumps(self.param_header(), sort_keys=True).encode()
+        self.fingerprint = hashlib.sha256(blob).hexdigest()[:16]  # read by every equality
 
     # -- identity / generators ------------------------------------------------
-
-    @property
-    def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            blob = json.dumps(self.param_header(), sort_keys=True).encode()
-            self._fingerprint = hashlib.sha256(blob).hexdigest()[:16]
-        return self._fingerprint
 
     @property
     def g_left(self) -> GroupElement:
@@ -286,7 +280,7 @@ class PairingContext(ABC):
     @abstractmethod
     def param_header(self) -> dict:
         """Versioned public-parameter description embedded in every
-        serialized artifact."""
+        serialized artifact; built from ``order`` alone (``__init__`` hashes it)."""
 
     # -- internal checks ----------------------------------------------------------
 

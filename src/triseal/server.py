@@ -27,12 +27,12 @@ kinds of request:
 Searches read immutable record snapshots; mutations serialize behind one
 lock, so a search sees each record before or after an update, never in
 between.  Search and reopen share one fork helper, ``_forked``: a shard per
-usable core, each but the first in a forked child, merged in serial order.  A
-child only computes, pickles its result down a pipe (safe: only its parent
-reads it; the context goes by persistent id) and ``os._exit``s, flushing no
-shared buffer; a failed child's shard is redone here.  Without ``os.fork`` or
-beside other threads (a child would inherit their held locks) the work is
-serial.  The store file is an append-only log of frames after a parameter
+usable core, dealt round-robin, each but the first in a forked child, merged
+in serial order.  A child only computes, pickles its result down a pipe (safe:
+only its parent reads it; the context goes by persistent id) and
+``os._exit``s, flushing no shared buffer; a failed child's shard is redone
+here.  Without ``os.fork`` or beside other threads (a child would inherit
+their held locks) the work is serial.  The store file is an append-only log of frames after a parameter
 header; the last frame per id wins.  A frame is a 4-byte payload length, a
 32-byte HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log
 format), keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
@@ -41,9 +41,10 @@ whose tag verifies decodes only layer 1, without the two order-q checks, and
 holds layers 2 and 3 as wire form (``Held``): layer 2 is decoded, again
 without them, only by ``_check`` at a keyword hit after the IncompletePolicy
 check, and layer 3 never.  A failed tag, a missing key and all outside input,
-held forms included, get every check.  Reopen parses every frame once, noting
-each id's last, and deals the ids by the layer-1 work of that frame; each
-shard verifies and decodes only its ids' last frames.
+held forms included, get every check.  Reopen reads the log once: it parses
+every frame and holds the bytes of each id's last frame (an earlier one is
+dropped when a later frame of its id is read), so an open holds about one
+frame per live id; each shard verifies and decodes only its ids' frames.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import io
-import itertools
 import logging
 import os
 import pickle
@@ -335,7 +335,9 @@ class EscrowServer:
         """Reload a server from its store log.  The last frame per id wins and is
         the only one decoded: with every check, or, if its tag verifies, only
         its layer 1 and without the order checks (the trust rule above); an
-        earlier frame of the id need only parse as a record frame with a string id."""
+        earlier frame of the id need only parse as a record frame with a string id.
+        The log is read once; each live id's last frame is held in memory until
+        the shards have decoded it."""
         path = Path(store_path)
         if not path.is_file():
             raise BadRecord(f"no store file at {path}")
@@ -343,7 +345,6 @@ class EscrowServer:
         with suppress(OSError):  # every check, and new frames are written untagged
             key = path.with_name(path.name + ".key").read_bytes()
         key = key if key and len(key) == KEY_BYTES else None
-        # frames are streamed, so superseded ones are never all held at once
         with closing(_read_frames(path)) as frames:
             first = next(frames, None)
             header = first and _frame_obj(first[1])
@@ -355,27 +356,20 @@ class EscrowServer:
             except (KeyError, TypeError, ValueError, AttributeError, InvalidElement) as exc:
                 raise BadRecord(f"malformed store header: {exc!r}") from exc
             server = cls(ctx, pks, store_path=None)
-            count, last, work = 0, {}, {}  # per id: index of its last frame, that frame's work
-            for count, frame in enumerate((_frame_obj(data) for _, data in frames), 1):
+            last = {}  # per id, in first-seen order: its last frame's (tag, data)
+            for tag, data in frames:  # a superseded frame is parsed, never decoded
+                frame = _frame_obj(data)
                 if frame.get("kind") != "record":
                     raise BadRecord(f"unexpected frame kind {frame.get('kind')!r}")
-                obj = frame.get("record")
-                rid = _record_id(obj)  # a superseded frame is parsed, never decoded
-                last[rid] = count
-                work[rid] = _strings(obj.get("sse"))  # a tagged frame's: layer 1 alone
+                last[_record_id(frame.get("record"))] = tag, data
 
-        def decode(ids: list[str]) -> list[DataRecord]:  # as a serial open does
-            wanted, records = {last[rid] for rid in ids}, {}
-            with closing(_read_frames(path)) as frames:
-                for i, (tag, data) in enumerate(itertools.islice(frames, 1, count + 1), 1):
-                    if i in wanted:
-                        rec = _decoded(key, tag, data, lambda f: record_from_wire(ctx, f["record"]))
-                        server._validate(rec)
-                        records[rec.record_id] = rec
-            return [records[rid] for rid in ids]
+        def decode(tag: bytes, data: bytes) -> DataRecord:
+            rec = _decoded(key, tag, data, lambda f: record_from_wire(ctx, f["record"]))
+            server._validate(rec)
+            return rec
 
-        ids = list(last)  # in first-seen order
-        server._records = dict(zip(ids, _forked(ctx, ids, decode, [work[rid] for rid in ids])))
+        decoded = _forked(ctx, list(last.values()), lambda shard: [decode(*f) for f in shard])
+        server._records = dict(zip(last, decoded))
         server._key, server._store = key, path.open("ab")
         return server
 
@@ -440,8 +434,8 @@ class EscrowServer:
 
     # -- search ------------------------------------------------------------------
 
-    def search(self, req: SearchRequest, *, workers: int | None = None) -> SearchResponse:
-        """Check the declared subset's records, sharded over ``workers`` processes."""
+    def search(self, req: SearchRequest) -> SearchResponse:
+        """Check the declared subset's records, a shard per usable core."""
         if req.blinded is None or req.blinded.element.is_identity:
             raise InvalidBlinding("search request carries no blinded identity")
         ctx, subset = self.ctx, self.pks.check_subset(req.token.subset)
@@ -454,9 +448,7 @@ class EscrowServer:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
-        checked = _forked(  # dealt round-robin: a query's hits are often adjacent
-            ctx, candidates, lambda shard: self._check(shard, req, product), workers=workers
-        )
+        checked = _forked(ctx, candidates, lambda shard: self._check(shard, req, product))
         with self._lock:  # each term a shard computed, for a layer 1 still current
             for rec, (_, term) in zip(candidates, checked):
                 if term is not None and self._records[rec.record_id].sse is rec.sse:
@@ -545,25 +537,15 @@ class EscrowServer:
         return rec.record_id
 
 
-def _forked(
-    ctx: PairingContext, items: list, work: Callable[[list], list],
-    weights: list[int] | None = None, workers: int | None = None,
-) -> list:
-    """``work(items)`` over a shard per usable core (or ``workers``), dealt heaviest
-    ``weights`` first to the lightest shard (equal weights deal round-robin).  A
-    forked child's shard is redone here if it fails or sends a wrong-length result."""
-    if workers is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+def _forked(ctx: PairingContext, items: list, work: Callable[[list], list]) -> list:
+    """``work(items)`` over a shard per usable core, dealt round-robin: a query's
+    hits are often adjacent, and a tagged frame's decode work is nearly uniform.
+    A forked child's shard is redone here if it fails or sends a wrong-length result."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    n = max(1, min(workers, len(items))) if forkable else 1
-    weights = weights or [1] * len(items)
-    deal, loads = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(items)), key=weights.__getitem__, reverse=True):
-        k = loads.index(min(loads))
-        deal[k].append(i)
-        loads[k] += weights[i]
-    shards = [[items[i] for i in dealt] for dealt in deal]
+    n = max(1, min(cores, len(items))) if forkable else 1
+    shards = [items[k::n] for k in range(n)]
     children: dict[int, tuple[int, BinaryIO]] = {}
     done: dict[int, list] = {}
     try:
@@ -600,13 +582,7 @@ def _forked(
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     parts = [done[k] if len(done.get(k, ())) == len(s) else work(s) for k, s in enumerate(shards)]
-    return [value for _, value in sorted(zip(itertools.chain(*deal), itertools.chain(*parts)))]
-
-
-def _strings(layer: Any) -> int:
-    """The strings in a layer's wire form (flat: strings and string lists)."""
-    values = layer.values() if isinstance(layer, dict) else ()
-    return sum(len(v) if isinstance(v, list) else isinstance(v, str) for v in values)
+    return [parts[i % n][i // n] for i in range(len(items))]
 
 
 def _decoded(key: bytes | None, tag: bytes, data: bytes, decode: Callable[[dict], Any]) -> Any:

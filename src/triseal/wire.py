@@ -96,6 +96,14 @@ def _typed(value: Any, kind: type, nonempty: bool = False) -> Any:
     return value
 
 
+def _scalar(ctx: PairingContext, text: str) -> int:
+    """``text`` if it is how ``format(x, "x")`` writes a scalar x in [1, q), as x."""
+    value = int(text, 16) if text and not text.strip("0123456789abcdef") else 0
+    if format(value, "x") != text or not 0 < value < ctx.order:
+        raise BadRecord("secret scalar is not lowercase hex digits of a value in [1, q)")
+    return value
+
+
 def listed(item: Shape, *, nonempty: bool = False, aligned: bool = False) -> Shape:
     """A JSON list of ``item`` (not empty if ``nonempty``), decoded to a tuple."""
     return Shape(
@@ -132,6 +140,7 @@ def blinded(element: Shape) -> Shape:
 INDEX = Shape(lambda ctx, value: value, lambda ctx, value: _typed(value, int))
 NAME = INDEX._replace(decode=lambda ctx, value: _typed(value, str))
 FLAG = INDEX._replace(decode=lambda ctx, value: _typed(value, bool))
+SCALAR = Shape(lambda ctx, x: format(x, "x"), lambda ctx, s: _scalar(ctx, _typed(s, str)))
 INDICES, NAMES = listed(INDEX), listed(NAME)
 ATTRS = listed(NAME, nonempty=True, aligned=True)  # sorted, by Form.decode
 G_LEFT = Shape(

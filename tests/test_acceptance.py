@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from cores import cores
 from exponent_oracle import brute_inverse, sum_mod
 from hash_pins import pin_hash
 from keyword_match import sse_match
@@ -513,8 +514,10 @@ def test_criterion_7_linear_scaling():
         assert r_squared >= 0.95, f"R^2 {r_squared:.4f} below 0.95 (times {times})"
         assert slope > 0
 
-        serial = big_server.search(request, workers=1)
-        parallel = big_server.search(request, workers=4)
+        with cores(1):
+            serial = big_server.search(request)
+        with cores(4):
+            parallel = big_server.search(request)
         assert parallel == serial
         assert len(serial.matches) == max(sizes) // 100
         assert time.perf_counter() - started < 120.0

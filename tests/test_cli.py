@@ -298,24 +298,36 @@ UPDATE = ("update", "--home", "own", "--server", "srv", "--record-id",
           "af09862074729217eb0d1f307fbd9a17", "--subset", "2")
 REPOLICY = (*UPDATE, "--policy", "DOCTOR", "--file", "data.txt", "--aa", "aa1")
 ALL_FAULTS = ("other-kind", "missing", "not-json", "deep")
-# the scalar a retyped-scalar fault retypes, by file and command
+# the key a retyped-scalar or secret-* fault sets, and its value, by file, command and fault;
+# a secret scalar has one spelling, format(x, "x") of an x in [1, q)
 RETYPED = {
-    ("own/owner.json", "consent"): ("owner_id", 5),
-    ("own/owner.json", "publish"): ("update_id", 5),
-    ("aa1/aa.json", "issue"): ("attribute_id", 5),
-    ("aa1/public.json", "publish"): ("attribute_id", 5),
-    ("usr/session.json", "search"): ("used", "yes"),
-    ("usr/user.json", "issue"): ("gid", 5),
-    ("usr/user.json", "search"): ("gid", 5),
-    ("usr/user.json", "decrypt"): ("gid", 5),
+    ("own/owner.json", "consent", "retyped-scalar"): ("owner_id", 5),
+    ("own/owner.json", "publish", "retyped-scalar"): ("update_id", 5),
+    ("aa1/aa.json", "issue", "retyped-scalar"): ("attribute_id", 5),
+    ("aa1/public.json", "publish", "retyped-scalar"): ("attribute_id", 5),
+    ("usr/session.json", "search", "retyped-scalar"): ("used", "yes"),
+    ("usr/user.json", "issue", "retyped-scalar"): ("gid", 5),
+    ("usr/user.json", "search", "retyped-scalar"): ("gid", 5),
+    ("usr/user.json", "decrypt", "retyped-scalar"): ("gid", 5),
+    ("own/owner.json", "consent", "secret-zero"): ("sk", "0"),
+    ("own/owner.json", "consent", "secret-signed"): ("sk_dtk", "-1f"),
+    ("own/owner.json", "consent", "secret-spaced"): ("sk", " 0x1_f\n"),
+    ("own/owner.json", "consent", "secret-upper"): ("sk_dtk", "1F"),
+    ("own/owner.json", "consent", "secret-past-q"): ("sk", "f" * 64),  # > q on either backend
+    ("aa1/aa.json", "issue", "secret-zero"): ("ask_dtk", "0"),
+    ("aa1/aa.json", "issue", "secret-signed"): ("ask", "-1f"),
+    ("aa1/aa.json", "issue", "secret-spaced"): ("ask_dtk", " 0x1_f\n"),
+    ("aa1/aa.json", "issue", "secret-upper"): ("ask", "1F"),
+    ("aa1/aa.json", "issue", "secret-past-q"): ("ask_dtk", "f" * 64),
 }
+SECRET_FAULTS = ("secret-zero", "secret-signed", "secret-spaced", "secret-upper", "secret-past-q")
 
 # (file a command reads, the command, a file of another kind, faults to try)
 READERS = [
     ("srv/public.json", CONSENT, "aa1/public.json", ALL_FAULTS),
-    ("own/owner.json", CONSENT, "aa1/aa.json", (*ALL_FAULTS, "retyped-scalar")),
+    ("own/owner.json", CONSENT, "aa1/aa.json", (*ALL_FAULTS, "retyped-scalar", *SECRET_FAULTS)),
     ("own/owner.json", PUBLISH, None, ("retyped-scalar",)),
-    ("aa1/aa.json", ISSUE, "own/owner.json", (*ALL_FAULTS, "retyped-scalar")),
+    ("aa1/aa.json", ISSUE, "own/owner.json", (*ALL_FAULTS, "retyped-scalar", *SECRET_FAULTS)),
     ("aa1/public.json", PUBLISH, "srv/public.json", (*ALL_FAULTS, "retyped-scalar")),
     ("consent.json", SEARCH, "usr/session.json", ALL_FAULTS),
     ("usr/session.json", SEARCH, "consent.json", (*ALL_FAULTS, "retyped-scalar")),
@@ -349,8 +361,8 @@ def test_bad_input_files_exit_1_with_one_error_line(
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x02xx")
     elif fault == "deep":
         path.write_text("[" * 1000 + "]" * 1000)
-    elif fault == "retyped-scalar":
-        key, value = RETYPED[target, argv[0]]
+    elif (target, argv[0], fault) in RETYPED:
+        key, value = RETYPED[target, argv[0], fault]
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
     else:
         path.write_text("not json\n")

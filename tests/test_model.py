@@ -22,6 +22,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from cores import cores
 from triseal import sse
 from triseal.actors import Authority, Owner, User
 from triseal.errors import UpdateRejected
@@ -190,7 +191,8 @@ class Protocol(RuleBasedStateMachine):
             self.user.collect(session, self.authorities[a])
         consent = self.owners[owner].consent(keyword, subset, self.pks)
         request = self.user.build_search_request(session, consent)
-        response = self.server.search(request, workers=2)
+        with cores(2):
+            response = self.server.search(request)
 
         candidates = [rid for rid, e in self.model.items() if e.set_index in subset]
         hits = [

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cores import cores
 from curve_points import malformed_encodings, small_order_points
 from json_mutations import JSON as _JSON, key_paths as _key_paths, parent as _parent
 from triseal import abe, sse, wire
@@ -201,9 +202,11 @@ def test_parallel_search_equals_serial():
     for i in range(40):
         w.publish(f"rec-{i}".encode(), ["bp" if i % 4 == 0 else "hr"], ["A1", "A2"], 1 + i % 3)
     _, _, req = w.request("bp", [1, 2, 3])
-    serial = w.server.search(req, workers=1)
-    for workers in (2, 4):
-        assert w.server.search(req, workers=workers) == serial
+    with cores(1):
+        serial = w.server.search(req)
+    for n in (2, 4):
+        with cores(n):
+            assert w.server.search(req) == serial
 
 
 @pytest.fixture(scope="module")
@@ -217,11 +220,6 @@ def curve_world(curve_ctx):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def _two_cores(monkeypatch):
-    """``EscrowServer.open`` takes no worker count: it shards over these cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -242,13 +240,14 @@ def curve_store(curve_ctx, tmp_path_factory):
 
 
 def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
-    """Two workers fork one child, which checks the round-robin shard
+    """Two cores fork one child, which checks the round-robin shard
     {1, 3, 5} over the Miller lines prepared before the fork; the parent
     checks {0, 2, 4} once and merges both in candidate order.  Each shard
     holds one hit."""
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
-    serial = w.server.search(req, workers=1)
+    with cores(1):
+        serial = w.server.search(req)
     assert serial.stats.candidates == 6 and serial.stats.matched == 2
     calls = Counter()
     for holder, name in ((os, "fork"), (EscrowServer, "_check")):
@@ -259,7 +258,8 @@ def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(holder, name, counted)
-    assert w.server.search(req, workers=2) == serial
+    with cores(2):
+        assert w.server.search(req) == serial
     assert calls == {"fork": 1, "_check": 1}  # the child's shard was not rechecked
     _assert_no_child_left()
 
@@ -268,7 +268,8 @@ def test_parallel_curve_search_equals_serial(curve_world, monkeypatch):
 def test_failed_search_child_shard_is_rechecked(curve_world, monkeypatch, failure):
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
-    serial = w.server.search(req, workers=1)
+    with cores(1):
+        serial = w.server.search(req)
     test_pid = os.getpid()
     original_check = EscrowServer._check
 
@@ -287,7 +288,8 @@ def test_failed_search_child_shard_is_rechecked(curve_world, monkeypatch, failur
         monkeypatch.setattr(os, "fork", no_fork)
     else:
         monkeypatch.setattr(EscrowServer, "_check", check)
-    assert w.server.search(req, workers=2) == serial
+    with cores(2):
+        assert w.server.search(req) == serial
     _assert_no_child_left()
 
 
@@ -297,7 +299,6 @@ def test_forked_open_equals_serial(curve_store, monkeypatch):
     byte for byte and in first-seen id order.  Of the log's 5 record frames
     only the 3 ids' last frames are decoded."""
     w, path = curve_store
-    _two_cores(monkeypatch)
     calls = Counter()
     for holder, name in ((os, "fork"), (server_mod, "record_from_wire")):
         original = getattr(holder, name)
@@ -307,7 +308,8 @@ def test_forked_open_equals_serial(curve_store, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(holder, name, counted)
-    forked = EscrowServer.open(path)
+    with cores(2):
+        forked = EscrowServer.open(path)
     _assert_no_child_left()
     assert calls["fork"] == 1 and 0 < calls["record_from_wire"] < 3  # of 3 last frames
     calls.clear()
@@ -316,7 +318,8 @@ def test_forked_open_equals_serial(curve_store, monkeypatch):
         raise OSError("no processes left")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    serial = EscrowServer.open(path)
+    with cores(2):
+        serial = EscrowServer.open(path)
     assert calls == {"record_from_wire": 3}
     ids = w.server.record_ids()
     assert forked.record_ids() == serial.record_ids() == ids
@@ -329,7 +332,6 @@ def test_forked_open_equals_serial(curve_store, monkeypatch):
 
 def test_failed_open_child_shard_is_redone(curve_store, monkeypatch):
     w, path = curve_store
-    _two_cores(monkeypatch)
     test_pid = os.getpid()
     original = server_mod.record_from_wire
 
@@ -342,12 +344,27 @@ def test_failed_open_child_shard_is_redone(curve_store, monkeypatch):
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
     monkeypatch.setattr(server_mod, "record_from_wire", decode)
-    revived = EscrowServer.open(path)
+    with cores(2):
+        revived = EscrowServer.open(path)
     revived.close()
     _assert_no_child_left()
     assert forks == {"fork": 1}
     assert revived.record_ids() == w.server.record_ids()
     assert all(revived.fetch(rid) == w.server.fetch(rid) for rid in revived.record_ids())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_open_reads_the_log_once(curve_store, monkeypatch, n):
+    """The first pass holds each id's last frame, and the shards decode those
+    bytes: on one core or two, an open reads the log once in this process."""
+    w, path = curve_store
+    reads, read_frames = Counter(), server_mod._read_frames
+    monkeypatch.setattr(server_mod, "_read_frames", lambda p: reads.update([p]) or read_frames(p))
+    with cores(n), closing(EscrowServer.open(path)) as revived:
+        pass
+    _assert_no_child_left()
+    assert reads == {path: 1}
+    assert all(revived.fetch(rid) == w.server.fetch(rid) for rid in w.server.record_ids())
 
 
 def test_search_error_surfaces_and_kills_children(curve_world, monkeypatch):
@@ -358,8 +375,8 @@ def test_search_error_surfaces_and_kills_children(curve_world, monkeypatch):
         raise RuntimeError("policy check failed")
 
     monkeypatch.setattr("triseal.server.abe_verify", broken_verify)
-    with pytest.raises(RuntimeError):
-        w.server.search(req, workers=1)
+    with cores(1), pytest.raises(RuntimeError):
+        w.server.search(req)
     with pytest.raises(RuntimeError):
         w.server.search(req)
     _assert_no_child_left()
@@ -370,9 +387,9 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
     lock another thread held, so a search or a store reopen then runs serially."""
     w = curve_world
     _, _, req = w.request("bp", [1, 2, 3])
-    serial = w.server.search(req, workers=1)
+    with cores(1):
+        serial = w.server.search(req)
     stored, path = curve_store
-    _two_cores(monkeypatch)
 
     def no_fork():
         raise AssertionError("forked beside another thread")
@@ -381,13 +398,14 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
     results = []
 
     def serve():
-        results.append(w.server.search(req, workers=2))
+        results.append(w.server.search(req))
         with closing(EscrowServer.open(path)) as revived:
             results.append(revived.record_ids())
 
-    thread = threading.Thread(target=serve)
-    thread.start()
-    thread.join(timeout=60)
+    with cores(2):  # entered by this thread alone
+        thread = threading.Thread(target=serve)
+        thread.start()
+        thread.join(timeout=60)
     assert not thread.is_alive()
     assert results == [serial, stored.server.record_ids()]
 
@@ -422,7 +440,8 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(holder, name, counted)
-    stats = w.server.search(miss, workers=1).stats  # counted in this process only
+    with cores(1):
+        stats = w.server.search(miss).stats  # counted in this process only
     assert stats.candidates == 6 and stats.sse_matched == 0
     # lines of the token, two credentials and the blinding: the hit's search kept the
     # product and the terms; each pair is a one-pairing product
@@ -473,7 +492,6 @@ def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, 
     forks = Counter()
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
-    _two_cores(monkeypatch)
 
     def prepared_by(pids):
         counts = Counter(log.read_text().split())
@@ -483,10 +501,12 @@ def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, 
 
     decoded = search_request_from_wire(w.ctx, decoded_wire)
     assert prepared_by({str(os.getpid())}) == 1 + 8 + 1
-    response = w.server.search(decoded)
+    with cores(2):
+        response = w.server.search(decoded)
     assert response.stats.candidates == 4 and response.stats.matched == 2
     assert prepared_by({str(os.getpid())}) == 1
-    assert w.server.search(req) == response
+    with cores(2):
+        assert w.server.search(req) == response
     assert prepared_by({str(os.getpid())}) == 8 + 1
     assert forks["fork"] == 2
     _assert_no_child_left()
@@ -505,13 +525,15 @@ def test_forked_children_send_their_subset_terms_to_the_parent(curve_ctx, monkey
     counts, pair, fork = Counter(), PairingContext.pair, os.fork
     monkeypatch.setattr(PairingContext, "pair", lambda *a: counts.update(["pair"]) or pair(*a))
     monkeypatch.setattr(os, "fork", lambda: counts.update(["fork"]) or fork())
-    first = w.server.search(req, workers=2)
+    with cores(2):
+        first = w.server.search(req)
     assert first.stats.candidates == 4 and first.stats.matched == 2
     # this process's shard of two: a term and a keyword pairing each
     assert counts == {"fork": 1, "pair": 2 * 2}
     _assert_no_child_left()
     counts.clear()
-    assert w.server.search(req, workers=1) == first
+    with cores(1):
+        assert w.server.search(req) == first
     assert counts == {"pair": 4}
     assert {s for terms in w.server._terms.values() for s in terms} == {(1, 2)}
     assert len(w.server._terms) == 4
@@ -605,7 +627,8 @@ def test_second_search_under_a_consent_prepares_only_the_session(curve_world, mo
     PairingContext.kept.cache_clear()
     w = curve_world
     _, consent, first = w.request("bp", [1, 2, 3])
-    expected = w.server.search(first, workers=1)
+    with cores(1):
+        expected = w.server.search(first)
     session = w.user.new_session()
     for authority in w.authorities.values():
         w.user.collect(session, authority)
@@ -614,7 +637,8 @@ def test_second_search_under_a_consent_prepares_only_the_session(curve_world, mo
     decoded = search_request_from_wire(w.ctx, second)
     assert walked == [*(c.credential.data for c in decoded.credentials), decoded.blinded.element.data]
     walked.clear()
-    assert w.server.search(decoded, workers=1) == expected
+    with cores(1):
+        assert w.server.search(decoded) == expected
     assert walked == []
 
 
@@ -657,8 +681,8 @@ def test_out_of_subgroup_token_is_refused_on_every_request_and_never_kept(
         for _ in range(2):
             with pytest.raises(ProtocolError, match="order-q subgroup"):
                 search_request_from_wire(w.ctx, bad)
-            with pytest.raises(InvalidElement, match="order-q subgroup"):
-                w.server.search(in_process, workers=1)
+            with cores(1), pytest.raises(InvalidElement, match="order-q subgroup"):
+                w.server.search(in_process)
     # each token on each request, and the subset product of the first in-process search
     assert len(walked) == 2 * 2 * len(points) + 1
     assert PairingContext.kept.cache_info().currsize == 1  # the product alone
@@ -694,7 +718,8 @@ def test_threads_searching_more_consents_than_the_table_holds_match_serial(curve
     for keyword, subset in consents:
         _, _, req = w.request(keyword, subset)
         wired.append(search_request_to_wire(w.ctx, req))
-        serial.append(w.server.search(req, workers=1))
+        with cores(1):
+            serial.append(w.server.search(req))
     assert sum(r.stats.matched for r in serial) == 6
     PairingContext.kept.cache_clear()
     results, errors = {}, []
@@ -824,16 +849,15 @@ def test_curve_decoders_refuse_small_order_points(curve_world, tmp_path, monkeyp
             with closing(EscrowServer.open(store)) as revived:
                 assert revived.record_ids() == (rid,)
                 assert revived.fetch(rid) == w.server.fetch(rid)
-    # two ids of equal decode work on two cores: the second id is the child's
+    # two ids on two cores, dealt round-robin: the second id is the child's
     other = record_to_wire(ctx, w.server.fetch(w.server.record_ids()[1]))
-    _two_cores(monkeypatch)
     forks = Counter()
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
     for name, raw in small_order_points().items():
         bad = {"kind": "record", "record": _replaced(other, ("sse", "kw_modifier"), wire.b64e(raw))}
         store.write_bytes(_frame(header) + valid + _frame(bad))
-        with pytest.raises(BadRecord, match="order-q subgroup"):
+        with cores(2), pytest.raises(BadRecord, match="order-q subgroup"):
             EscrowServer.open(store)
         _assert_no_child_left()
     assert forks["fork"] == len(small_order_points())
@@ -992,7 +1016,6 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     one tag flipped every element of that frame alone; each yields the same
     records."""
     w, path = curve_store
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no fork
     counts = Counter()
     for name in ("_pt_mul", "_unitary_pow"):
         original = getattr(curve, name)
@@ -1010,7 +1033,7 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
             return _original(*args)
 
         monkeypatch.setattr(PairingContext, name, decoded)
-    with closing(EscrowServer.open(path)) as trusted:
+    with cores(1), closing(EscrowServer.open(path)) as trusted:  # no fork
         pass
     assert counts["_pt_mul"] == counts["_unitary_pow"] == 0
     # header 6 G; layer 1 of the last frames: 2 G, 4 GT each
@@ -1019,7 +1042,7 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     copy = tmp_path / "store.log"
     copy.write_bytes(path.read_bytes())
     counts.clear()
-    with closing(EscrowServer.open(copy)) as checked:
+    with cores(1), closing(EscrowServer.open(copy)) as checked:
         pass
     # layer 2 adds 4 G, 2 G (a one-attribute policy) and 4 G, 1 GT each;
     # layer 3 adds 6 G, 4 G and 6 G, 1 GT each
@@ -1036,7 +1059,7 @@ def test_tagged_curve_reopen_runs_no_order_check(curve_store, tmp_path, monkeypa
     copy.write_bytes(log)
     copy.with_name("store.log.key").write_bytes(path.with_name("store.log.key").read_bytes())
     counts.clear()
-    with closing(EscrowServer.open(copy)) as flipped:
+    with cores(1), closing(EscrowServer.open(copy)) as flipped:
         pass
     flipped_decodes = {"element_from_bytes": 12 + 2 + 4, "gt_from_bytes": 12 + 1 + 1}
     assert counts == {**flipped_decodes, "_pt_mul": 8, "_unitary_pow": 6}
@@ -1076,12 +1099,15 @@ def test_tagged_reopen_decodes_layer_2_only_at_a_keyword_hit(curve_store, monkey
 
         monkeypatch.setattr(PairingContext, name, decoded)
     for req, g, gt in ((miss, 0, 0), (full, 4, 1), (denied, 4, 1), (partial, 2, 1)):
-        live = w.server.search(req, workers=1)
+        with cores(1):
+            live = w.server.search(req)
         assert not counts
-        assert revived.search(req, workers=1) == live
+        with cores(1):
+            assert revived.search(req) == live
         assert counts == ({"element_from_bytes": g, "gt_from_bytes": gt} if g else {})
         counts.clear()
-    stats = {r: w.server.search(r, workers=1).stats for r in (full, denied, partial, miss)}
+    with cores(1):
+        stats = {r: w.server.search(r).stats for r in (full, denied, partial, miss)}
     assert (stats[full].matched, stats[full].sse_matched) == (1, 1)
     assert (stats[denied].matched, stats[denied].abe_verified) == (0, 1)
     assert (stats[partial].matched, stats[partial].sse_matched) == (1, 3)
@@ -1123,9 +1149,9 @@ def test_held_layer_2_is_trusted_only_by_the_server_that_verified_its_tag(curve_
     with closing(EscrowServer.open(store)) as tampered:
         pass
     _, _, hit = w.request("x", [1])
-    for workers in (1, 2):
-        with pytest.raises(BadRecord):
-            tampered.search(hit, workers=workers)
+    for n in (1, 2):
+        with cores(n), pytest.raises(BadRecord):
+            tampered.search(hit)
     _assert_no_child_left()
 
 
@@ -1439,7 +1465,8 @@ def test_mutated_messages_fail_typed_or_decode(messages, data):
         server.store_record(w.server.fetch(rid))
     try:
         if kind == "search-request":
-            server.search(decoded, workers=1)
+            with cores(1):
+                server.search(decoded)
         elif kind == "update-request":
             server.reencrypt(decoded)
     except ProtocolError:
