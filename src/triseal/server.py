@@ -32,10 +32,11 @@ in serial order.  A child only computes, pickles its result down a pipe (safe:
 only its parent reads it; the context goes by persistent id) and
 ``os._exit``s, flushing no shared buffer; a failed child's shard is redone
 here.  Without ``os.fork`` or beside other threads (a child would inherit
-their held locks) the work is serial.  The store file is an append-only log of frames after a parameter
-header; the last frame per id wins.  A frame is a 4-byte payload length, a
-32-byte HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log
-format), keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
+their held locks) the work is serial.  The store file is an append-only log: a
+header frame (``params``, the LEFT set keys), then one bare record per frame;
+the last frame per id wins.  A frame is a 4-byte payload length, a 32-byte
+HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log format),
+keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
 Trust rule: this server checked every element of a frame it tagged, so a frame
 whose tag verifies decodes only layer 1, without the two order-q checks, and
 holds layers 2 and 3 as wire form (``Held``): layer 2 is decoded, again
@@ -160,7 +161,7 @@ _RECORD = wire.Form(
 
 
 def record_to_wire(ctx: PairingContext, rec: DataRecord) -> dict:
-    return {"params": ctx.param_header(), **_RECORD.encode(ctx, rec)}
+    return _RECORD.encode(ctx, rec)
 
 
 def _record_id(obj: Mapping) -> str:
@@ -178,11 +179,12 @@ def record_from_wire(ctx: PairingContext, obj: Mapping) -> DataRecord:
 
 
 def record_bytes(ctx: PairingContext, rec: DataRecord) -> bytes:
-    return wire.canonical_json(record_to_wire(ctx, rec))
+    """The record under the parameter header: what a record id hashes."""
+    return wire.canonical_json({"params": ctx.param_header(), **record_to_wire(ctx, rec)})
 
 
 def assign_record_id(ctx: PairingContext, rec: DataRecord) -> str:
-    """Content-derived id over the record with the id field blanked."""
+    """Content-derived id over the record bytes with the id field blanked."""
     blank = replace(rec, record_id="")
     return hashlib.sha256(record_bytes(ctx, blank)).hexdigest()[:32]
 
@@ -210,7 +212,6 @@ class MatchedRecord:
 @dataclass(frozen=True)
 class SearchStats:
     candidates: int
-    sse_checked: int
     sse_matched: int
     abe_verified: int
     matched: int
@@ -460,7 +461,6 @@ class EscrowServer:
         incomplete = [rec.record_id for rec, out in zip(candidates, outcomes) if out == _INCOMPLETE]
         stats = SearchStats(
             candidates=len(candidates),
-            sse_checked=len(outcomes),
             sse_matched=sum(out != _MISS for out in outcomes),
             abe_verified=sum(out >= _DENIED for out in outcomes),
             matched=len(matches),

@@ -42,15 +42,12 @@ def new_sse_key(ctx: PairingContext, rng: random.Random) -> OwnerSseKey:
 
 @dataclass(frozen=True)
 class SetPublicKeys:
-    """Server-published per-data-set public keys g^(a_i), i = 1..n.
-
-    Published in both source groups so owners can fold them into LEFT-side
-    tokens while records keep RIGHT-side material; the server-side
-    exponents a_i are discarded after setup.
+    """Server-published per-data-set public keys pk_i = g^(a_i), i = 1..n, LEFT
+    only: every equation pairs a product of them, in a token or a subset term,
+    with a record's RIGHT material.  The exponents a_i are discarded after setup.
     """
 
     left: tuple[GroupElement, ...]
-    right: tuple[GroupElement, ...]
 
     @property
     def n(self) -> int:
@@ -98,10 +95,9 @@ def server_setup(
     elif len(exponents) != n:
         raise ValueError("need exactly one exponent per set")
     left = tuple(ctx.g_left ** a for a in exponents)
-    right = tuple(ctx.g_right ** a for a in exponents)
     if len(set(left)) != n:
         raise ValueError("set public keys must be distinct")
-    return SetPublicKeys(left=left, right=right)
+    return SetPublicKeys(left=left)
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ SSE = Form(  # layer 1
     update_keyword=GT,
 )
 TOKEN = Form(SearchToken, token=KEPT, subset=INDICES)
-PKS = Form(SetPublicKeys, left=listed(G_LEFT), right=listed(G_RIGHT))
+PKS = Form(SetPublicKeys, left=listed(G_LEFT))
 ABE = Form(  # layer 2
     AccessPolicyElements,
     attrs=ATTRS,

@@ -6,7 +6,7 @@ import json
 import os
 import shutil
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import closing, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from json_mutations import JSON, key_paths, parent
 from triseal import cli, wire
 from triseal.cli import EXIT_NO_MATCH, EXIT_OK, EXIT_PROTOCOL, main
-from triseal.pairing import PairingContext, curve
+from triseal.pairing import OracleContext, PairingContext, curve
+from triseal.server import _read_frames
 
 
 def run(*argv):
@@ -441,7 +442,7 @@ def test_decrypt_reads_the_consent_owner_token_alone_checked_once(walked, tmp_pa
 
 def test_curve_decrypt_checks_each_point_it_reads_once(tmp_path, monkeypatch):
     """A curve walkthrough's ``decrypt`` checks each point it reads once: the
-    server keys (3 + 3) and the returned layer 3 (6) by [q]P, and the five
+    server's three set keys and the returned layer 3 (6) by [q]P, and the five
     left points it pairs (the owner's token, ``blinded_r``, two decrypt tokens
     and the subset product) by their Miller lines alone.  It never decodes the
     session's ``blinded`` or credentials."""
@@ -459,9 +460,76 @@ def test_curve_decrypt_checks_each_point_it_reads_once(tmp_path, monkeypatch):
     monkeypatch.setattr(curve, "_pt_mul", order_check)
     monkeypatch.setattr(curve, "_miller_lines", lambda pt: counts.update(["lines"]) or lines(pt))
     assert run(*DECRYPT) == EXIT_OK
-    assert counts == {"[q]P": 12, "lines": 5}
+    assert counts == {"[q]P": 9, "lines": 5}
     plain = [p.read_bytes() for p in (root / "out").glob("*.bin")]
     assert plain == [(root / "data.txt").read_bytes()]
+
+
+def test_walkthrough_files_hold_no_dead_fields(walked):
+    """Store frames hold the bare record, the set keys are LEFT only, and a
+    response's stats carry no count that equals another by construction."""
+    with closing(_read_frames(walked / "srv" / "store.log")) as frames:
+        header, *records = [json.loads(data) for _, data in frames]
+    public = json.loads((walked / "srv" / "public.json").read_text())
+    stats = json.loads((walked / "results.json").read_text())["stats"]
+    assert (
+        [sorted(frame["record"]) for frame in records],
+        sorted(header["pks"]),
+        sorted(public["pks"]),
+        sorted(stats),
+    ) == (
+        [["abe", "payload", "record_id", "recovery", "set_index", "sse"]],
+        ["left"],
+        ["left"],
+        ["abe_verified", "candidates", "matched", "sse_matched"],
+    )
+
+
+# the files an oracle walkthrough wrote before store frames lost their copy of
+# ``params``, the set keys their RIGHT half and the stats ``sse_checked``
+OLD_FORMAT = Path(__file__).resolve().parent / "data" / "walkthrough_6f27e28"
+OLD_FORMAT_SHA256 = {  # as recorded in WALKTHROUGH_SHA256 at 6f27e28
+    "results.json": "bd169ce914db78ddd6e711d57a10beb2d36cab2923b950dd6e287902a767ec0d",
+    "srv/public.json": "d37ae5f124c8439bf713be3c0723aec000a0bacab864da04b9188be1012438d8",
+    "srv/store.log": "922cd3f517544563d98fa3051817880ce59565a1e2bc27911e48c9cb2f920a05",
+    "srv/store.log.key": "67f5f4944565948f210613f1a24dc8fdd49ea1f9ef34377357cbb8574c639f38",
+}
+
+
+def test_old_format_files_open_search_and_decrypt(walked, tmp_path, monkeypatch, capsys):
+    """A tree whose server files and results are the old format's works as
+    written: its tagged frames still verify, so the reopen checks no order,
+    and search and decrypt give the same record and bytes."""
+    written = {
+        p.relative_to(OLD_FORMAT).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in OLD_FORMAT.rglob("*")
+        if p.is_file()
+    }
+    assert written == OLD_FORMAT_SHA256
+    root = tmp_path / "tree"
+    shutil.copytree(walked, root)
+    for name in OLD_FORMAT_SHA256:
+        shutil.copyfile(OLD_FORMAT / name, root / name)
+    monkeypatch.chdir(root)
+    checked = Counter()
+
+    def decode(self, raw, check_order=True, _original=OracleContext._g_from_bytes):
+        checked[check_order] += 1
+        return _original(self, raw, check_order)
+
+    monkeypatch.setattr(OracleContext, "_g_from_bytes", decode)
+    monkeypatch.setattr(OracleContext, "_gt_from_bytes", decode)
+    capsys.readouterr()
+    assert run("inspect", "--server", "srv") == EXIT_OK
+    assert checked[False] > 0 and checked[True] == 0
+    record_id = "af09862074729217eb0d1f307fbd9a17"
+    assert f"  {record_id}: set=2 " in capsys.readouterr().out
+    assert run(*SEARCH) == EXIT_OK
+    assert [m["record_id"] for m in json.loads(Path("r.json").read_text())["matches"]] == [
+        record_id
+    ]
+    assert run(*DECRYPT) == EXIT_OK
+    assert (root / "out" / f"{record_id}.bin").read_bytes() == (root / "data.txt").read_bytes()
 
 
 # a file of the walked tree and a command that reads it

@@ -27,7 +27,6 @@ def vector_pks(ctx):
 def test_server_setup_vector():
     ctx = vector_ctx()
     pks = vector_pks(ctx)
-    assert [e.data for e in pks.right] == [10, 20]
     assert [e.data for e in pks.left] == [10, 20]
     assert pks.n == 2
 
@@ -38,7 +37,7 @@ def test_server_setup_minimal_and_distinct():
     assert single.n == 1
     a = sse.server_setup(ctx, 3, random.Random(2))
     b = sse.server_setup(ctx, 3, random.Random(3))
-    assert set(a.right).isdisjoint(set(b.right))
+    assert set(a.left).isdisjoint(set(b.left))
     with pytest.raises(ValueError):
         sse.server_setup(ctx, 0, random.Random(4))
     with pytest.raises(ValueError):
