@@ -257,9 +257,9 @@ WALKTHROUGH_SHA256 = {
     "own/owner.json": "e0eeed057de114b24d40b2ac2610406fe69a537723a1c860d783537fdd9e8645",
     "plain/af09862074729217eb0d1f307fbd9a17.bin":
         "df166ef9772bcf42268af58a24b835546241e5b75771983a4b60b9b26b4a643e",
-    "results.json": "bd169ce914db78ddd6e711d57a10beb2d36cab2923b950dd6e287902a767ec0d",
-    "srv/public.json": "d37ae5f124c8439bf713be3c0723aec000a0bacab864da04b9188be1012438d8",
-    "srv/store.log": "922cd3f517544563d98fa3051817880ce59565a1e2bc27911e48c9cb2f920a05",
+    "results.json": "4c4d7cfeb7f3814b6109a75c2adc3f5ccb042c52f1122da7b6d4cb6c4316b8d9",
+    "srv/public.json": "172b7bbd231b8190a6374aecbf954e747d353942cef22a190d1bf85ba8a38eed",
+    "srv/store.log": "ed8a623ae47e019ec9b4b7aae0e0b5dc35c094b37aba90546ae964e261ef2ce4",
     "srv/store.log.key": "67f5f4944565948f210613f1a24dc8fdd49ea1f9ef34377357cbb8574c639f38",
     "usr/outbox/request-0001.json":
         "36f5cbd76da5e51510ff6da06a163a3017c918b6e60d1393226ea3e75e7bc020",
