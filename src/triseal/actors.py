@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from . import abe, payload, recovery, sse, wire
+from . import abe, payload, recovery, sse
 from .errors import AuthenticationFailure, MissingApk, WrongKey
 from .pairing import GroupElement, HashDomain, PairingContext
-from .server import DataRecord, EscrowServer, SearchRequest, SearchResponse, UpdateRequest
+from .server import USER_RECOVERY, DataRecord, EscrowServer, SearchRequest, SearchResponse
+from .server import UpdateRequest
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ class User:
         for match in response.matches:
             elems = match.recovery  # an in-process search's is the server's held wire form
             if not isinstance(elems, recovery.KeyRecoveryElements):
-                elems = wire.RECOVERY.decode(self.ctx, elems.wire)  # with every check
+                elems = USER_RECOVERY.decode(self.ctx, elems.wire)
             mask = recovery.recover_key(self.ctx, elems, tokens, pks)
             key = payload.derive_key(self.ctx, mask)
             try:

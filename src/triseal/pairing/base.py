@@ -21,7 +21,9 @@ bytes come from a store frame whose tag verifies under this server's key
 layer 2 at a keyword hit on that server; its layer 3 is never decoded.  Its
 line preparation checks a LEFT request element (``prepared_from_bytes``).  A hit
 in the table of points kept across requests (``kept``) is a point whose line walk
-ran when it was first kept; a point that fails the walk is never kept.
+ran when it was first kept; a point that fails the walk is never kept.  A hit in
+the table of layers 3 (``server.kept_recovery``) is a layer whose every element
+passed every check, outside the trusted flag, when it was first decoded.
 """
 
 from __future__ import annotations

@@ -42,7 +42,10 @@ whose tag verifies decodes only layer 1, without the two order-q checks, and
 holds layers 2 and 3 as wire form (``Held``): layer 2 is decoded, again
 without them, only by ``_check`` at a keyword hit after the IncompletePolicy
 check, and layer 3 never.  A failed tag, a missing key and all outside input,
-held forms included, get every check.  Reopen reads the log once: it parses
+held forms included, get every check.  A user's layer 3 (a response's, or an
+in-process held form) is decoded with every check, outside any trusted decode,
+once per process: ``kept_recovery`` keeps the last ``KEPT_POINTS`` by (context,
+canonical wire bytes).  Reopen reads the log once: it parses
 every frame and holds the bytes of each id's last frame (an earlier one is
 dropped when a later frame of its id is read), so an open holds about one
 frame per live id; each shard verifies and decodes only its ids' frames.
@@ -50,9 +53,11 @@ frame per live id; each shard verifies and decodes only its ids' frames.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import io
+import json
 import logging
 import os
 import pickle
@@ -76,7 +81,7 @@ from .errors import (
     UpdateRejected,
 )
 from .pairing import GroupElement, GtElement, PairingContext, context_from_header
-from .pairing.base import _TRUSTED, _trusted_decode
+from .pairing.base import _TRUSTED, KEPT_POINTS, _trusted_decode
 from .payload import PayloadCiphertext
 from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements
@@ -238,6 +243,17 @@ class UpdateRequest:
     new_payload: PayloadCiphertext | None = None
 
 
+@functools.lru_cache(maxsize=KEPT_POINTS)  # one table per process
+def kept_recovery(ctx: PairingContext, raw: bytes) -> KeyRecoveryElements:
+    """Layer 3 of canonical wire bytes ``raw`` from the table of the last ``KEPT_POINTS``
+    such layers: decoded with every check, even in a trusted decode; never kept if refused."""
+    return _trusted_decode(False, wire.RECOVERY.decode, ctx, json.loads(raw))
+
+
+# a user's layer 3, from a response or an in-process held form: checked once per process
+USER_RECOVERY = wire.Shape(_layer_wire, lambda ctx, o: kept_recovery(ctx, wire.canonical_json(o)))
+
+
 # -- message wire envelopes -----------------------------------------------------
 
 _SEARCH_REQUEST = wire.Form(
@@ -251,7 +267,7 @@ _SEARCH_RESPONSE = wire.Form(
             MatchedRecord,
             record_id=wire.NAME,
             payload=wire.PAYLOAD,
-            recovery=wire.Shape(_layer_wire, wire.RECOVERY.decode),  # the user's: every check
+            recovery=USER_RECOVERY,
             policy=wire.NAMES,
         )
     ),

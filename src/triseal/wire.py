@@ -76,7 +76,7 @@ def open_envelope(
         elif obj["params"] != ctx.param_header():
             raise BackendMismatch(f"{kind} envelope uses different parameters")
         return decode(ctx, obj)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as exc:
         raise BadRecord(f"malformed {kind} envelope: {type(exc).__name__}: {exc}") from exc
 
 

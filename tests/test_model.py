@@ -23,11 +23,13 @@ from hypothesis.stateful import (
 )
 
 from cores import cores
+from triseal import server as server_mod
 from triseal import sse
 from triseal.actors import Authority, Owner, User
 from triseal.errors import UpdateRejected
 from triseal.pairing import OracleContext
 from triseal.server import EscrowServer, record_bytes
+from triseal.server import search_response_from_wire, search_response_to_wire
 
 N_SETS = 3
 ATTRS = ("A1", "A2", "A3")
@@ -74,7 +76,7 @@ class Protocol(RuleBasedStateMachine):
         }
         self.user = User(self.ctx, "user-gid", random.Random(30))
         self.model: dict[str, Entry] = {}  # in store order, as the server scans
-        self.last_search = None  # (session, consent, response, expected plaintexts)
+        self.searches = []  # (session, consent, response, expected plaintexts), newest last
 
     def teardown(self):
         self.server.close()
@@ -121,7 +123,9 @@ class Protocol(RuleBasedStateMachine):
         extra=subsets,
     )
     def rotate_policy(self, rid, policy, plaintext, keywords, extra):
-        """A policy-plus-payload rotation, with or without new keywords."""
+        """A policy-plus-payload rotation, with or without new keywords, read
+        back before and after: the new layer 3 is decoded, not the one kept."""
+        self.read_back(rid)
         entry = self.model[rid]
         request = self.owners[entry.owner].update_request(
             rid,
@@ -139,6 +143,7 @@ class Protocol(RuleBasedStateMachine):
             policy=frozenset(policy),
             plaintext=plaintext,
         )
+        self.read_back(rid)
 
     def _rejected(self, request):
         before, size = self._state(self.server), self.path.stat().st_size
@@ -207,14 +212,33 @@ class Protocol(RuleBasedStateMachine):
         assert response.stats.candidates == len(candidates)
         assert response.stats.sse_matched == len(hits)
         expected = [(rid, self.model[rid].plaintext) for rid in allowed]
-        self.last_search = session, consent, response, expected
+        if expected:
+            self.searches = [*self.searches[-3:], (session, consent, response, expected)]
+            self._decrypt(*self.searches[-1])
 
-    @precondition(lambda self: self.last_search and self.last_search[3])
-    @rule()
-    def decrypt(self):
-        """The last response decrypts to the plaintexts at search time."""
-        session, consent, response, expected = self.last_search
-        assert self.user.decrypt_matches(session, consent, response, self.pks) == expected
+    @rule(rid=records)
+    def read_back(self, rid):
+        """A user who holds every attribute finds the record by its owner id
+        over its own set and decrypts it to what its owner last wrote."""
+        entry = self.model[rid]
+        self.search(entry.owner, entry.owner, [entry.set_index], ())
+        assert (rid, entry.plaintext) in self.searches[-1][3]
+
+    @precondition(lambda self: self.searches)
+    @rule(back=st.integers(0, 3))
+    def decrypt(self, back):
+        """One of the last four responses with a match (each decrypted once
+        when it came) decrypts to the plaintexts at search time, passed through
+        the wire and in-process: each layer 3 goes through the process's table
+        of kept layers, met again by a repeated decrypt and missed by a layer
+        that a policy rotation wrote, while an older response still holds the
+        layer it was sent with."""
+        self._decrypt(*self.searches[max(-len(self.searches), -1 - back)])
+
+    def _decrypt(self, session, consent, response, expected):
+        wired = search_response_from_wire(self.ctx, search_response_to_wire(self.ctx, response))
+        for matches in (wired, response):
+            assert self.user.decrypt_matches(session, consent, matches, self.pks) == expected
 
     # -- server restart ------------------------------------------------------------
 
@@ -238,6 +262,7 @@ class Protocol(RuleBasedStateMachine):
 
 
 def test_protocol_matches_model():
+    server_mod.kept_recovery.cache_clear()
     run_state_machine_as_test(
         Protocol,
         settings=settings(
@@ -248,3 +273,5 @@ def test_protocol_matches_model():
             deadline=None,
         ),
     )
+    hits, misses = server_mod.kept_recovery.cache_info()[:2]
+    assert hits > 0 and misses > 0

@@ -28,8 +28,9 @@ from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, InvalidElement, ProtocolError, UpdateRejected
 from triseal.pairing import GroupElement, OracleContext, PairingContext, Side
 from triseal.pairing import curve
-from triseal.pairing.base import KEPT_POINTS
-from triseal.recovery import DecryptionTokenSet, issue_decrypt_token, recover_key
+from triseal.pairing.base import KEPT_POINTS, _trusted_decode
+from triseal.recovery import DecryptionTokenSet, KeyRecoveryElements
+from triseal.recovery import issue_decrypt_token, recover_key
 from triseal.server import (
     DataRecord,
     EscrowServer,
@@ -703,6 +704,132 @@ def test_kept_token_equals_a_fresh_decode(curve_world):
     assert w.ctx.element_to_bytes(hit.token) == w.ctx.element_to_bytes(fresh)
     right = w.ctx.g_right**12345
     assert w.ctx.pair(hit.token, right) == w.ctx.pair(fresh, right) == w.ctx.pair(token.token, right)
+
+
+def _order_checks(monkeypatch) -> Counter:
+    """The [q]P (``_pt_mul``) and GT x^q (``_unitary_pow``) checks run from now on."""
+    checks = Counter()
+    for name in ("_pt_mul", "_unitary_pow"):
+        original = getattr(curve, name)
+
+        def order_check(x, k, _name=name, _original=original):
+            checks[_name] += k == curve.CURVE_Q
+            return _original(x, k)
+
+        monkeypatch.setattr(curve, name, order_check)
+    return checks
+
+
+def _checked(checks: Counter) -> tuple[int, int]:
+    return checks["_pt_mul"], checks["_unitary_pow"]
+
+
+def test_second_response_decode_meets_the_kept_layer_3(curve_world, monkeypatch):
+    """A user's layer 3 is decoded with every check once per process: a second
+    decode of the same response runs no [q]P and no GT x^q, returns the kept
+    elements and decrypts to the same bytes, and an in-process response's held
+    forms meet the same entries."""
+    server_mod.kept_recovery.cache_clear()
+    w = curve_world
+    session, consent, req = w.request("bp", [1, 2, 3])
+    with cores(1):
+        response = w.server.search(req)
+    wired = search_response_to_wire(w.ctx, response)
+    checks = _order_checks(monkeypatch)
+    first = search_response_from_wire(w.ctx, wired)
+    assert [len(m.policy) for m in first.matches] == [2, 2]
+    assert _checked(checks) == (2 * 6, 2)  # 2 + 2k G and one GT per layer 3
+    checks.clear()
+    second = search_response_from_wire(w.ctx, wired)
+    assert _checked(checks) == (0, 0)
+    assert second == first
+    assert all(a.recovery is b.recovery for a, b in zip(first.matches, second.matches))
+    plain = w.user.decrypt_matches(session, consent, first, w.pks)
+    assert [p for _, p in plain] == [b"rec-0", b"rec-3"]
+    assert w.user.decrypt_matches(session, consent, second, w.pks) == plain
+    assert w.user.decrypt_matches(session, consent, response, w.pks) == plain
+    assert _checked(checks) == (0, 0)
+    assert server_mod.kept_recovery.cache_info()[:2] == (2 + 2, 2)  # (hits, misses)
+
+
+def test_layer_3_decoded_inside_a_trusted_decode_takes_every_check(curve_world, monkeypatch):
+    """The trusted flag of a store frame never reaches a user's layer 3: a
+    response or a held form decoded inside ``_trusted_decode(True, ...)`` runs
+    every order check of it, and a small-order point there is refused."""
+    server_mod.kept_recovery.cache_clear()
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    with cores(1):
+        response = w.server.search(req)
+    wired = search_response_to_wire(w.ctx, response)
+    checks = _order_checks(monkeypatch)
+    held = response.matches[0].recovery
+    assert _trusted_decode(True, server_mod.USER_RECOVERY.decode, w.ctx, held.wire)
+    assert _checked(checks) == (6, 1)
+    _trusted_decode(True, search_response_from_wire, w.ctx, wired)  # the first layer is kept
+    assert _checked(checks) == (2 * 6, 2)
+    server_mod.kept_recovery.cache_clear()
+    order4 = wire.b64e(small_order_points()["order 4"])
+    bad = _replaced(wired, ("matches", 0, "recovery", "dtk_transferor"), order4)
+    with pytest.raises(ProtocolError, match="order-q subgroup"):
+        _trusted_decode(True, search_response_from_wire, w.ctx, bad)
+    assert server_mod.kept_recovery.cache_info().currsize == 0
+
+
+def test_out_of_subgroup_layer_3_is_refused_on_every_decode_and_never_kept(curve_world):
+    """A small-order point in ``dtk_transferor`` or an aa transferor, or a
+    norm-1 GT value outside the order-q subgroup in ``wrapped_key``, is refused
+    on each of two decodes, also after the honest layer was kept: the table of
+    layers 3 gains no entry and meets no hit."""
+    server_mod.kept_recovery.cache_clear()
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    with cores(1):
+        wired = search_response_to_wire(w.ctx, w.server.search(req))
+    honest = search_response_from_wire(w.ctx, wired)
+    kept = server_mod.kept_recovery.cache_info().currsize
+    inv5 = pow(5, -1, curve.CURVE_P)  # (2 - i)/(2 + i): norm 1, order not q
+    gt = (3 * inv5 % curve.CURVE_P).to_bytes(64, "big") + (-4 * inv5 % curve.CURVE_P).to_bytes(
+        64, "big"
+    )
+    faults = [(("wrapped_key",), gt)] + [
+        (path, raw)
+        for raw in small_order_points().values()
+        for path in (("dtk_transferor",), ("dtk_aa_transferors", 0))
+    ]
+    for path, raw in faults:
+        bad = _replaced(wired, ("matches", 0, "recovery", *path), wire.b64e(raw))
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="order-q subgroup"):
+                search_response_from_wire(w.ctx, bad)
+    assert server_mod.kept_recovery.cache_info()[::3] == (0, kept)  # (hits, currsize)
+    assert search_response_from_wire(w.ctx, wired) == honest
+
+
+def test_policy_rotation_decodes_the_new_layer_3_afresh(curve_ctx, monkeypatch):
+    """A record's layer 3 is kept by its bytes, not its id: after a policy
+    rotation the new layer is decoded with every check and decrypts, from the
+    wire and in-process, to the new plaintext."""
+    server_mod.kept_recovery.cache_clear()
+    w = World(ctx=curve_ctx)
+    rid = w.publish(b"before", ["bp"], ["A1", "A2"], 1)
+
+    def fetched():
+        session, consent, req = w.request("bp", [1])
+        response = w.server.search(req)
+        decoded = search_response_from_wire(w.ctx, search_response_to_wire(w.ctx, response))
+        return [w.user.decrypt_matches(session, consent, r, w.pks) for r in (decoded, response)]
+
+    assert fetched() == [[(rid, b"before")]] * 2
+    assert fetched() == [[(rid, b"before")]] * 2
+    rotation = w.owner.update_request(
+        rid, [1], w.pks, policy=["A1"], plaintext=b"after", authorities=w.publics
+    )
+    w.server.reencrypt(rotation)
+    checks = _order_checks(monkeypatch)
+    assert fetched() == [[(rid, b"after")]] * 2
+    assert _checked(checks) == (2 + 2 * 1, 1)  # the new layer 3, checked once
+    assert server_mod.kept_recovery.cache_info().currsize == 2
 
 
 def test_threads_searching_more_consents_than_the_table_holds_match_serial(curve_world):
@@ -1472,6 +1599,20 @@ def test_mutated_messages_fail_typed_or_decode(messages, data):
         pass
 
 
+def test_response_layer_3_nested_past_the_recursion_limit_is_a_bad_record(messages):
+    """A user's layer 3 is kept by its canonical encoding, which a value nested
+    past the recursion limit cannot have: the response is a BadRecord, never a
+    RecursionError."""
+    w, wires = messages
+    obj = json.loads(json.dumps(wires["search-response"]))
+    deep = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    obj["matches"][0]["recovery"]["dtk_transferor"] = deep
+    with pytest.raises(BadRecord):
+        search_response_from_wire(w.ctx, obj)
+
+
 def test_open_rejects_store_without_header(tmp_path):
     empty = tmp_path / "empty.log"
     empty.write_bytes(b"")
@@ -1561,7 +1702,9 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     the GID, the owner id or the store key.  The table of kept points holds
     only element encodings, each of the point it maps to, under the context;
     the table of subset terms, only e(prod pk_i, kw_modifier^-1) of a stored
-    record's public layer 1 and the public set keys."""
+    record's public layer 1 and the public set keys; the table of layers 3,
+    only the canonical bytes of a layer that crossed the wire in a response,
+    each mapped to its own decode."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
     secrets = [b"keyword-SENSITIVE", b"gid-SENSITIVE", b"owner-SENSITIVE"]
@@ -1574,11 +1717,22 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
         return entered[-1][2]
 
     monkeypatch.setattr(PairingContext, "kept", functools.lru_cache(KEPT_POINTS)(kept))
+    layers = []  # (context, key, layer 3) of each entry the table of layers 3 takes
+
+    def kept_recovery(ctx, raw, _decode=server_mod.kept_recovery.__wrapped__):
+        layers.append((ctx, raw, _decode(ctx, raw)))
+        return layers[-1][2]
+
+    kept_recovery = functools.lru_cache(KEPT_POINTS)(kept_recovery)
+    monkeypatch.setattr(server_mod, "kept_recovery", kept_recovery)
     with caplog.at_level(logging.DEBUG, logger="triseal.server"):
         rid = w.publish(b"data", ["keyword-SENSITIVE"], ["A1"], 1)
-        _, _, req = w.request("keyword-SENSITIVE", [1])
+        session, consent, req = w.request("keyword-SENSITIVE", [1])
         resp = w.server.search(search_request_from_wire(w.ctx, search_request_to_wire(w.ctx, req)))
         assert w.server.search(req) == resp
+        wired = search_response_to_wire(w.ctx, resp)
+        for response in (search_response_from_wire(w.ctx, wired), resp):
+            assert w.user.decrypt_matches(session, consent, response, w.pks) == [(rid, b"data")]
     assert [m.record_id for m in resp.matches] == [rid]
     # the table of subset terms: one GT value of the record's kw_modifier and pks alone
     kw_modifier = w.server.fetch(rid).sse.kw_modifier
@@ -1596,9 +1750,17 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     stored = path.read_bytes()
     log_text = caplog.text.encode()
     key = (tmp_path / "store.log.key").read_bytes()
+    # the table of layers 3: the match's layer as it crossed the wire, entered once
+    crossed = [wire.canonical_json(match["recovery"]) for match in wired["matches"]]
+    assert [raw for _, raw, _ in layers] == crossed
+    assert kept_recovery.cache_info().currsize == len(layers)
+    for ctx, raw, layer in layers:
+        assert ctx is w.ctx and type(raw) is bytes and type(layer) is KeyRecoveryElements
+        assert wire.canonical_json(wire.RECOVERY.encode(ctx, layer)) == raw
     for secret in secrets + [key, key.hex().encode(), wire.b64e(key).encode()]:
         assert secret not in stored
         assert secret not in log_text
+        assert all(secret not in raw for _, raw, _ in layers)
     # type construction: no record field can hold those strings
     field_names = {f.name for f in fields(DataRecord)}
     assert field_names == {"record_id", "set_index", "sse", "abe", "recovery", "payload"}

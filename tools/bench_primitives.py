@@ -22,6 +22,10 @@ credential, blinding or ``rtk``) as the server does: prepared, which is its
 order check.  ``kept_token_decode_ms`` decodes a consent's search token that an
 earlier request kept: a hit in the table of kept points, which a token repeated
 across requests meets instead of ``request_element_decode_ms``.
+``response_layer_decode_ms`` decodes that record's layer 3 (k = 2) as a user
+decodes a search response's, with every check, from an emptied table of kept
+layers 3; ``kept_response_layer_decode_ms`` decodes the same bytes again: a hit
+in that table, which a record returned again in the process meets instead.
 ``policy_check_ms`` is ``abe_verify`` of that record's policy (k = 2) over
 prepared credentials and blinding, as a search runs it at a hit.
 ``keyword_check_ms`` is ``sse_match_any`` of that record under a kept token and
@@ -61,7 +65,8 @@ def primitives():
     from triseal.abe import AccessPolicyElements, BlindedIdentity, abe_verify
     from triseal.actors import Authority, Owner, User
     from triseal.pairing import CurveContext, HashDomain, Side, curve
-    from triseal.server import EscrowServer, _layer_from_wire, record_from_wire, record_to_wire
+    from triseal.server import USER_RECOVERY, EscrowServer, _layer_from_wire, kept_recovery
+    from triseal.server import record_from_wire, record_to_wire
     from triseal.sse import server_setup, sse_match_any, subset_product, subset_term
 
     ctx = CurveContext()
@@ -120,6 +125,8 @@ def primitives():
     product = subset_product(ctx, pks, token.subset)
     term = subset_term(ctx, record.sse, product)
     assert sse_match_any(ctx, record.sse, token, term)
+    layer = record_wire["recovery"]
+    assert USER_RECOVERY.decode(ctx, layer) == record.recovery  # kept from here on
     return {
         "pt_mul_q_ms": lambda: curve._pt_mul(h.data, curve.CURVE_Q),
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
@@ -142,6 +149,10 @@ def primitives():
         "held_policy_hit_decode_ms": lambda: _layer_from_wire(
             ctx, record_wire["abe"], AccessPolicyElements, trusted=True
         ),
+        "response_layer_decode_ms": lambda: (
+            kept_recovery.cache_clear(), USER_RECOVERY.decode(ctx, layer)
+        ),
+        "kept_response_layer_decode_ms": lambda: USER_RECOVERY.decode(ctx, layer),
         "store_open_ms_per_record": lambda: EscrowServer.open(Path(tmp.name) / store.name).close(),
         "store_open_untagged_ms_per_record": lambda: EscrowServer.open(
             Path(tmp.name) / "keyless" / store.name
