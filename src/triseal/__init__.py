@@ -8,28 +8,3 @@ README.md for the protocol walkthrough and the CLI.
 """
 
 __version__ = "0.1.0"
-
-from .pairing import (
-    CurveContext,
-    GroupElement,
-    GtElement,
-    HashDomain,
-    OracleContext,
-    PairingContext,
-    Side,
-    context_from_header,
-    make_context,
-)
-
-__all__ = [
-    "CurveContext",
-    "GroupElement",
-    "GtElement",
-    "HashDomain",
-    "OracleContext",
-    "PairingContext",
-    "Side",
-    "context_from_header",
-    "make_context",
-    "__version__",
-]

@@ -10,18 +10,18 @@ so the AND over attributes becomes a sum in the exponents.  A requesting
 user blinds their global identity as U = H(GID)^r with a fresh nonce per
 request, and each authority signs
 
-    credential_i = (g * U)^(a_i),
+    credential_i = (g * U)^(a_i).
 
-which the user cannot forge for a different U (a_i is secret).  The server
-accepts iff
+The server accepts iff
 
     prod_{i in P} e(credential_i, transferor_i)
         = plcy * prod_{i in P} e(U, modifier_i),
 
-learning only the boolean: the GID never appears unblinded, and because
-every credential is bound to one U, credentials issued to different users
-(or to the same user in a different request) cannot be mixed; there is no
-unblinded form.  Key recovery reuses :func:`sign_blinded` and
+learning only the boolean; the GID never appears unblinded.  No one can check
+how U was made, so credentials can still be combined: a user can forge a
+missing attribute from public keys, two users can pool credentials signed
+under one shared U, and one credential on U = g^u gives away g^(a_i) (see
+README's Security notes).  Key recovery reuses :func:`sign_blinded` and
 :func:`encode_policy` under a second key set.
 """
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import abe, recovery, wire
 from .actors import Authority, AuthorityPublic, ConsentGrant, Owner, User, UserSession
 from .errors import BadRecord, ProtocolError
-from .pairing import PairingContext
+from .pairing import PairingContext, make_context
 from .server import (
     EscrowServer,
     record_to_wire,
@@ -88,6 +88,12 @@ def _names(text: str) -> list[str]:
     names = [part for part in text.split(",") if part]
     if not names:
         raise argparse.ArgumentTypeError(f"{text!r} names nothing")
+    return names
+
+
+def _policy(text: str) -> list[str]:
+    if len(set(names := _names(text))) != len(names):
+        raise argparse.ArgumentTypeError(f"{text!r} names an attribute twice")
     return names
 
 
@@ -196,12 +202,11 @@ def _load_session(home: str, ctx: PairingContext | None = None):
 
 
 def _cmd_setup_server(args) -> int:
-    rng = _rng(args.seed)
-    from .pairing import make_context
-
-    ctx = make_context(args.backend)
-    pks = server_setup(ctx, args.sets, rng)
     public_path, store_path = _server_paths(args.home)
+    if store_path.exists():
+        raise ProtocolError(f"{args.home} already holds a store")
+    ctx = make_context(args.backend)
+    pks = server_setup(ctx, args.sets, _rng(args.seed))
     store_path.parent.mkdir(parents=True, exist_ok=True)
     key = None if args.seed is None else hashlib.sha256(b"store-key/%x" % args.seed).digest()
     EscrowServer(ctx, pks, store_path=store_path, store_key=key).close()
@@ -288,6 +293,8 @@ def _cmd_issue(args) -> int:
     user_file = Path(args.home) / "user.json"
     if user_file.exists():
         gid = _load_user(args.home, ctx)
+        if args.gid not in (None, gid):
+            raise ProtocolError(f"this home's user is {gid!r}, not {args.gid!r}")
     else:
         if args.gid is None:
             raise ProtocolError("first issue for this home needs --gid")
@@ -426,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", required=True)
     p.add_argument("--file", required=True)
     p.add_argument("--keywords", type=_names, required=True, help="comma-separated")
-    p.add_argument("--policy", type=_names, required=True, help="comma-separated attribute ids")
+    p.add_argument("--policy", type=_policy, required=True, help="comma-separated attribute ids")
     p.add_argument("--set-index", type=int, required=True)
     p.add_argument("--aa", action="append", required=True, help="authority home (repeatable)")
     p.add_argument("--seed", type=_seed)
@@ -470,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-id", required=True)
     p.add_argument("--subset", type=_subset, required=True)
     p.add_argument("--keywords", type=_names, help="replace the search layer")
-    p.add_argument("--policy", type=_names, help="replace policy + key wrapping + payload")
+    p.add_argument("--policy", type=_policy, help="replace policy + key wrapping + payload")
     p.add_argument("--file", help="plaintext, required with --policy")
     p.add_argument("--aa", action="append", help="authority home (repeatable)")
     p.add_argument("--seed", type=_seed)

@@ -40,8 +40,6 @@ other point) is the x-only Montgomery ladder: E is the Montgomery curve
 y^2 = x^3 + A*x^2 + x with A = 0, whose ladder formulas are complete since
 A^2 - 4 is a non-square mod p (Montgomery; Bernstein), and y is recovered
 at the end (Okeya-Sakurai) with the one inversion an affine result needs.
-gmpy2 is used for field arithmetic when importable; plain Python integers
-otherwise.
 """
 
 from __future__ import annotations
@@ -50,22 +48,14 @@ import functools
 import hashlib
 
 from ..errors import InvalidElement
-from .base import HashDomain, PairingContext, Side
+from .base import WIRE_FORMAT, HashDomain, PairingContext, Side
 
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import invert as _gmpy_invert, mpz, powmod as _powmod
 
-    def _inv(a, m):
-        return _gmpy_invert(a, m)
+def _inv(a, m):
+    return pow(a, -1, m)
 
-except ImportError:  # pragma: no cover
-    def mpz(x):  # type: ignore[misc]
-        return x
 
-    def _inv(a, m):
-        return pow(a, -1, m)
-
-    _powmod = pow
+_powmod = pow
 
 CURVE_Q = 0xE67713B1616219729B6B8B5F4EFCBAA8DC14B8FF
 CURVE_H = 0x8E2E98EF3B25B2EF02D7CE22A0E5D0F3F9E770AEB202CB919778B6478AAE5A0880595CD3DA44207B74FD19D4
@@ -73,17 +63,17 @@ CURVE_P = CURVE_H * CURVE_Q - 1
 
 assert CURVE_P % 4 == 3 and CURVE_H % CURVE_Q != 0
 
-_P = mpz(CURVE_P)
+_P = CURVE_P
 _P_BYTES = 64
-_SQRT_EXP = mpz((CURVE_P + 1) // 4)
-_FINAL_EXP = mpz((CURVE_P + 1) // CURVE_Q)  # applied after the Frobenius step f^(p-1)
+_SQRT_EXP = (CURVE_P + 1) // 4
+_FINAL_EXP = (CURVE_P + 1) // CURVE_Q  # applied after the Frobenius step f^(p-1)
 
 _H2G_PREFIX = b"triseal/v1/h2g/"
 
 Point = tuple  # affine (x, y); None is the point at infinity
 Fp2 = tuple  # (a, b) meaning a + b*i with i^2 = -1
 
-_ONE = (mpz(1), mpz(0))
+_ONE = (1, 0)
 
 
 # -- F_{p^2} arithmetic ----------------------------------------------------
@@ -111,7 +101,7 @@ def _unitary_pow(x, e):
     a, b = x
     if b == 0:  # x = +-1: the ladder's division by b is undefined
         return _powmod(a, e, _P), b
-    w0, w1 = mpz(1), a  # (W(n), W(n+1)) for n = 0
+    w0, w1 = 1, a  # (W(n), W(n+1)) for n = 0
     for bit in bin(e)[2:]:
         if bit == "1":
             w0, w1 = (2 * w0 * w1 - a) % _P, (2 * w1 * w1 - 1) % _P
@@ -203,7 +193,7 @@ def _jac_add_affine(X, Y, Z, x2, y2):
     point (x2, y2) != +-(X, Y, Z): in ``_table_mul`` the sum so far is [m]g and
     the point [2^i]g with 0 < m < 2^i and m + 2^i <= k < q, so h != 0."""
     if Z is None:
-        return mpz(x2), mpz(y2), mpz(1)
+        return x2, y2, 1
     zz = Z * Z % _P
     u2 = x2 * zz % _P
     s2 = y2 * Z * zz % _P
@@ -245,7 +235,7 @@ def _jac_to_affine(X, Y, Z):
 def _batch_inv(values):
     """Inverses of nonzero values mod p with one field inversion
     (Montgomery's trick)."""
-    prefix = [mpz(1)]
+    prefix = [1]
     for v in values:
         prefix.append(prefix[-1] * v % _P)
     inv = _inv(prefix[-1], _P)
@@ -268,7 +258,7 @@ def _miller_lines(p_pt):
     O (Z = 0) and no chord is vertical (h = 0), so it raises InvalidElement
     unless the last chord alone is, at T = -digit*P (r != 0): [q]P = O."""
     xp, yp0 = p_pt
-    X, Y, Z = mpz(xp), mpz(yp0), mpz(1)
+    X, Y, Z = xp, yp0, 1
     nums = []  # (a*D, b*D, D) per line, None for a missing chord
     for i, digit in enumerate(_Q_NAF, 1 - len(_Q_NAF)):  # i = 0 at the last digit
         # tangent slope M / (2*Y*Z), M = 3*X^2 + Z^4; D = 2*Y*Z^3
@@ -337,7 +327,7 @@ def _multi_pairing(pairs):
     prepared = [_prepared(p, q) for p, q in pairs if p is not None and q is not None]
     if not prepared:
         return _ONE
-    f0, f1 = mpz(1), mpz(0)
+    f0, f1 = 1, 0
     for s in range(0, 4 * len(_Q_NAF), 4):
         f0, f1 = (f0 + f1) * (f0 - f1) % _P, 2 * f0 * f1 % _P
         for lines, xq, yq in prepared:
@@ -367,7 +357,7 @@ def _point_from_label(label: bytes):
     for counter in range(512):
         seed = label + counter.to_bytes(4, "big")
         wide = hashlib.sha256(seed + b"\x00").digest() + hashlib.sha256(seed + b"\x01").digest()
-        x = mpz(int.from_bytes(wide, "big")) % _P
+        x = int.from_bytes(wide, "big") % _P
         rhs = (x * x * x + x) % _P
         if rhs == 0:
             continue
@@ -404,8 +394,6 @@ class CurveContext(PairingContext):
         self._tables = {side: _base_table(side)[0] for side in Side}
 
     def param_header(self) -> dict:
-        from .base import WIRE_FORMAT
-
         return {
             "format": WIRE_FORMAT,
             "backend": "curve",
@@ -462,7 +450,7 @@ class CurveContext(PairingContext):
         if a is None:
             return b"\x00" + bytes(_P_BYTES)
         x, y = a
-        return bytes([2 + int(y & 1)]) + int(x).to_bytes(_P_BYTES, "big")
+        return bytes([2 + (y & 1)]) + x.to_bytes(_P_BYTES, "big")
 
     def _g_from_bytes(self, raw: bytes, check_order: bool = True):
         if len(raw) != 1 + _P_BYTES:
@@ -474,14 +462,14 @@ class CurveContext(PairingContext):
             return None
         if tag not in (2, 3):
             raise InvalidElement(f"bad point compression tag {tag}")
-        x = mpz(int.from_bytes(xb, "big"))
+        x = int.from_bytes(xb, "big")
         if x >= _P:
             raise InvalidElement("x coordinate out of range")
         rhs = (x * x * x + x) % _P
         y = _powmod(rhs, _SQRT_EXP, _P)
         if y * y % _P != rhs:
             raise InvalidElement("x is not on the curve")
-        if int(y & 1) != tag - 2:
+        if (y & 1) != tag - 2:
             y = _P - y
         pt = (x, y)
         if check_order and _pt_mul(pt, CURVE_Q) is not None:
@@ -489,13 +477,13 @@ class CurveContext(PairingContext):
         return pt
 
     def _gt_to_bytes(self, a) -> bytes:
-        return int(a[0]).to_bytes(_P_BYTES, "big") + int(a[1]).to_bytes(_P_BYTES, "big")
+        return a[0].to_bytes(_P_BYTES, "big") + a[1].to_bytes(_P_BYTES, "big")
 
     def _gt_from_bytes(self, raw: bytes, check_order: bool = True):
         if len(raw) != 2 * _P_BYTES:
             raise InvalidElement(f"expected {2 * _P_BYTES} bytes, got {len(raw)}")
-        a = mpz(int.from_bytes(raw[:_P_BYTES], "big"))
-        b = mpz(int.from_bytes(raw[_P_BYTES:], "big"))
+        a = int.from_bytes(raw[:_P_BYTES], "big")
+        b = int.from_bytes(raw[_P_BYTES:], "big")
         if a >= _P or b >= _P:
             raise InvalidElement("coordinate out of range")
         value = (a, b)

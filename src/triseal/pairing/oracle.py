@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import InvalidElement
-from .base import HashDomain, PairingContext, Side
+from .base import WIRE_FORMAT, HashDomain, PairingContext, Side
 
 # Default order for property suites: 2^127 - 1 (prime), far above the
 # collision-avoidance floor; worked vectors override with q = 101.
@@ -56,8 +56,6 @@ class OracleContext(PairingContext):
         self._width = (order.bit_length() + 7) // 8
 
     def param_header(self) -> dict:
-        from .base import WIRE_FORMAT
-
         return {"format": WIRE_FORMAT, "backend": "oracle", "q": format(self.order, "x")}
 
     # -- backend hooks ---------------------------------------------------------

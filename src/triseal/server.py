@@ -96,10 +96,10 @@ _MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError, In
 @dataclass(frozen=True)
 class Held:
     """Layer 2 or 3 as the server holds it: attribute names, checked canonical wire
-    form (sent and logged as is: never mutate), the layer's dataclass, and layer 2's
-    elements (None: a tagged frame's)."""
+    form (sent and logged as is: never mutate; alone compared), the layer's dataclass,
+    and layer 2's elements (None: a tagged frame's)."""
 
-    attrs: tuple[str, ...]
+    attrs: tuple[str, ...] = field(compare=False)
     wire: dict
     kind: type = field(compare=False)
     elements: AccessPolicyElements | KeyRecoveryElements | None = field(default=None, compare=False)
@@ -472,8 +472,10 @@ class EscrowServer:
                     self._terms.setdefault(rec.sse.kw_modifier, {})[subset] = term
         outcomes = [out for out, _ in checked]
 
-        hits = [rec for rec, out in zip(candidates, outcomes) if out == _MATCH]
-        matches = [MatchedRecord(r.record_id, r.payload, r.recovery, r.abe.attrs) for r in hits]
+        matches = [  # each policy in wire order, as a reopened server holds it
+            MatchedRecord(rec.record_id, rec.payload, rec.recovery, tuple(rec.abe.wire["attrs"]))
+            for rec, out in zip(candidates, outcomes) if out == _MATCH
+        ]
         incomplete = [rec.record_id for rec, out in zip(candidates, outcomes) if out == _INCOMPLETE]
         stats = SearchStats(
             candidates=len(candidates),

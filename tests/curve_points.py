@@ -72,4 +72,5 @@ def malformed_encodings(good: bytes) -> dict:
         "bad tag": b"\x07" + good[1:],
         "identity tag with a payload": b"\x00" + good[1:],
         "x off the curve": b"\x02" + bytes(63) + b"\x05",  # x^3 + x is a non-square
+        "x past the field": b"\x02" + b"\xff" * 64,
     }

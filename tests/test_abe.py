@@ -33,6 +33,8 @@ def test_aa_setup_vectors():
     a = abe.aa_setup(ctx, "A1", random.Random(1))
     b = abe.aa_setup(ctx, "A1", random.Random(2))
     assert a.ask != b.ask and a.apk != b.apk
+    with pytest.raises(ValueError):
+        abe.aa_setup(ctx, "A1")  # neither rng nor an injected secret
 
 
 def test_issue_credential_vectors():
@@ -83,6 +85,8 @@ def test_policy_encrypt_edge_cases():
         abe.abe_policy_encrypt(ctx, ["A9"], {"A1": kp1.apk}, {"A9": 3})
     with pytest.raises(ValueError):
         abe.abe_policy_encrypt(ctx, [], {}, {})
+    with pytest.raises(ValueError):
+        abe.abe_policy_encrypt(ctx, ["A1", "A1"], {"A1": kp1.apk}, {"A1": 3})
 
 
 def _vector_setup():

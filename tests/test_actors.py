@@ -261,3 +261,11 @@ def test_curve_fixed_operands_are_computed_once(curve_ctx, monkeypatch):
     calls.clear()
     user.new_session()
     assert calls["hash_to_group"] == 0
+
+
+def test_update_request_argument_rules():
+    ctx, pks, server, authorities, publics, owner, user = build_world(73)
+    with pytest.raises(ValueError):  # a new policy without the plaintext it wraps
+        owner.update_request("rid", [1], pks, policy=["A1"], authorities=publics)
+    with pytest.raises(ValueError):  # a new plaintext without a new policy
+        owner.update_request("rid", [1], pks, plaintext=b"x")

@@ -298,6 +298,7 @@ PUBLISH = ("publish", "--home", "own", "--server", "srv", "--file", "data.txt",
 UPDATE = ("update", "--home", "own", "--server", "srv", "--record-id",
           "af09862074729217eb0d1f307fbd9a17", "--subset", "2")
 REPOLICY = (*UPDATE, "--policy", "DOCTOR", "--file", "data.txt", "--aa", "aa1")
+SETUP_AGAIN = ("setup-server", "--home", "srv", "--sets", 2, "--backend", "oracle")
 ALL_FAULTS = ("other-kind", "missing", "not-json", "deep")
 # the key a retyped-scalar or secret-* fault sets, and its value, by file, command and fault;
 # a secret scalar has one spelling, format(x, "x") of an x in [1, q)
@@ -339,6 +340,9 @@ READERS = [
     ("srv/store.log", SEARCH, None, ("missing", "bad-frame")),
     ("data.txt", PUBLISH, None, ("missing",)),
     ("data.txt", REPOLICY, None, ("missing",)),
+    # "kept": the file as the walkthrough wrote it, which the command must not overwrite
+    ("srv/store.log", SETUP_AGAIN, None, ("kept",)),
+    ("usr/user.json", (*ISSUE, "--gid", "carol"), None, ("kept",)),
 ]
 
 
@@ -354,7 +358,10 @@ def test_bad_input_files_exit_1_with_one_error_line(
     shutil.copytree(walked, root)
     monkeypatch.chdir(root)
     path = root / target
-    if fault == "other-kind":
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    if fault == "kept":
+        pass
+    elif fault == "other-kind":
         shutil.copyfile(root / other, path)
     elif fault == "missing":
         path.unlink()
@@ -371,6 +378,8 @@ def test_bad_input_files_exit_1_with_one_error_line(
     assert run(*argv) == EXIT_PROTOCOL
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if fault == "kept":
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 BAD_ARGUMENTS = {
@@ -379,6 +388,8 @@ BAD_ARGUMENTS = {
     "update-subset": (*UPDATE[:-1], "x,1", "--keywords", "k"),
     "publish-keywords": tuple("," if a == "k" else a for a in PUBLISH),
     "publish-policy": tuple("," if a == "DOCTOR" else a for a in PUBLISH),
+    "publish-policy-twice": tuple("DOCTOR,DOCTOR" if a == "DOCTOR" else a for a in PUBLISH),
+    "update-policy-twice": tuple("DOCTOR,DOCTOR" if a == "DOCTOR" else a for a in REPOLICY),
     "update-policy-without-file": (*UPDATE, "--policy", "DOCTOR", "--aa", "aa1"),
     "update-policy-without-aa": (*UPDATE, "--policy", "DOCTOR", "--file", "data.txt"),
     "update-file-without-policy": (*UPDATE, "--keywords", "k", "--file", "data.txt"),

@@ -9,7 +9,7 @@ from exponent_oracle import brute_inverse
 from hash_pins import pin_hash
 from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
 from triseal.pairing import GroupElement, HashDomain, OracleContext, Side
-from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_mul, _point_from_label
+from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_add, _pt_mul, _point_from_label
 
 
 def test_pair_exponent_vector(oracle101):
@@ -80,6 +80,7 @@ def test_group_ops_vectors(oracle101):
     assert x**1 == x
     gt = ctx.gt_generator
     assert ctx.gt_div(gt**88, gt**80) == gt ** ((88 - 80) % 101)
+    assert x != x.data and gt != gt.data  # not elements: unequal
 
 
 def test_hash_determinism_and_domains(oracle_big):
@@ -165,9 +166,12 @@ def test_pairing_product_checks_sides_and_context(backend, oracle_big, curve_ctx
         ctx.group_inverse(foreign.g_left)
 
 
-def test_oracle_requires_prime_order():
-    with pytest.raises(ValueError):
-        OracleContext(100)
+def test_oracle_requires_prime_order(oracle101):
+    for order in (1, 2, 100, 1763):  # 2 is not odd; 1763 = 41 * 43 passes trial division
+        with pytest.raises(ValueError):
+            OracleContext(order)
+    with pytest.raises(InvalidElement):
+        oracle101.element_from_bytes(bytes([101]), Side.LEFT)  # 101 = q is no exponent
 
 
 @pytest.mark.parametrize("backend", ["oracle", "curve"])
@@ -232,8 +236,10 @@ def test_curve_rejects_malformed_points(curve_ctx):
     for raw in malformed_encodings(ctx.element_to_bytes(ctx.g_left)).values():
         with pytest.raises(InvalidElement):
             ctx.element_from_bytes(raw, Side.LEFT)
-    with pytest.raises(InvalidElement):
-        ctx.gt_from_bytes(bytes(128))
+    one, past = (1).to_bytes(64, "big"), CURVE_P.to_bytes(64, "big")
+    for raw in (bytes(128), one + bytes(63), one + bytes(65), past + bytes(64), one + past):
+        with pytest.raises(InvalidElement):
+            ctx.gt_from_bytes(raw)
     inv5 = pow(5, -1, CURVE_P)
     for a, b in (
         (2, 0),  # norm 4
@@ -270,6 +276,11 @@ def test_curve_rejects_out_of_subgroup_point(curve_ctx):
         for side in Side:
             with pytest.raises(InvalidElement, match="order-q subgroup"):
                 ctx.element_from_bytes(raw, side)
+
+
+def test_curve_point_sum_with_infinity_is_the_point(curve_ctx):
+    g = curve_ctx.g_left.data
+    assert _pt_add(g, None) == _pt_add(None, g) == g
 
 
 def test_ladder_matches_affine_double_and_add(curve_ctx):
@@ -348,7 +359,7 @@ def test_curve_generators_have_order_q(curve_ctx):
 
 
 def test_param_header_round_trip(oracle101, oracle_big, curve_ctx):
-    from triseal.pairing import context_from_header
+    from triseal.pairing import context_from_header, make_context
 
     for ctx in (oracle101, oracle_big, curve_ctx):
         rebuilt = context_from_header(ctx.param_header())
@@ -356,6 +367,12 @@ def test_param_header_round_trip(oracle101, oracle_big, curve_ctx):
         assert rebuilt.order == ctx.order
     with pytest.raises(InvalidElement):
         context_from_header({"format": 99, "backend": "oracle", "q": "65"})
+    with pytest.raises(InvalidElement):  # no supported context has this header
+        context_from_header({**curve_ctx.param_header(), "p": "7"})
+    with pytest.raises(ValueError):
+        make_context("curve", order=101)
+    with pytest.raises(ValueError):
+        make_context("lattice")
 
 
 def test_cofactor_structure():
@@ -427,3 +444,34 @@ def test_curve_known_answers(curve_ctx):
     for k, (left, right) in _KAT_G_EXP.items():
         assert digest(ctx.element_to_bytes(ctx.g_left**k)) == left
         assert digest(ctx.element_to_bytes(ctx.g_right**k)) == right
+
+
+_STUB_GMPY2 = """
+import sys, types
+
+stub = types.ModuleType("gmpy2")
+stub.mpz = lambda x: int(x)
+stub.invert = lambda a, m: pow(a, -1, m)
+stub.powmod = lambda a, e, m: pow(a, e, m)
+sys.modules["gmpy2"] = stub
+
+from triseal.pairing import HashDomain, curve
+
+ctx = curve.CurveContext()
+print(curve._powmod is pow)
+print(ctx.element_to_bytes(ctx.hash_to_group(HashDomain.KEYWORD, b"bp")).hex())
+"""
+
+
+def test_curve_computes_on_built_in_integers_even_with_gmpy2_importable():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _STUB_GMPY2], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["True", _KAT_HASH_BP]

@@ -61,6 +61,8 @@ def test_corrupted_ciphertext_fails(ctx):
     )
     with pytest.raises(AuthenticationFailure):
         payload.decrypt_payload(key, tampered)
+    with pytest.raises(AuthenticationFailure):  # an unknown scheme id
+        payload.decrypt_payload(key, payload.PayloadCiphertext(ct.scheme_id + 1, ct.nonce, ct.body))
 
 
 def test_envelope_round_trip(ctx):

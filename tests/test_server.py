@@ -117,6 +117,17 @@ def test_store_rejects_mismatched_layers():
         w.server.store_record(replace(a, abe=b.abe))  # recovery policy disagrees
 
 
+def test_store_rejects_a_record_without_tags_or_policy():
+    w = World()
+    rec = w.owner.publish(b"x", ["bp"], ["A1"], 1, w.publics)
+    untagged = replace(rec, sse=replace(rec.sse, tagged_keywords=()))
+    unguarded = replace(rec, abe=replace(rec.abe, attrs=(), ac_transferors=(), plcy_modifiers=()))
+    for bad in (untagged, unguarded):
+        with pytest.raises(BadRecord):
+            w.server.store_record(bad)
+    assert w.server.record_count == 0
+
+
 def test_store_duplicate_id_conflict():
     w = World()
     rid = w.publish(b"x", ["bp"], ["A1"], 1)
@@ -1010,6 +1021,7 @@ def test_update_rejections_leave_record_byte_identical():
     rid = w.publish(b"v1", ["bp"], ["A1"], 1)
     before = record_bytes(w.ctx, w.server.fetch(rid))
     stranger = Owner.create(w.ctx, "stranger", random.Random(99))
+    honest = update_request_to_wire(w.ctx, w.owner.update_request(rid, [1], w.pks, keywords=["x"]))
 
     rejected = [
         # wrong owner secret
@@ -1030,6 +1042,9 @@ def test_update_rejections_leave_record_byte_identical():
         ),
         # record outside the declared subset
         w.owner.update_request(rid, [2], w.pks, keywords=["x"]),
+        # an empty or unknown declared subset, as the wire can carry it
+        update_request_from_wire(w.ctx, {**honest, "subset": []}),
+        update_request_from_wire(w.ctx, {**honest, "subset": [99]}),
     ]
     for req in rejected:
         with pytest.raises(UpdateRejected):
@@ -1102,6 +1117,31 @@ def test_store_file_round_trip(tmp_path):
     revived.close()
     with pytest.raises(ValueError):
         EscrowServer(w.ctx, w.pks, store_path=path)  # refuses to clobber
+
+
+def _unsorted_policy_store(path):
+    """A file-backed world holding one record whose policy is not in sorted order."""
+    w = World(attrs=("RESEARCHER", "DOCTOR"), store_path=path)
+    return w, w.publish(b"a", ["bp"], ["RESEARCHER", "DOCTOR"], 1)
+
+
+def test_live_and_reopened_servers_answer_with_equal_wire(tmp_path):
+    w, rid = _unsorted_policy_store(tmp_path / "store.log")
+    _, _, req = w.request("bp", [1])
+    with closing(w.server), closing(EscrowServer.open(tmp_path / "store.log")) as revived:
+        live, reopened = (
+            search_response_to_wire(w.ctx, server.search(req)) for server in (w.server, revived)
+        )
+    assert [m["record_id"] for m in live["matches"]] == [rid]
+    assert live["matches"][0]["policy"] == ["DOCTOR", "RESEARCHER"]
+    assert wire.canonical_json(live) == wire.canonical_json(reopened)
+
+
+def test_restoring_a_reopened_copy_returns_its_id(tmp_path):
+    w, rid = _unsorted_policy_store(tmp_path / "store.log")
+    with closing(w.server), closing(EscrowServer.open(tmp_path / "store.log")) as revived:
+        assert w.server.store_record(revived.fetch(rid)) == rid
+        assert revived.store_record(w.server.fetch(rid)) == rid
 
 
 def test_curve_reopen_decodes_only_last_frames(curve_ctx, tmp_path, monkeypatch):

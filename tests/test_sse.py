@@ -42,6 +42,10 @@ def test_server_setup_minimal_and_distinct():
         sse.server_setup(ctx, 0, random.Random(4))
     with pytest.raises(ValueError):
         sse.server_setup(ctx, 2, exponents=[7, 7])  # identical keys
+    with pytest.raises(ValueError):
+        sse.server_setup(ctx, 2, exponents=[7])
+    with pytest.raises(ValueError):
+        sse.server_setup(ctx, 2)  # neither rng nor exponents
 
 
 def test_sse_encrypt_vector():

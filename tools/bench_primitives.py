@@ -7,9 +7,9 @@ script.  Standard library only.  Each of ``--repeat`` rounds times every
 primitive once with ``time.perf_counter`` on fixed inputs, round-robin, so a
 burst of load moves every row alike and two checkouts measured on the same
 machine are comparable; the line holds the median per primitive in
-milliseconds, the Python version, whether gmpy2 is in use, the number of
-usable cores and ``src_lines``, the line count of every ``src/**/*.py``
-(counted as ``perfbench/run.py`` counts it).  ``store_open_ms_per_record``
+milliseconds, the Python version, the number of usable cores and
+``src_lines``, the line count of every ``src/**/*.py`` (counted as
+``perfbench/run.py`` counts it).  ``store_open_ms_per_record``
 reopens a fixed 6-record store log, each record given new keywords or a new
 policy and payload after publishing, and divides by the record count: the
 trusted path, whose tags verify under the store key, so no order check runs
@@ -161,8 +161,6 @@ def primitives():
 
 
 def measure(repeat: int) -> dict:
-    from triseal.pairing import curve
-
     fns = primitives()
     times = {name: [] for name in fns}
     for _ in range(repeat):
@@ -173,7 +171,6 @@ def measure(repeat: int) -> dict:
     medians = {name: round(statistics.median(ts), 3) for name, ts in times.items()}
     return {
         "python": platform.python_version(),
-        "gmpy2": curve._powmod is not pow,
         "nproc": len(os.sched_getaffinity(0)),
         "repeat": repeat,
         "median_ms": medians,
