@@ -155,21 +155,45 @@ def abe_policy_encrypt(
     )
 
 
+@dataclass(frozen=True)
+class PreparedPolicy:
+    """A layer 2 as its check pairs it: each transferor and the inverted modifier
+    product (prod_i M_i)^-1, prepared, so that the record side carries the lines."""
+
+    attrs: tuple[str, ...]
+    transferors: tuple[GroupElement, ...]
+    modifiers_inverse: GroupElement
+    plcy: GtElement
+
+
+def prepare_policy(ctx: PairingContext, elems: AccessPolicyElements) -> PreparedPolicy:
+    """``elems`` with its k + 1 RIGHT points prepared: what a server keeps per record."""
+    modifiers = math.prod(elems.plcy_modifiers, start=ctx.group_identity(Side.RIGHT))
+    return PreparedPolicy(
+        attrs=elems.attrs,
+        transferors=tuple(map(ctx.prepare, elems.ac_transferors)),
+        modifiers_inverse=ctx.prepare(ctx.group_inverse(modifiers)),
+        plcy=elems.plcy,
+    )
+
+
 def abe_verify(
     ctx: PairingContext,
-    elems: AccessPolicyElements,
+    elems: AccessPolicyElements | PreparedPolicy,
     creds: Sequence[AttributeCredential],
     blinded: BlindedIdentity,
 ) -> bool:
     """Check the policy equation; False is an ordinary verification failure,
-    while missing credentials raise IncompletePolicy."""
+    while missing credentials raise IncompletePolicy.  The pairings run over
+    the record side's lines (``prepare_policy``, unless ``elems`` comes
+    prepared), so the request's points need no preparation."""
     by_attr = {c.attribute_id: c.credential for c in creds}
     missing = [a for a in elems.attrs if a not in by_attr]
     if missing:
         raise IncompletePolicy(f"no credential for: {', '.join(missing)}")
+    policy = elems if isinstance(elems, PreparedPolicy) else prepare_policy(ctx, elems)
     # prod_i e(U, M_i) = e(U, prod_i M_i), moved left as e(U, (prod_i M_i)^-1):
     # one product of k + 1 pairings, so k + 1 Miller loops and one final exp
-    modifiers = math.prod(elems.plcy_modifiers, start=ctx.group_identity(Side.RIGHT))
-    pairs = list(zip(map(by_attr.get, elems.attrs), elems.ac_transferors))
-    pairs.append((blinded.element, ctx.group_inverse(modifiers)))
-    return ctx.pairing_product(pairs) == elems.plcy
+    pairs = list(zip(map(by_attr.get, policy.attrs), policy.transferors))
+    pairs.append((blinded.element, policy.modifiers_inverse))
+    return ctx.pairing_product(pairs) == policy.plcy

@@ -319,13 +319,12 @@ def _cmd_search(args) -> int:
     user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))
     request = user.build_search_request(session, grant)
 
-    outbox = Path(args.home) / "outbox"
-    outbox.mkdir(parents=True, exist_ok=True)
-    serial = len(list(outbox.glob("request-*.json"))) + 1
-    _write_json(outbox / f"request-{serial:04d}.json", search_request_to_wire(ctx, request))
-
-    server = _open_server(args.server)
+    server = _open_server(args.server)  # before the request is written: a failed open writes none
     try:
+        outbox = Path(args.home) / "outbox"
+        outbox.mkdir(parents=True, exist_ok=True)
+        serial = len(list(outbox.glob("request-*.json"))) + 1
+        _write_json(outbox / f"request-{serial:04d}.json", search_request_to_wire(ctx, request))
         response = server.search(request)
     finally:
         server.close()

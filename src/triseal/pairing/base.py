@@ -18,8 +18,11 @@ side is a tag enforced at the API level rather than a structural property.
 Invariant: every decoded element is order-checked before use, unless its
 bytes come from a store frame whose tag verifies under this server's key
 (``_trusted_decode``, called only from ``server.py``): at open, or for its
-layer 2 at a keyword hit on that server; its layer 3 is never decoded.  Its
-line preparation checks a LEFT request element (``prepared_from_bytes``).  A hit
+layer 2 at its first keyword hit on that server; its layer 3 is never decoded.
+Its line preparation checks a request element that is paired over its own lines
+(``prepared_from_bytes``): a search token or an update's ``rtk``.  A search
+request's credentials and blinding are paired over a record's lines, which
+cannot see a component outside the order-q subgroup, so they take [q]P.  A hit
 in the table of points kept across requests (``kept``) is a point whose line walk
 ran when it was first kept; a point that fails the walk is never kept.  A hit in
 the table of layers 3 (``server.kept_recovery``) is a layer whose every element
@@ -208,8 +211,9 @@ class PairingContext(ABC):
     def pairing_product(self, pairs: Iterable[tuple[GroupElement, GroupElement]]) -> GtElement:
         """prod_i e(x_i, y_i) over (LEFT, RIGHT) pairs, the GT identity if
         empty.  Equals multiplying ``pair`` results, but the curve backend
-        runs one Miller loop over the lines of each x_i (carried if prepared)
-        and one final exp; write e(a, b) / e(c, d) as e(a, b) * e(c, d^-1)."""
+        runs one Miller loop over the lines each pair carries (x_i's, else
+        y_i's; x_i's walked if neither is prepared) and one final exp; write
+        e(a, b) / e(c, d) as e(a, b) * e(c, d^-1)."""
         data = []
         for x, y in pairs:
             self._check(x)
@@ -222,8 +226,8 @@ class PairingContext(ABC):
         return GtElement(self, self._pair_product(data))
 
     def prepare(self, x: GroupElement) -> GroupElement:
-        """``x`` carrying what makes it cheap as a LEFT argument (the curve's Miller
-        lines); idempotent.  InvalidElement outside the order-q subgroup."""
+        """``x`` carrying what makes it cheap in a pairing, on either side (the curve's
+        Miller lines); idempotent.  InvalidElement outside the order-q subgroup."""
         self._check(x)
         return GroupElement(self, x.side, self._g_prepare(x.data))
 

@@ -10,16 +10,17 @@ subgroup of F_{p^2}^*, and the pairing is
 where phi(x, y) = (-x, i*y) is the distortion map into E(F_{p^2}) and
 f_{q,P} is the Miller function.  Every F_p factor of f vanishes under the
 final exponentiation (Barreto-Kim-Lynn-Scott), so the Miller loop skips the
-vertical lines.  The lines of f_{q,P} depend on P alone: for a LEFT point
-P they are computed over the non-adjacent form of q with T in Jacobian
-coordinates (Chatterjee-Sarkar-Barua), made monic with one batched
-inversion, and carried by a point that ``prepare`` returns (fixed-argument
-precomputation, Scott); that walk ends at [q]P, so it is also P's subgroup
-check.  The two generators' lines are kept for good, next to their doubling
-tables.  Every point of G, LEFT or RIGHT, lies in the
-one cyclic order-q subgroup, so the pairing is symmetric, e(P, Q) =
-e(Q, P), and a pair whose RIGHT point is a generator runs over that
-generator's lines at phi(P) (Costello-Stebila).  A product of pairings
+vertical lines.  The lines of f_{q,P} depend on P alone: they are computed
+over the non-adjacent form of q with T in Jacobian coordinates
+(Chatterjee-Sarkar-Barua), made monic with one batched inversion, and
+carried by a point that ``prepare`` returns (fixed-argument precomputation,
+Scott); that walk ends at [q]P, so it is also P's subgroup check.  The two
+generators' lines are kept for good, next to their doubling tables.  Every
+point of G, LEFT or RIGHT, lies in the one cyclic order-q subgroup, so the
+pairing is symmetric, e(P, Q) = e(Q, P): a pair whose RIGHT point is a
+generator, or carries lines while its LEFT point does not, runs over the
+RIGHT point's lines at phi(P) (Costello-Stebila).  So the argument that
+lasts is the one prepared, on either side.  A product of pairings
 squares one F_{p^2} accumulator per digit, multiplies in each pair's line,
 and shares one final exponentiation (Granger-Smart); a single pairing is
 the one-pair product.  After the (p - 1) step of the final exponentiation
@@ -310,13 +311,16 @@ class _Lined(tuple):
 
 
 def _prepared(p_pt, q_pt):
-    """(lines, x, y) for e(P, Q): one argument's lines, the other's point."""
+    """(lines, x, y) for e(P, Q): one argument's lines, the other's point.  P and
+    Q lie in the one order-q subgroup, so e(P, Q) = e(Q, P): a generator's kept
+    lines serve on either side, and so do Q's where P carries none."""
     for table, lines in map(_base_table, Side):
         if p_pt == table[0]:
             return (lines, *q_pt)
         if q_pt == table[0]:
-            # P and Q lie in the one order-q subgroup, so e(P, Q) = e(Q, P)
             return (lines, *p_pt)
+    if not hasattr(p_pt, "lines") and hasattr(q_pt, "lines"):
+        return (q_pt.lines, *p_pt)
     return (getattr(p_pt, "lines", None) or _miller_lines(p_pt), *q_pt)
 
 

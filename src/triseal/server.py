@@ -7,13 +7,17 @@ kinds of request:
 * search -- candidates are first confined to the declared data-set subset,
   then keyword-matched (cheap, one check per record), and only the keyword
   matches go through policy verification (per-attribute pairings).  The
-  counters on the response expose that ordering.  A request's left points
-  are prepared once, before the scan; the consent's token and the subset
-  product repeat across requests, so they come from the table of kept
-  points (``PairingContext.kept``).  An update's are prepared per request.
-  A keyword check is one pairing times the record's subset term, kept per
-  (layer 1, subset) from the first check that needs it: a forked child sends
-  its terms back with its outcomes, installed only while that layer 1 is current.
+  counters on the response expose that ordering.  The consent's token and
+  the subset product repeat across requests, so they come prepared from the
+  table of kept points (``PairingContext.kept``), before the fork.  A keyword
+  check is one pairing times the record's subset term, kept per (layer 1,
+  subset) from the first check that needs it.  A policy check pairs the
+  request's credentials and blinding, never prepared, over the record side's
+  lines (``abe.prepare_policy``), kept per current layer 2 from its first
+  check on this server: about 49 KB per prepared point, k + 1 per record,
+  freed by a policy rotation.  A forked child sends the terms and policies it
+  prepared back with its outcomes; each is installed only while its layer is
+  current.  An update's ``rtk`` is prepared per request.
 * re-encryption -- an update is applied only if the supplied token proves
   ownership against the record's own search elements and the separate
   update-id tag:
@@ -40,9 +44,9 @@ keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
 Trust rule: this server checked every element of a frame it tagged, so a frame
 whose tag verifies decodes only layer 1, without the two order-q checks, and
 holds layers 2 and 3 as wire form (``Held``): layer 2 is decoded, again
-without them, only by ``_check`` at a keyword hit after the IncompletePolicy
-check, and layer 3 never.  A failed tag, a missing key and all outside input,
-held forms included, get every check.  A user's layer 3 (a response's, or an
+without them, only by ``_check`` at its first keyword hit on this server after
+the IncompletePolicy check, and layer 3 never.  A failed tag, a missing key
+and all outside input, held forms included, get every check.  A user's layer 3 (a response's, or an
 in-process held form) is decoded with every check, outside any trusted decode,
 once per process: ``kept_recovery`` keeps the last ``KEPT_POINTS`` by (context,
 canonical wire bytes).  Reopen reads the log once: it parses
@@ -71,7 +75,8 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping
 
 from . import wire
-from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity, abe_verify
+from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity, PreparedPolicy
+from .abe import abe_verify, prepare_policy
 from .errors import (
     BadRecord,
     BadSetIndex,
@@ -325,6 +330,8 @@ class EscrowServer:
         self._records: dict[str, DataRecord] = {}
         # a layer 1's kw_modifier -> {subset: its subset_term}, dropped with that layer 1
         self._terms = weakref.WeakKeyDictionary()
+        # a record id -> (its layer 2 as held, that layer's prepare_policy), dropped with it
+        self._policies: dict[str, tuple[Held, PreparedPolicy]] = {}
         self._lock = threading.Lock()
         self._store: BinaryIO | None = None
         if store_key is not None and len(store_key) != KEY_BYTES:
@@ -456,21 +463,23 @@ class EscrowServer:
         if req.blinded is None or req.blinded.element.is_identity:
             raise InvalidBlinding("search request carries no blinded identity")
         ctx, subset = self.ctx, self.pks.check_subset(req.token.subset)
-        prepare = ctx.prepare  # before the fork, so every child inherits the lines
-        product = subset_product(ctx, self.pks, subset)  # both kept across requests
+        # both kept across requests, and prepared before the fork so every child inherits them
+        product = subset_product(ctx, self.pks, subset)
         token = SearchToken(ctx.kept(ctx.element_to_bytes(req.token.token)), subset)
-        creds = tuple(replace(c, credential=prepare(c.credential)) for c in req.credentials)
-        req = SearchRequest(token, creds, BlindedIdentity(prepare(req.blinded.element)))
+        req = replace(req, token=token)
         with self._lock:
             snapshot = list(self._records.values())
         candidates = [rec for rec in snapshot if rec.set_index in subset]
 
         checked = _forked(ctx, candidates, lambda shard: self._check(shard, req, product))
-        with self._lock:  # each term a shard computed, for a layer 1 still current
-            for rec, (_, term) in zip(candidates, checked):
-                if term is not None and self._records[rec.record_id].sse is rec.sse:
+        with self._lock:  # each term and policy a shard prepared, for a layer still current
+            for rec, (_, term, policy) in zip(candidates, checked):
+                current = self._records[rec.record_id]
+                if term is not None and current.sse is rec.sse:
                     self._terms.setdefault(rec.sse.kw_modifier, {})[subset] = term
-        outcomes = [out for out, _ in checked]
+                if policy is not None and current.abe is rec.abe:
+                    self._policies[rec.record_id] = rec.abe, policy
+        outcomes = [out for out, *_ in checked]
 
         matches = [  # each policy in wire order, as a reopened server holds it
             MatchedRecord(rec.record_id, rec.payload, rec.recovery, tuple(rec.abe.wire["attrs"]))
@@ -499,23 +508,29 @@ class EscrowServer:
 
     def _check(
         self, candidates: list[DataRecord], req: SearchRequest, product: GroupElement
-    ) -> list[tuple[int, GtElement | None]]:
-        """(outcome, the subset term if computed here, else None) per candidate."""
+    ) -> list[tuple[int, GtElement | None, PreparedPolicy | None]]:
+        """(outcome, the subset term and the prepared policy if computed here, else
+        None) per candidate."""
         covered, checked = {c.attribute_id for c in req.credentials}, []
         for rec in candidates:
             kept = self._terms.get(rec.sse.kw_modifier, {}).get(req.token.subset)
             term = subset_term(self.ctx, rec.sse, product) if kept is None else kept
+            fresh = None
             if not sse_match_any(self.ctx, rec.sse, req.token, term):
                 outcome = _MISS
             elif not covered.issuperset(rec.abe.attrs):  # IncompletePolicy, before any decode
                 outcome = _INCOMPLETE
-            else:  # a held layer 2 without elements is a frame this server tagged: no order check
-                policy = rec.abe.elements or _layer_from_wire(
-                    self.ctx, rec.abe.wire, AccessPolicyElements, trusted=True
-                )
+            else:
+                layer, policy = self._policies.get(rec.record_id, (None, None))
+                if layer is not rec.abe:  # this layer 2's first check on this server; held
+                    # without elements, it is a frame this server tagged: no order check
+                    elements = rec.abe.elements or _layer_from_wire(
+                        self.ctx, rec.abe.wire, AccessPolicyElements, trusted=True
+                    )
+                    policy = fresh = prepare_policy(self.ctx, elements)
                 ok = abe_verify(self.ctx, policy, req.credentials, req.blinded)
                 outcome = _MATCH if ok else _DENIED
-            checked.append((outcome, None if kept is not None else term))
+            checked.append((outcome, None if kept is not None else term, fresh))
         return checked
 
     # -- re-encryption (update) --------------------------------------------------
@@ -534,10 +549,8 @@ class EscrowServer:
             if rec.set_index not in subset:
                 raise UpdateRejected("record lies outside the declared subset")
             lhs = self.ctx.pair(req.rtk, rec.sse.stk_transferor)
-            rhs = (
-                self.ctx.pair(self.pks.left_product(subset), rec.sse.kw_modifier)
-                * rec.sse.update_keyword
-            )
+            product = subset_product(self.ctx, self.pks, subset)  # kept, as for a search
+            rhs = self.ctx.pair(product, rec.sse.kw_modifier) * rec.sse.update_keyword
             if lhs != rhs:
                 logger.info("update rejected for record %s", rec.record_id)
                 raise UpdateRejected("re-encryption token failed verification")
@@ -550,6 +563,8 @@ class EscrowServer:
             )
             self._validate(updated)
             self._records[rec.record_id] = updated
+            if updated.abe is not rec.abe:
+                self._policies.pop(rec.record_id, None)  # its prepared lines, with the layer
             self._persist(updated)
         logger.info("updated record %s", rec.record_id)
         return rec.record_id

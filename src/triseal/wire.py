@@ -9,9 +9,12 @@ separators) make equality checks and record ids stable.
 
 Each element-bearing wire form is declared once, as a :class:`Form`: the one
 statement of its wire shape, walked by one encoder and one decoder.  The LEFT
-slots of a request (token, credentials, blinding, ``rtk``) are ``PREPARED``:
-decoded with no [q]P, checked by their Miller-line preparation; the token,
-which repeats across requests, through the table of kept points (``KEPT``).
+slots of a request that a server pairs over their own lines are decoded with
+no [q]P and checked by their Miller-line preparation: an update's ``rtk``
+(``PREPARED``), and the search token, which repeats across requests, through
+the table of kept points (``KEPT``).  A search request's credentials and
+blinding pair over the record's lines, so they decode as any point, with the
+[q]P check alone (``G_LEFT``).
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ ABE = Form(  # layer 2
     plcy_modifiers=ALIGNED_RIGHT,
     plcy=GT,
 )
-CREDENTIAL = Form(AttributeCredential, attribute_id=NAME, credential=PREPARED)
-BLINDED = blinded(PREPARED)
+CREDENTIAL = Form(AttributeCredential, attribute_id=NAME, credential=G_LEFT)
+BLINDED = blinded(G_LEFT)
 RECOVERY = Form(  # layer 3
     KeyRecoveryElements,
     attrs=ATTRS,

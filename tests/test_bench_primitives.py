@@ -31,6 +31,6 @@ def test_bench_primitives_smoke(tmp_path):
         "record_from_wire_ms", "store_open_ms_per_record", "store_open_untagged_ms_per_record",
         "held_policy_hit_decode_ms", "request_element_decode_ms", "policy_check_ms",
         "kept_token_decode_ms", "subset_term_ms", "response_layer_decode_ms",
-        "kept_response_layer_decode_ms",
+        "kept_response_layer_decode_ms", "policy_check_kept_lines_ms", "policy_lines_cold_ms",
     }
     assert all(ms > 0 for ms in result["median_ms"].values())

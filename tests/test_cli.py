@@ -338,6 +338,8 @@ READERS = [
     ("usr/user.json", SEARCH, "own/owner.json", (*ALL_FAULTS, "retyped-scalar")),
     ("usr/user.json", DECRYPT, "own/owner.json", (*ALL_FAULTS, "retyped-scalar")),
     ("srv/store.log", SEARCH, None, ("missing", "bad-frame")),
+    # "moved": put back after the command failed, which must have written nothing
+    ("srv/store.log", SEARCH, None, ("moved",)),
     ("data.txt", PUBLISH, None, ("missing",)),
     ("data.txt", REPOLICY, None, ("missing",)),
     # "kept": the file as the walkthrough wrote it, which the command must not overwrite
@@ -363,7 +365,7 @@ def test_bad_input_files_exit_1_with_one_error_line(
         pass
     elif fault == "other-kind":
         shutil.copyfile(root / other, path)
-    elif fault == "missing":
+    elif fault in ("missing", "moved"):
         path.unlink()
     elif fault == "bad-frame":
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x02xx")
@@ -380,6 +382,13 @@ def test_bad_input_files_exit_1_with_one_error_line(
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     if fault == "kept":
         assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+    if fault == "moved":  # no request file, so the next search numbers on from the walk's
+        after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        assert after == {p: raw for p, raw in before.items() if p != path}
+        path.write_bytes(before[path])
+        assert run(*argv) == EXIT_OK
+        requests = sorted(p.name for p in (root / "usr" / "outbox").iterdir())
+        assert requests == ["request-0001.json", "request-0002.json"]
 
 
 BAD_ARGUMENTS = {

@@ -8,7 +8,7 @@ from curve_points import ORDER, affine_mul, malformed_encodings, raw_point, smal
 from exponent_oracle import brute_inverse
 from hash_pins import pin_hash
 from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
-from triseal.pairing import GroupElement, HashDomain, OracleContext, Side
+from triseal.pairing import GroupElement, HashDomain, OracleContext, Side, curve
 from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_add, _pt_mul, _point_from_label
 
 
@@ -348,6 +348,39 @@ def test_prepare_is_the_subgroup_check(curve_ctx):
                 assert not in_g, (i, m)
             agreed[in_g] += 1
     assert agreed[True] >= 5 and agreed[False] >= 20
+
+
+def test_lines_on_either_side_give_the_same_pairing(curve_ctx, monkeypatch):
+    """e(P, Q) = e(Q, P) on G, so a pair runs over P's lines, or over Q's where
+    P carries none, and gives the same GT bytes: with neither point, either or
+    both prepared, and in a product that mixes both sides."""
+    ctx = curve_ctx
+    rng = random.Random(2007)
+    pairs = [
+        (ctx.g_left ** rng.randrange(2, ctx.order), ctx.g_right ** rng.randrange(2, ctx.order))
+        for _ in range(3)
+    ]
+    lined = [(ctx.prepare(x), ctx.prepare(y)) for x, y in pairs]
+
+    def gt(chosen):
+        return ctx.gt_to_bytes(ctx.pairing_product(chosen))
+
+    walked, lines = [], curve._miller_lines
+    monkeypatch.setattr(curve, "_miller_lines", lambda pt: walked.append(pt) or lines(pt))
+    for (x, y), (px, py) in zip(pairs, lined):
+        expected = gt([(x, y)])  # P's lines, walked
+        assert walked == [x.data]
+        for chosen in ((px, y), (x, py), (px, py)):
+            assert gt([chosen]) == expected
+        assert curve._prepared(x.data, py.data)[0] is py.data.lines
+        assert curve._prepared(px.data, py.data)[0] is px.data.lines
+        walked.clear()
+    mixed = [
+        (px, y) if i % 2 else (x, py) for i, ((x, y), (px, py)) in enumerate(zip(pairs, lined))
+    ]
+    assert gt(mixed) == gt(pairs) and len(walked) == len(pairs)
+    walked.clear()
+    assert gt(mixed) == gt(lined) and walked == []
 
 
 def test_curve_generators_have_order_q(curve_ctx):

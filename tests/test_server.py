@@ -11,6 +11,7 @@ import stat
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from contextlib import closing
 from dataclasses import FrozenInstanceError, fields, replace
@@ -424,8 +425,9 @@ def test_search_beside_other_threads_does_not_fork(curve_world, curve_store, mon
 def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     """A keyword miss costs one pairing per candidate, e(token, stk), times the
     record's subset term kept from an earlier search over the subset; the
-    subset product is formed once per request and kept too, and each left
-    point of the request not kept is prepared once, before the scan.
+    subset product is formed once per request and kept too, and the token, if
+    not kept, is prepared once, before the scan.  The credentials and the
+    blinding are never prepared: the policy check pairs over the record's lines.
     Recovering a key from a decoded response costs one product; a user's
     decrypt prepares its left points once per response, but for the
     consent's decryption token, which the owner prepared, and the kept
@@ -454,9 +456,9 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
     with cores(1):
         stats = w.server.search(miss).stats  # counted in this process only
     assert stats.candidates == 6 and stats.sse_matched == 0
-    # lines of the token, two credentials and the blinding: the hit's search kept the
-    # product and the terms; each pair is a one-pairing product
-    assert counts == {"pair": 6, "pairing_product": 6, "left_product": 1, "_miller_lines": 4}
+    # lines of the token alone: the hit's search kept the product and the terms;
+    # each pair is a one-pairing product
+    assert counts == {"pair": 6, "pairing_product": 6, "left_product": 1, "_miller_lines": 1}
     assert w.server.search(miss).stats == stats
     for match in response.matches:
         counts.clear()
@@ -476,14 +478,16 @@ def test_curve_scan_and_recovery_operation_counts(curve_world, monkeypatch):
 
 
 def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, monkeypatch):
-    """At k = 8 a decoded request makes one line preparation per distinct
-    left point: the token, 8 credentials and the blinding at decode, the
-    subset product before the fork.  None is made per candidate or in the
-    forked child.  An in-process request of the same consent is prepared by
-    the search, but for the token and the subset product, which are kept.
-    The user's decrypt prepares 8 aa tokens and the blinding once per
-    response; the owner's decryption token comes prepared with the consent,
-    and the subset product is kept."""
+    """At k = 8 a decoded request makes one line preparation, its token's at
+    decode; its 8 credentials and blinding take the [q]P check alone.  The
+    search prepares the subset product before the fork, and at each of the
+    two hits, both in this process's shard, the record's 8 transferors and
+    inverted modifier product, once: the forked child, which meets only
+    misses, prepares nothing.  An in-process request of the same consent
+    then prepares nothing: the token, the subset product and both records'
+    policies are kept.  The user's decrypt prepares 8 aa tokens and the
+    blinding once per response; the owner's decryption token comes prepared
+    with the consent, and the subset product is kept."""
     PairingContext.kept.cache_clear()
     attrs = tuple(f"A{i}" for i in range(1, 9))
     w = World(seed=81, attrs=attrs, ctx=curve_ctx)
@@ -505,20 +509,20 @@ def test_curve_request_prepares_each_left_point_once_at_k8(curve_ctx, tmp_path, 
     monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
 
     def prepared_by(pids):
-        counts = Counter(log.read_text().split())
-        log.unlink()
+        counts = Counter(log.read_text().split() if log.exists() else ())
+        log.unlink(missing_ok=True)
         assert set(counts) == pids
         return counts[str(os.getpid())]
 
     decoded = search_request_from_wire(w.ctx, decoded_wire)
-    assert prepared_by({str(os.getpid())}) == 1 + 8 + 1
+    assert prepared_by({str(os.getpid())}) == 1
     with cores(2):
         response = w.server.search(decoded)
     assert response.stats.candidates == 4 and response.stats.matched == 2
-    assert prepared_by({str(os.getpid())}) == 1
+    assert prepared_by({str(os.getpid())}) == 1 + 2 * (8 + 1)
     with cores(2):
         assert w.server.search(req) == response
-    assert prepared_by({str(os.getpid())}) == 8 + 1
+    assert prepared_by(set()) == 0
     assert forks["fork"] == 2
     _assert_no_child_left()
     assert len(w.user.decrypt_matches(session, consent, response, w.pks)) == 2
@@ -548,6 +552,117 @@ def test_forked_children_send_their_subset_terms_to_the_parent(curve_ctx, monkey
     assert counts == {"pair": 4}
     assert {s for terms in w.server._terms.values() for s in terms} == {(1, 2)}
     assert len(w.server._terms) == 4
+
+
+def test_forked_children_send_their_policy_lines_to_the_parent(curve_ctx, monkeypatch):
+    """A search keeps each hit record's prepared policy, and the policies a forked
+    child prepares reach the parent: a second search over the same records walks
+    no Miller lines at all, in this process or in a child."""
+    w = World(seed=88, ctx=curve_ctx)
+    for i in range(4):
+        w.publish(b"f-%d" % i, ["bp"], ["A1", "A2"], 1)
+    _, _, req = w.request("bp", [1])
+    forks, fork = Counter(), os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
+    with cores(2):
+        first = w.server.search(req)
+    assert first.stats.matched == 4 and forks["fork"] == 1
+    _assert_no_child_left()
+    assert len(w.server._policies) == 4
+    for rid, (layer, policy) in w.server._policies.items():
+        assert layer is w.server.fetch(rid).abe
+        assert all(p.data.lines for p in (*policy.transferors, policy.modifiers_inverse))
+    walked = _walked_points(monkeypatch)
+    with cores(2):
+        assert w.server.search(req) == first
+    _assert_no_child_left()
+    with cores(1):
+        assert w.server.search(req) == first
+    assert walked == [] and forks["fork"] == 2
+
+
+def test_policy_rotation_frees_the_kept_lines(curve_ctx, monkeypatch):
+    """A policy rotation drops the record's prepared policy, and the next hit
+    prepares the new layer 2: its one transferor and its inverted modifier
+    product.  The old layer's A1-only request then matches, and the old lines
+    are freed; a keyword rotation keeps them, since layer 2 did not change."""
+    w = World(seed=87, ctx=curve_ctx)
+    rid = w.publish(b"v1", ["bp"], ["A1", "A2"], 1)
+    (_, _, both), (_, _, a1) = w.request("bp", [1]), w.request("bp", [1], attrs=["A1"])
+    with cores(1):
+        assert [m.record_id for m in w.server.search(both).matches] == [rid]
+        assert w.server.search(a1).incomplete_policy == (rid,)
+    old = weakref.ref(w.server._policies[rid][1])
+    w.server.reencrypt(w.owner.update_request(rid, [1], w.pks, keywords=["bp", "x"]))
+    assert w.server._policies[rid][1] is old()
+    w.server.reencrypt(
+        w.owner.update_request(
+            rid, [1], w.pks, policy=["A1"], plaintext=b"v2", authorities=w.publics
+        )
+    )
+    assert w.server._policies == {} and old() is None
+    walked = _walked_points(monkeypatch)
+    with cores(1):
+        assert [m.record_id for m in w.server.search(a1).matches] == [rid]
+    elements = w.server.fetch(rid).abe.elements
+    inverse = w.ctx.group_inverse(elements.plcy_modifiers[0])
+    assert walked == [elements.ac_transferors[0].data, inverse.data]
+    walked.clear()
+    with cores(1):
+        assert [m.record_id for m in w.server.search(both).matches] == [rid]
+    assert walked == [] and w.server._policies[rid][0] is w.server.fetch(rid).abe
+
+
+def test_denial_and_incomplete_policy_alike_on_live_reopened_and_forked_servers(
+    curve_ctx, tmp_path
+):
+    """A match, a denial (credentials under another blinding), an IncompletePolicy
+    and the match again read the same on the live server, on reopened servers that
+    prepare each policy at its first hit, serially or in a forked child, and for
+    requests decoded from the wire: a kept policy answers a denial as a fresh one."""
+    path = tmp_path / "store.log"
+    w = World(seed=86, ctx=curve_ctx, store_path=path)
+    rids = [w.publish(b"p-%d" % i, ["bp"], ["A1", "A2"][: 2 - i % 2], 1) for i in range(4)]
+    w.server.close()
+    (_, _, full), (_, _, other) = w.request("bp", [1]), w.request("bp", [1])
+    _, _, partial = w.request("bp", [1], attrs=["A1"])
+    reqs = [full, replace(full, blinded=other.blinded), partial, full]
+    with cores(1):
+        live = [w.server.search(req) for req in reqs]
+    assert [r.stats.matched for r in live] == [4, 0, 2, 4]
+    assert live[1].stats.abe_verified == 4 and live[1].incomplete_policy == ()
+    assert live[2].incomplete_policy == (rids[0], rids[2])
+    wired = [search_request_from_wire(w.ctx, search_request_to_wire(w.ctx, r)) for r in reqs]
+    for n in (1, 2):
+        for sent in (reqs, wired):
+            with cores(n), closing(EscrowServer.open(path)) as revived:
+                assert [revived.search(req) for req in sent] == live
+                assert len(revived._policies) == 4
+            with cores(n):
+                assert [w.server.search(req) for req in sent] == live
+    _assert_no_child_left()
+
+
+def test_update_gate_pairs_the_kept_subset_product(curve_ctx, monkeypatch):
+    """The update gate stays two pairings, e(rtk, stk) and e(prod pk_i, g^r),
+    over the decoded ``rtk``'s lines and the kept subset product: two updates
+    over one subset walk the product once, and each ``rtk`` once, at decode."""
+    PairingContext.kept.cache_clear()
+    w = World(seed=89, ctx=curve_ctx)
+    rids = [w.publish(b"u-%d" % i, ["bp"], ["A1"], 1) for i in range(2)]
+    updates = [
+        update_request_to_wire(w.ctx, w.owner.update_request(rid, [1], w.pks, keywords=["hr"]))
+        for rid in rids
+    ]
+    counts, pair = Counter(), PairingContext.pair
+    monkeypatch.setattr(PairingContext, "pair", lambda *a: counts.update(["pair"]) or pair(*a))
+    walked, rtks = _walked_points(monkeypatch), []
+    for update in updates:
+        decoded = update_request_from_wire(w.ctx, update)
+        rtks.append(decoded.rtk.data)
+        assert w.server.reencrypt(decoded) == decoded.record_id
+    assert walked == [rtks[0], w.pks.left_product([1]).data, rtks[1]]
+    assert counts == {"pair": 2 * 2}
 
 
 @pytest.mark.parametrize("backend", ["oracle", "curve"])
@@ -632,9 +747,10 @@ def _walked_points(monkeypatch) -> list:
 
 
 def test_second_search_under_a_consent_prepares_only_the_session(curve_world, monkeypatch):
-    """A consent's token and its subset product are kept across requests: a
-    second request under the same consent, decoded from the wire, prepares
-    only its session's credentials and blinding, and its search nothing."""
+    """A consent's token and its subset product are kept across requests, and
+    each hit record's policy lines by the server: a second request under the
+    same consent, decoded from the wire, prepares nothing, since its session's
+    credentials and blinding take the [q]P check alone, and its search nothing."""
     PairingContext.kept.cache_clear()
     w = curve_world
     _, consent, first = w.request("bp", [1, 2, 3])
@@ -646,10 +762,35 @@ def test_second_search_under_a_consent_prepares_only_the_session(curve_world, mo
     second = search_request_to_wire(w.ctx, w.user.build_search_request(session, consent))
     walked = _walked_points(monkeypatch)
     decoded = search_request_from_wire(w.ctx, second)
-    assert walked == [*(c.credential.data for c in decoded.credentials), decoded.blinded.element.data]
-    walked.clear()
+    assert walked == []
     with cores(1):
         assert w.server.search(decoded) == expected
+    assert walked == []
+
+
+def test_request_credentials_and_blinding_take_the_order_check_at_decode(curve_world, monkeypatch):
+    """A credential or a blinding plus a point of order 2, 4 or 1151 pairs over
+    a record's lines exactly as the honest point does: the reduced pairing does
+    not see a component outside G.  So the decoder's [q]P is its guard, and it
+    refuses each with a typed error, walking no lines."""
+    w = curve_world
+    _, _, req = w.request("bp", [1, 2, 3])
+    search = search_request_to_wire(w.ctx, req)
+    lined = w.ctx.prepare(w.server.fetch(w.server.record_ids()[0]).abe.elements.ac_transferors[0])
+    points = small_order_points()
+    assert search_request_from_wire(w.ctx, search) == req  # and keeps the token
+    walked = _walked_points(monkeypatch)
+    for name in ("(0,0) tag 2", "order 4", "order 1151"):
+        small = w.ctx._g_from_bytes(points[name], False)
+        for path, honest in (
+            (("credentials", 0, "credential"), req.credentials[0].credential),
+            (("blinded",), req.blinded.element),
+        ):
+            bad = GroupElement(w.ctx, Side.LEFT, curve._pt_add(honest.data, small))
+            assert bad != honest and w.ctx.pair(bad, lined) == w.ctx.pair(honest, lined)
+            raw = wire.b64e(w.ctx.element_to_bytes(bad))
+            with pytest.raises(InvalidElement, match="order-q subgroup"):
+                search_request_from_wire(w.ctx, _replaced(search, path, raw))
     assert walked == []
 
 
@@ -1236,8 +1377,10 @@ def test_tagged_reopen_decodes_layer_2_only_at_a_keyword_hit(curve_store, monkey
     """A reopened tagged store answers each search as the live server does: a
     match, a denial (credentials under another blinding), an IncompletePolicy
     and a miss.  Only a keyword hit that passes the IncompletePolicy check
-    decodes its held layer 2, 2k G + 1 GT, with no order check; the live
-    server, which holds the owner's elements, decodes nothing."""
+    decodes its held layer 2, 2k G + 1 GT, with no order check, and only at
+    the first such hit on the server: the denial meets the record the match
+    decoded and kept.  The live server, which holds the owner's elements,
+    decodes nothing."""
     w, path = curve_store
     with closing(EscrowServer.open(path)) as revived:
         pass
@@ -1264,7 +1407,7 @@ def test_tagged_reopen_decodes_layer_2_only_at_a_keyword_hit(curve_store, monkey
             return _original(*args)
 
         monkeypatch.setattr(PairingContext, name, decoded)
-    for req, g, gt in ((miss, 0, 0), (full, 4, 1), (denied, 4, 1), (partial, 2, 1)):
+    for req, g, gt in ((miss, 0, 0), (full, 4, 1), (denied, 0, 0), (partial, 2, 1)):
         with cores(1):
             live = w.server.search(req)
         assert not counts
@@ -1386,7 +1529,9 @@ def test_open_treats_a_key_file_not_of_32_bytes_as_absent(tmp_path, monkeypatch)
         updated = revived.fetch(rid)
     with closing(EscrowServer.open(path)) as again:
         assert again.fetch(rid) == updated
-    assert unchecked == []
+    # no frame's element: the update gate's subset product, kept (``ctx.kept``) from the
+    # revived server's own encoding of its set keys, whose preparation is the check
+    assert unchecked == [w.ctx.element_to_bytes(w.pks.left_product([1]))]
     with closing(_read_frames(path)) as frames:
         tags = [(tag, data) for tag, data in frames]
     assert len(tags) == 3
@@ -1742,9 +1887,11 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     the GID, the owner id or the store key.  The table of kept points holds
     only element encodings, each of the point it maps to, under the context;
     the table of subset terms, only e(prod pk_i, kw_modifier^-1) of a stored
-    record's public layer 1 and the public set keys; the table of layers 3,
-    only the canonical bytes of a layer that crossed the wire in a response,
-    each mapped to its own decode."""
+    record's public layer 1 and the public set keys; the table of prepared
+    policies, only a stored record's current layer 2, held, and that layer's
+    own RIGHT points and ``plcy``; the table of layers 3, only the canonical
+    bytes of a layer that crossed the wire in a response, each mapped to its
+    own decode."""
     path = tmp_path / "store.log"
     w = World(store_path=path)
     secrets = [b"keyword-SENSITIVE", b"gid-SENSITIVE", b"owner-SENSITIVE"]
@@ -1779,6 +1926,14 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     term = w.ctx.pair(w.pks.left[0], w.ctx.group_inverse(kw_modifier))
     assert list(w.server._terms.items()) == [(kw_modifier, {(1,): term})]
     assert all(secret not in w.ctx.gt_to_bytes(term) for secret in secrets)
+    # the table of prepared policies: the record's held layer 2 and its prepared form alone
+    layer = w.server.fetch(rid).abe
+    assert list(w.server._policies) == [rid] and w.server._policies[rid][0] is layer
+    policy = w.server._policies[rid][1]
+    assert policy == abe.prepare_policy(w.ctx, layer.elements)
+    encoded = [w.ctx.element_to_bytes(p) for p in (*policy.transferors, policy.modifiers_inverse)]
+    encoded.append(w.ctx.gt_to_bytes(policy.plcy))
+    assert all(secret not in raw for raw in encoded for secret in secrets)
     # the token and the subset product, each entered once
     assert [point for _, _, point in entered] == [req.token.token, w.pks.left[0]]
     assert PairingContext.kept.cache_info().currsize == len(entered)

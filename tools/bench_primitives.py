@@ -17,17 +17,20 @@ and only layer 1 is decoded.  ``store_open_untagged_ms_per_record`` reopens a
 copy of the same log without its key file, so every element takes every check.
 ``held_policy_hit_decode_ms`` decodes the held layer 2 of a 2-attribute record
 as a reopened tagged store does at a keyword hit: without the order checks.
-``request_element_decode_ms`` decodes a LEFT request element (a token,
-credential, blinding or ``rtk``) as the server does: prepared, which is its
-order check.  ``kept_token_decode_ms`` decodes a consent's search token that an
-earlier request kept: a hit in the table of kept points, which a token repeated
-across requests meets instead of ``request_element_decode_ms``.
+``request_element_decode_ms`` decodes a search request's blinding as the server
+decodes it and each credential: with the [q]P check, no line walk.
+``kept_token_decode_ms`` decodes a consent's search token that an earlier
+request kept: a hit in the table of kept points.
 ``response_layer_decode_ms`` decodes that record's layer 3 (k = 2) as a user
 decodes a search response's, with every check, from an emptied table of kept
 layers 3; ``kept_response_layer_decode_ms`` decodes the same bytes again: a hit
 in that table, which a record returned again in the process meets instead.
-``policy_check_ms`` is ``abe_verify`` of that record's policy (k = 2) over
-prepared credentials and blinding, as a search runs it at a hit.
+``policy_check_kept_lines_ms`` is ``abe_verify`` of that record's policy (k = 2)
+over the record side's kept lines (``prepare_policy``) and the request's plain
+credentials and blinding, as a search runs it at a hit; ``policy_lines_cold_ms``
+is ``prepare_policy`` itself, the k + 1 line walks a record pays at its first
+hit on a server; ``policy_check_ms`` is ``abe_verify`` as a one-off caller runs
+it, nothing prepared on either side: those walks and the check.
 ``keyword_check_ms`` is ``sse_match_any`` of that record under a kept token and
 the record's kept subset term, as a search runs it on a candidate after the
 first search over the subset; ``subset_term_ms`` is that term's cold cost,
@@ -62,7 +65,8 @@ def primitives():
     """name -> zero-argument callable, built on fixed inputs."""
     import random
 
-    from triseal.abe import AccessPolicyElements, BlindedIdentity, abe_verify
+    from triseal import wire
+    from triseal.abe import AccessPolicyElements, abe_verify, prepare_policy
     from triseal.actors import Authority, Owner, User
     from triseal.pairing import CurveContext, HashDomain, Side, curve
     from triseal.server import USER_RECOVERY, EscrowServer, _layer_from_wire, kept_recovery
@@ -116,9 +120,10 @@ def primitives():
     session = user.new_session()
     for auth in authorities:
         user.collect(session, auth)
-    blinded = BlindedIdentity(ctx.prepare(session.blinded.element))
-    creds = [replace(c, credential=ctx.prepare(c.credential)) for c in session.credentials.values()]
-    assert abe_verify(ctx, record.abe, creds, blinded)
+    blinded, creds = session.blinded, list(session.credentials.values())
+    policy = prepare_policy(ctx, record.abe)
+    assert abe_verify(ctx, policy, creds, blinded)
+    blinded_text = wire.b64e(ctx.element_to_bytes(blinded.element))
     token = owner.consent("k1", [1, 2], pks).search_token
     token_raw = ctx.element_to_bytes(token.token)
     token = replace(token, token=ctx.kept(token_raw))  # as the first request under the consent
@@ -137,13 +142,15 @@ def primitives():
         "hash_to_group_ms": lambda: ctx.hash_to_group(
             HashDomain.KEYWORD, b"bench-%d" % next(labels)
         ),
-        "request_element_decode_ms": lambda: ctx.prepared_from_bytes(h_raw),
+        "request_element_decode_ms": lambda: wire.BLINDED.decode(ctx, blinded_text),
         "kept_token_decode_ms": lambda: ctx.kept(token_raw),
         "miller_lines_ms": lambda: curve._miller_lines(h.data),
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
         "keyword_check_ms": lambda: sse_match_any(ctx, record.sse, token, term),
         "subset_term_ms": lambda: subset_term(ctx, record.sse, product),
         "policy_check_ms": lambda: abe_verify(ctx, record.abe, creds, blinded),
+        "policy_check_kept_lines_ms": lambda: abe_verify(ctx, policy, creds, blinded),
+        "policy_lines_cold_ms": lambda: prepare_policy(ctx, record.abe),
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
         "record_from_wire_ms": lambda: record_from_wire(ctx, record_wire),
         "held_policy_hit_decode_ms": lambda: _layer_from_wire(
