@@ -179,19 +179,18 @@ def prepare_policy(ctx: PairingContext, elems: AccessPolicyElements) -> Prepared
 
 def abe_verify(
     ctx: PairingContext,
-    elems: AccessPolicyElements | PreparedPolicy,
+    policy: PreparedPolicy,
     creds: Sequence[AttributeCredential],
     blinded: BlindedIdentity,
 ) -> bool:
     """Check the policy equation; False is an ordinary verification failure,
     while missing credentials raise IncompletePolicy.  The pairings run over
-    the record side's lines (``prepare_policy``, unless ``elems`` comes
-    prepared), so the request's points need no preparation."""
+    the record side's lines (``prepare_policy``: a one-off caller pays its
+    k + 1 walks there), so the request's points need no preparation."""
     by_attr = {c.attribute_id: c.credential for c in creds}
-    missing = [a for a in elems.attrs if a not in by_attr]
+    missing = [a for a in policy.attrs if a not in by_attr]
     if missing:
         raise IncompletePolicy(f"no credential for: {', '.join(missing)}")
-    policy = elems if isinstance(elems, PreparedPolicy) else prepare_policy(ctx, elems)
     # prod_i e(U, M_i) = e(U, prod_i M_i), moved left as e(U, (prod_i M_i)^-1):
     # one product of k + 1 pairings, so k + 1 Miller loops and one final exp
     pairs = list(zip(map(by_attr.get, policy.attrs), policy.transferors))

@@ -18,7 +18,8 @@ side is a tag enforced at the API level rather than a structural property.
 Invariant: every decoded element is order-checked before use, unless its
 bytes come from a store frame whose tag verifies under this server's key
 (``_trusted_decode``, called only from ``server.py``): at open, or for its
-layer 2 at its first keyword hit on that server; its layer 3 is never decoded.
+layer 2 at a keyword hit that finds no policy kept for it on that server; its
+layer 3 is never decoded.
 Its line preparation checks a request element that is paired over its own lines
 (``prepared_from_bytes``): a search token or an update's ``rtk``.  A search
 request's credentials and blinding are paired over a record's lines, which
@@ -45,7 +46,7 @@ from ..errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatc
 
 WIRE_FORMAT = 1
 _TRUSTED = contextvars.ContextVar("trusted_frame", default=False)
-KEPT_POINTS = 16  # the prepared LEFT points a process keeps, least recently used evicted
+KEPT_POINTS = 16  # entries per table of kept prepared points or layers, least recent evicted
 
 
 def _trusted_decode(trusted: bool, decode: Callable, *args) -> Any:

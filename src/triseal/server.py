@@ -13,11 +13,14 @@ kinds of request:
   check is one pairing times the record's subset term, kept per (layer 1,
   subset) from the first check that needs it.  A policy check pairs the
   request's credentials and blinding, never prepared, over the record side's
-  lines (``abe.prepare_policy``), kept per current layer 2 from its first
-  check on this server: about 49 KB per prepared point, k + 1 per record,
-  freed by a policy rotation.  A forked child sends the terms and policies it
-  prepared back with its outcomes; each is installed only while its layer is
-  current.  An update's ``rtk`` is prepared per request.
+  lines (``abe.prepare_policy``), kept per current layer 2 for the last
+  ``KEPT_POINTS`` records policy-checked on this server, least recently
+  checked evicted: about 49 KB per prepared point, k + 1 per record, so at
+  most ``KEPT_POINTS`` (k + 1) such points; a policy rotation frees a record's.
+  A record met again after its eviction walks its k + 1 lines again.  A forked
+  child sends the terms and policies it prepared back with its outcomes; each
+  is installed only while its layer is current.  An update's ``rtk`` is
+  prepared per request.
 * re-encryption -- an update is applied only if the supplied token proves
   ownership against the record's own search elements and the separate
   update-id tag:
@@ -44,13 +47,14 @@ keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
 Trust rule: this server checked every element of a frame it tagged, so a frame
 whose tag verifies decodes only layer 1, without the two order-q checks, and
 holds layers 2 and 3 as wire form (``Held``): layer 2 is decoded, again
-without them, only by ``_check`` at its first keyword hit on this server after
-the IncompletePolicy check, and layer 3 never.  A failed tag, a missing key
-and all outside input, held forms included, get every check.  A user's layer 3 (a response's, or an
-in-process held form) is decoded with every check, outside any trusted decode,
-once per process: ``kept_recovery`` keeps the last ``KEPT_POINTS`` by (context,
-canonical wire bytes).  Reopen reads the log once: it parses
-every frame and holds the bytes of each id's last frame (an earlier one is
+without them, only by ``_check``, after the IncompletePolicy check, at a keyword
+hit that finds no kept policy for it (its first on this server, or one after its
+eviction), and layer 3 never.  A failed tag, a missing key and all outside
+input, held forms included, get every check.  A user's layer 3 (a response's,
+or an in-process held form) is decoded with every check, outside any trusted
+decode, once per process: ``kept_recovery`` keeps the last ``KEPT_POINTS`` by
+(context, canonical wire bytes).  Reopen reads the log once: it parses every
+frame and holds the bytes of each id's last frame (an earlier one is
 dropped when a later frame of its id is read), so an open holds about one
 frame per live id; each shard verifies and decodes only its ids' frames.
 """
@@ -330,7 +334,8 @@ class EscrowServer:
         self._records: dict[str, DataRecord] = {}
         # a layer 1's kw_modifier -> {subset: its subset_term}, dropped with that layer 1
         self._terms = weakref.WeakKeyDictionary()
-        # a record id -> (its layer 2 as held, that layer's prepare_policy), dropped with it
+        # a record id -> (its layer 2 as held, that layer's prepare_policy), dropped with
+        # that layer: the last KEPT_POINTS records policy-checked, least recent first
         self._policies: dict[str, tuple[Held, PreparedPolicy]] = {}
         self._lock = threading.Lock()
         self._store: BinaryIO | None = None
@@ -473,12 +478,18 @@ class EscrowServer:
 
         checked = _forked(ctx, candidates, lambda shard: self._check(shard, req, product))
         with self._lock:  # each term and policy a shard prepared, for a layer still current
-            for rec, (_, term, policy) in zip(candidates, checked):
+            for rec, (out, term, policy) in zip(candidates, checked):
                 current = self._records[rec.record_id]
                 if term is not None and current.sse is rec.sse:
                     self._terms.setdefault(rec.sse.kw_modifier, {})[subset] = term
-                if policy is not None and current.abe is rec.abe:
-                    self._policies[rec.record_id] = rec.abe, policy
+                if out >= _DENIED:  # policy-checked: its entry moves to the most recent
+                    entry = self._policies.pop(rec.record_id, None)
+                    if policy is not None and current.abe is rec.abe:
+                        entry = rec.abe, policy
+                    if entry is not None:
+                        self._policies[rec.record_id] = entry
+            while len(self._policies) > KEPT_POINTS:
+                del self._policies[next(iter(self._policies))]
         outcomes = [out for out, *_ in checked]
 
         matches = [  # each policy in wire order, as a reopened server holds it
@@ -522,7 +533,7 @@ class EscrowServer:
                 outcome = _INCOMPLETE
             else:
                 layer, policy = self._policies.get(rec.record_id, (None, None))
-                if layer is not rec.abe:  # this layer 2's first check on this server; held
+                if layer is not rec.abe:  # not kept for this layer 2 on this server; held
                     # without elements, it is a frame this server tagged: no order check
                     elements = rec.abe.elements or _layer_from_wire(
                         self.ctx, rec.abe.wire, AccessPolicyElements, trusted=True

@@ -106,7 +106,7 @@ def test_verify_worked_vector():
     assert sum_mod([7 * 83, 45 * 16]) == sum_mod([76, 13]) == 89
     # right: gT^10 * gT^(18*4) * gT^(18*6) = gT^10 * gT^72 * gT^7 = gT^89
     assert sum_mod([10, 18 * 4, 18 * 6]) == 89
-    assert abe.abe_verify(ctx, elems, creds, blinded) is True
+    assert abe.abe_verify(ctx, abe.prepare_policy(ctx, elems), creds, blinded) is True
 
 
 def test_verify_rejects_mixed_blinding():
@@ -116,14 +116,15 @@ def test_verify_rejects_mixed_blinding():
         ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 3
     )
     creds = [abe.issue_credential(ctx, kp1, blinded), abe.issue_credential(ctx, kp2, other)]
-    assert abe.abe_verify(ctx, elems, creds, blinded) is False
+    assert abe.abe_verify(ctx, abe.prepare_policy(ctx, elems), creds, blinded) is False
 
 
 def test_verify_incomplete_policy_distinct_from_false():
     ctx, kp1, _, elems = _vector_setup()
     blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     with pytest.raises(IncompletePolicy):
-        abe.abe_verify(ctx, elems, [abe.issue_credential(ctx, kp1, blinded)], blinded)
+        policy = abe.prepare_policy(ctx, elems)
+        abe.abe_verify(ctx, policy, [abe.issue_credential(ctx, kp1, blinded)], blinded)
 
 
 def _random_setup(ctx, rng, n_attrs):
@@ -147,7 +148,8 @@ def test_completeness_random(oracle_big):
             ctx, ctx.hash_to_group(HashDomain.GID, f"gid{rng.random()}"), ctx.random_scalar(rng)
         )
         creds = [abe.issue_credential(ctx, kps[a], blinded) for a in attrs]
-        assert abe.abe_verify(ctx, elems, creds, blinded) is True
+        policy = abe.prepare_policy(ctx, elems)
+        assert abe.abe_verify(ctx, policy, creds, blinded) is True
 
 
 def test_anti_collusion_random(oracle_big):
@@ -173,7 +175,8 @@ def test_anti_collusion_random(oracle_big):
             abe.issue_credential(ctx, kps[a], blinded_b if i == mix_at else blinded_a)
             for i, a in enumerate(attrs)
         ]
-        assert abe.abe_verify(ctx, elems, creds, blinded_a) is False
+        policy = abe.prepare_policy(ctx, elems)
+        assert abe.abe_verify(ctx, policy, creds, blinded_a) is False
 
 
 def test_nonce_unlinkability(oracle_big):
@@ -194,7 +197,7 @@ def test_credential_matching_is_order_insensitive():
     ctx, kp1, kp2, elems = _vector_setup()
     blinded = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 2)
     creds = [abe.issue_credential(ctx, kp2, blinded), abe.issue_credential(ctx, kp1, blinded)]
-    assert abe.abe_verify(ctx, elems, creds, blinded) is True
+    assert abe.abe_verify(ctx, abe.prepare_policy(ctx, elems), creds, blinded) is True
 
 
 @pytest.mark.parametrize("backend", ["oracle", "curve"])
@@ -209,6 +212,7 @@ def test_folded_policy_check_denies_wrong_credentials(backend, oracle_big, curve
     gid = ctx.hash_to_group(HashDomain.GID, "gid")
     blinded, other = (abe.blind_identity(ctx, gid, ctx.random_scalar(rng)) for _ in range(2))
     creds = [abe.issue_credential(ctx, kps[a], blinded) for a in attrs]
+    policy = abe.prepare_policy(ctx, elems)
     forged = abe.issue_credential(ctx, abe.aa_setup(ctx, attrs[0], rng), blinded)
     swapped = [replace(c, credential=d.credential) for c, d in zip(creds, creds[::-1])]
     cases = {
@@ -223,7 +227,7 @@ def test_folded_policy_check_denies_wrong_credentials(backend, oracle_big, curve
         ),
     }
     for name, (presented, u, ok) in cases.items():
-        assert abe.abe_verify(ctx, elems, presented, u) is ok, name
+        assert abe.abe_verify(ctx, policy, presented, u) is ok, name
         presented = [replace(c, credential=ctx.prepare(c.credential)) for c in presented]
         u = abe.BlindedIdentity(ctx.prepare(u.element))
-        assert abe.abe_verify(ctx, elems, presented, u) is ok, name
+        assert abe.abe_verify(ctx, policy, presented, u) is ok, name

@@ -138,10 +138,11 @@ def _worked_vector_sweep():
     eq_g(policy.plcy_modifiers[1], 6, "right")
     eq_gt(policy.plcy, 4 + 6)
     assert sum_mod([7 * 83, 45 * 16]) == sum_mod([10, 18 * 4, 18 * 6]) == 89
-    assert abe.abe_verify(ctx, policy, [cred1, cred2], blinded) is True
+    prepared = abe.prepare_policy(ctx, policy)
+    assert abe.abe_verify(ctx, prepared, [cred1, cred2], blinded) is True
     blinded3 = abe.blind_identity(ctx, ctx.hash_to_group(HashDomain.GID, b"gid"), 3)
     mixed = [cred1, abe.issue_credential(ctx, kp2, blinded3)]
-    assert abe.abe_verify(ctx, policy, mixed, blinded) is False
+    assert abe.abe_verify(ctx, prepared, mixed, blinded) is False
 
     # key-recovery layer
     rk1 = recovery.recovery_aa_setup(ctx, "A1", ask=17)
@@ -301,7 +302,8 @@ def test_criterion_4_anti_collusion():
                 abe.issue_credential(ctx, kps[a], blinded_b if i == mixed_at else blinded_a)
                 for i, a in enumerate(attrs)
             ]
-            assert abe.abe_verify(ctx, elems, creds, blinded_a) is False
+            prepared = abe.prepare_policy(ctx, elems)
+            assert abe.abe_verify(ctx, prepared, creds, blinded_a) is False
 
         rng = random.Random(402)
         for trial in range(500):

@@ -32,5 +32,6 @@ def test_bench_primitives_smoke(tmp_path):
         "held_policy_hit_decode_ms", "request_element_decode_ms", "policy_check_ms",
         "kept_token_decode_ms", "subset_term_ms", "response_layer_decode_ms",
         "kept_response_layer_decode_ms", "policy_check_kept_lines_ms", "policy_lines_cold_ms",
+        "search_after_open_ms",
     }
     assert all(ms > 0 for ms in result["median_ms"].values())

@@ -613,6 +613,33 @@ def test_policy_rotation_frees_the_kept_lines(curve_ctx, monkeypatch):
     assert walked == [] and w.server._policies[rid][0] is w.server.fetch(rid).abe
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_kept_policies_are_the_last_records_checked(n):
+    """The server keeps the prepared policies of the last ``KEPT_POINTS`` records
+    policy-checked, least recently checked evicted first, whichever process
+    prepared them: a record checked again moves to the most recent and keeps its
+    entry, a keyword miss moves nothing, and an evicted record is prepared again
+    at its next hit."""
+    w = World(seed=85)
+    rids = [w.publish(b"l-%d" % i, ["bp"], ["A1"], 1) for i in range(KEPT_POINTS)]
+    other = w.publish(b"l-other", ["hr"], ["A1"], 1)
+    (_, _, bp), (_, _, hr) = w.request("bp", [1]), w.request("hr", [1])
+    with cores(n):
+        assert w.server.search(bp).stats.matched == KEPT_POINTS
+    assert list(w.server._policies) == rids
+    first = dict(w.server._policies)
+    with cores(n):
+        assert w.server.search(hr).stats.matched == 1
+    assert list(w.server._policies) == rids[1:] + [other]
+    with cores(n):
+        assert w.server.search(bp).stats.matched == KEPT_POINTS
+    assert list(w.server._policies) == rids
+    kept = [w.server._policies[rid] is first[rid] for rid in rids]
+    assert kept == [False] + [True] * (KEPT_POINTS - 1)
+    assert w.server._policies[rids[0]][0] is w.server.fetch(rids[0]).abe
+    _assert_no_child_left()
+
+
 def test_denial_and_incomplete_policy_alike_on_live_reopened_and_forked_servers(
     curve_ctx, tmp_path
 ):
@@ -1530,7 +1557,8 @@ def test_open_treats_a_key_file_not_of_32_bytes_as_absent(tmp_path, monkeypatch)
     with closing(EscrowServer.open(path)) as again:
         assert again.fetch(rid) == updated
     # no frame's element: the update gate's subset product, kept (``ctx.kept``) from the
-    # revived server's own encoding of its set keys, whose preparation is the check
+    # revived server's own encoding of its set keys, as a search's product always is;
+    # on the curve its line walk is the check
     assert unchecked == [w.ctx.element_to_bytes(w.pks.left_product([1]))]
     with closing(_read_frames(path)) as frames:
         tags = [(tag, data) for tag, data in frames]

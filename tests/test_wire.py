@@ -164,7 +164,7 @@ def test_abe_wire_sorts_policy_attributes():
         ctx, ctx.hash_to_group(HashDomain.GID, "gid"), ctx.random_scalar(rng)
     )
     creds = [abe.issue_credential(ctx, kps[a], blinded) for a in kps]
-    assert abe.abe_verify(ctx, revived, creds, blinded) is True
+    assert abe.abe_verify(ctx, abe.prepare_policy(ctx, revived), creds, blinded) is True
 
 
 def test_policy_attributes_decode_only_as_sorted_strings():

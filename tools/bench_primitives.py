@@ -15,6 +15,10 @@ policy and payload after publishing, and divides by the record count: the
 trusted path, whose tags verify under the store key, so no order check runs
 and only layer 1 is decoded.  ``store_open_untagged_ms_per_record`` reopens a
 copy of the same log without its key file, so every element takes every check.
+``search_after_open_ms`` reopens the tagged log and runs one wire-decoded search
+over all three sets under keyword k1: 6 candidates, 3 of them hits (k = 2) whose
+policy lines no server has kept yet, as the first search after a reopen or every
+CLI ``search`` meets them; request decode, open and search, per call.
 ``held_policy_hit_decode_ms`` decodes the held layer 2 of a 2-attribute record
 as a reopened tagged store does at a keyword hit: without the order checks.
 ``request_element_decode_ms`` decodes a search request's blinding as the server
@@ -29,8 +33,8 @@ in that table, which a record returned again in the process meets instead.
 over the record side's kept lines (``prepare_policy``) and the request's plain
 credentials and blinding, as a search runs it at a hit; ``policy_lines_cold_ms``
 is ``prepare_policy`` itself, the k + 1 line walks a record pays at its first
-hit on a server; ``policy_check_ms`` is ``abe_verify`` as a one-off caller runs
-it, nothing prepared on either side: those walks and the check.
+hit on a server; ``policy_check_ms`` is ``prepare_policy`` then ``abe_verify``,
+as a one-off caller runs them: those walks and the check.
 ``keyword_check_ms`` is ``sse_match_any`` of that record under a kept token and
 the record's kept subset term, as a search runs it on a candidate after the
 first search over the subset; ``subset_term_ms`` is that term's cold cost,
@@ -49,6 +53,7 @@ import statistics
 import sys
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,7 +75,8 @@ def primitives():
     from triseal.actors import Authority, Owner, User
     from triseal.pairing import CurveContext, HashDomain, Side, curve
     from triseal.server import USER_RECOVERY, EscrowServer, _layer_from_wire, kept_recovery
-    from triseal.server import record_from_wire, record_to_wire
+    from triseal.server import record_from_wire, record_to_wire, search_request_from_wire
+    from triseal.server import search_request_to_wire
     from triseal.sse import server_setup, sse_match_any, subset_product, subset_term
 
     ctx = CurveContext()
@@ -121,6 +127,15 @@ def primitives():
     for auth in authorities:
         user.collect(session, auth)
     blinded, creds = session.blinded, list(session.credentials.values())
+    cold_request = search_request_to_wire(
+        ctx, user.build_search_request(session, owner.consent("k1", [1, 2, 3], pks))
+    )
+
+    def search_after_open():
+        with closing(EscrowServer.open(store)) as revived:
+            found = revived.search(search_request_from_wire(revived.ctx, cold_request))
+        assert found.stats.candidates == 6 and found.stats.matched == 3
+
     policy = prepare_policy(ctx, record.abe)
     assert abe_verify(ctx, policy, creds, blinded)
     blinded_text = wire.b64e(ctx.element_to_bytes(blinded.element))
@@ -148,7 +163,9 @@ def primitives():
         "pair_cached_lines_ms": lambda: ctx.pair(h, right),
         "keyword_check_ms": lambda: sse_match_any(ctx, record.sse, token, term),
         "subset_term_ms": lambda: subset_term(ctx, record.sse, product),
-        "policy_check_ms": lambda: abe_verify(ctx, record.abe, creds, blinded),
+        "policy_check_ms": lambda: abe_verify(
+            ctx, prepare_policy(ctx, record.abe), creds, blinded
+        ),
         "policy_check_kept_lines_ms": lambda: abe_verify(ctx, policy, creds, blinded),
         "policy_lines_cold_ms": lambda: prepare_policy(ctx, record.abe),
         "final_exp_ms": lambda: curve._final_exp(raw),  # any nonzero F_p^2 value
@@ -164,6 +181,7 @@ def primitives():
         "store_open_untagged_ms_per_record": lambda: EscrowServer.open(
             Path(tmp.name) / "keyless" / store.name
         ).close(),
+        "search_after_open_ms": search_after_open,
     }
 
 
