@@ -314,7 +314,9 @@ def _cmd_issue(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    ctx, session, _used = _load_session(args.home)
+    ctx, session, used = _load_session(args.home)
+    if used:  # a second request under the same blinding would be linkable to the first
+        raise ProtocolError("this session already searched; run issue again for a fresh one")
     grant = _load(Path(args.consent), "consent", _CONSENT.decode, ctx)
     user = User(ctx, _load_user(args.home, ctx), _rng(args.seed))
     request = user.build_search_request(session, grant)

@@ -158,7 +158,8 @@ class PairingContext(ABC):
 
     @property
     def gt_generator(self) -> GtElement:
-        """e(g_left, g_right); not the GT identity (non-degeneracy)."""
+        """e(g_left, g_right), not the GT identity (non-degeneracy): one ``pair``
+        call, which the curve backend answers from a constant kept per process."""
         return self.pair(self.g_left, self.g_right)
 
     def group_identity(self, side: Side) -> GroupElement:

@@ -15,18 +15,19 @@ over the non-adjacent form of q with T in Jacobian coordinates
 (Chatterjee-Sarkar-Barua), made monic with one batched inversion, and
 carried by a point that ``prepare`` returns (fixed-argument precomputation,
 Scott); that walk ends at [q]P, so it is also P's subgroup check.  The two
-generators' lines are kept for good, next to their doubling tables.  Every
-point of G, LEFT or RIGHT, lies in the one cyclic order-q subgroup, so the
-pairing is symmetric, e(P, Q) = e(Q, P): a pair whose RIGHT point is a
-generator, or carries lines while its LEFT point does not, runs over the
-RIGHT point's lines at phi(P) (Costello-Stebila).  So the argument that
-lasts is the one prepared, on either side.  A product of pairings
-squares one F_{p^2} accumulator per digit, multiplies in each pair's line,
-and shares one final exponentiation (Granger-Smart); a single pairing is
-the one-pair product.  After the (p - 1) step of the final exponentiation
-the value has norm 1, and the (p + 1)/q step runs as a Lucas ladder over
-F_p (Scott-Barreto).  F_{p^2} is realised as F_p[i] / (i^2 + 1), elements
-stored as (a, b) for a + b*i.
+generators' lines are kept for good, and so is e(g_L, g_R), computed at its
+first use: ``pair`` of the two generators still runs, but answers with the
+constant instead of a Miller loop.  Every point of G, LEFT or RIGHT, lies in
+the one cyclic order-q subgroup, so the pairing is symmetric,
+e(P, Q) = e(Q, P): a pair whose RIGHT point is a generator, or carries lines
+while its LEFT point does not, runs over the RIGHT point's lines at phi(P)
+(Costello-Stebila).  So the argument that lasts is the one prepared, on
+either side.  A product of pairings squares one F_{p^2} accumulator per
+digit, multiplies in each pair's line, and shares one final exponentiation
+(Granger-Smart); a single pairing is the one-pair product.  After the
+(p - 1) step of the final exponentiation the value has norm 1, and the
+(p + 1)/q step runs as a Lucas ladder over F_p (Scott-Barreto).  F_{p^2} is
+realised as F_p[i] / (i^2 + 1), elements stored as (a, b) for a + b*i.
 
 Parameters: q is the first prime above a fixed 160-bit hash seed, and
 p = 4k*q - 1 is the first 512-bit prime found scanning k upward from a
@@ -34,8 +35,11 @@ base derived from a second seed.  This is the same parameter class (and
 security level) as the widely deployed 512-bit supersingular pairing
 groups.
 
-Exponentiations of the two generators add up precomputed doublings 2^i * g,
-built once per process.  Every other scalar multiplication (the order-q
+A power of g_L, g_R or e(g_L, g_R) multiplies in one entry of the base's
+4-bit window table per nonzero base-16 digit of the exponent, at most 40
+(fixed-base windowing, Brickell-Gordon-McCurley-Wilson); the table is built
+at the base's first power and kept for the process.  A power of any other GT
+value is that Lucas ladder.  Every other scalar multiplication (the order-q
 check of a decoded point, cofactor clearing in hash-to-group, powers of any
 other point) is the x-only Montgomery ladder: E is the Montgomery curve
 y^2 = x^3 + A*x^2 + x with A = 0, whose ladder formulas are complete since
@@ -115,20 +119,23 @@ def _unitary_pow(x, e):
 
 
 def _pt_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2:
-        if (y1 + y2) % _P == 0:
-            return None
-        slope = (3 * x1 * x1 + 1) * _inv(2 * y1, _P) % _P
-    else:
-        slope = (y2 - y1) * _inv(x2 - x1, _P) % _P
-    x3 = (slope * slope - x1 - x2) % _P
-    return x3, (slope * (x1 - x3) - y1) % _P
+    if a is None or b is None:
+        return a or b
+    if a[0] == b[0] and (a[1] + b[1]) % _P == 0:
+        return None
+    return _affine_adds([(a, b)])[0]
+
+
+def _affine_adds(pairs):
+    """P + Q for each pair of affine points with P != -Q, the chord or tangent
+    slopes sharing one batched inversion."""
+    invs = _batch_inv([2 * p[1] if p == q else q[0] - p[0] for p, q in pairs])
+    out = []
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, invs):
+        slope = (3 * x1 * x1 + 1 if x1 == x2 else y2 - y1) * inv % _P
+        x3 = (slope * slope - x1 - x2) % _P
+        out.append((x3, (slope * (x1 - x3) - y1) % _P))
+    return out
 
 
 def _naf(k):
@@ -189,12 +196,13 @@ def _pt_mul(a, k):
     return X0 * d % _P * inv % _P, num * inv % _P
 
 
-def _jac_add_affine(X, Y, Z, x2, y2):
-    """Mixed addition of Jacobian (X, Y, Z), Z None at infinity, and the affine
-    point (x2, y2) != +-(X, Y, Z): in ``_table_mul`` the sum so far is [m]g and
-    the point [2^i]g with 0 < m < 2^i and m + 2^i <= k < q, so h != 0."""
-    if Z is None:
-        return x2, y2, 1
+def _jac_add_affine(T, pt):
+    """Mixed addition of Jacobian T = (X, Y, Z), None at infinity, and the affine
+    pt = (x2, y2) != +-T, so h != 0: in a window power T is [m]g after digit j
+    and pt is [d*16^j]g, with m < 16^j <= d*16^j and m + d*16^j <= k < q."""
+    if T is None:
+        return (*pt, 1)
+    (X, Y, Z), (x2, y2) = T, pt
     zz = Z * Z % _P
     u2 = x2 * zz % _P
     s2 = y2 * Z * zz % _P
@@ -208,29 +216,46 @@ def _jac_add_affine(X, Y, Z, x2, y2):
     return X3, (r * (v - X3) - 2 * Y * j) % _P, ((Z + h) * (Z + h) - zz - hh) % _P
 
 
-def _doubling_table(g):
-    """(2^i * g for 0 <= i < 160): every exponent below q is a sum of these."""
-    table = [g]
-    for _ in range(CURVE_Q.bit_length() - 1):
-        table.append(_pt_add(table[-1], table[-1]))
-    return tuple(table)
+def _jac_double(T):
+    """[2]T for Jacobian T = (X, Y, Z) != O of odd order: M = 3*X^2 + Z^4."""
+    X, Y, Z = T
+    yy = Y * Y % _P
+    zz = Z * Z % _P
+    m = (3 * X * X + zz * zz) % _P
+    s = 4 * X * yy % _P
+    X3 = (m * m - 2 * s) % _P
+    return X3, (m * (s - X3) - 8 * yy * yy) % _P, 2 * Y * Z % _P
 
 
-def _table_mul(table, k):
-    """k * g for 0 <= k < q from the doubling table of g: one mixed addition per set bit."""
-    X = Y = Z = None
-    for i, bit in enumerate(reversed(bin(k)[2:])):
-        if bit == "1":
-            X, Y, Z = _jac_add_affine(X, Y, Z, *table[i])
-    if Z is None:
-        return None
-    return _jac_to_affine(X, Y, Z)
+def _to_affine(points):
+    """Affine forms of Jacobian points != O, with one batched inversion."""
+    out = []
+    for (X, Y, _), zi in zip(points, _batch_inv([z for _, _, z in points])):
+        zi2 = zi * zi % _P
+        out.append((X * zi2 % _P, Y * zi2 * zi % _P))
+    return out
 
 
-def _jac_to_affine(X, Y, Z):
-    zi = _inv(Z, _P)
-    zi2 = zi * zi % _P
-    return X * zi2 % _P, Y * zi2 * zi % _P
+def _window_table(base, double, adds, settle=list):
+    """Row j < 40 (q < 16^40) holds [d * 16^j]base for d = 1..15: row bases by
+    ``double``, put by ``settle`` in the form ``adds`` takes, then column d as
+    ``adds`` of ([d-1]b, b) over every row base b at once."""
+    bases = [base]
+    while len(bases) < 40:
+        bases.append(functools.reduce(lambda t, _: double(t), range(4), bases[-1]))
+    rows = [[b] for b in settle(bases)]
+    for _ in range(14):
+        for row, entry in zip(rows, adds([(row[-1], row[0]) for row in rows])):
+            row.append(entry)
+    return rows
+
+
+def _window_digits(rows, k):
+    """The entries rows[j][d - 1] whose sum is [k]base, k < q: d is k's 16^j digit."""
+    for row in rows:
+        if k & 15:
+            yield row[(k & 15) - 1]
+        k >>= 4
 
 
 def _batch_inv(values):
@@ -314,10 +339,10 @@ def _prepared(p_pt, q_pt):
     """(lines, x, y) for e(P, Q): one argument's lines, the other's point.  P and
     Q lie in the one order-q subgroup, so e(P, Q) = e(Q, P): a generator's kept
     lines serve on either side, and so do Q's where P carries none."""
-    for table, lines in map(_base_table, Side):
-        if p_pt == table[0]:
+    for g, lines in map(_base_table, Side):
+        if p_pt == g:
             return (lines, *q_pt)
-        if q_pt == table[0]:
+        if q_pt == g:
             return (lines, *p_pt)
     if not hasattr(p_pt, "lines") and hasattr(q_pt, "lines"):
         return (q_pt.lines, *p_pt)
@@ -381,11 +406,26 @@ _BASE_LABELS = {Side.LEFT: b"triseal/v1/base/left", Side.RIGHT: b"triseal/v1/bas
 
 @functools.cache
 def _base_table(side: Side):
-    """(doubling table, Miller lines) of the generator on ``side``.  Both
-    depend only on the fixed curve constants, so they are built once per
-    process and shared by every context."""
+    """(generator, Miller lines) on ``side``.  Both depend only on the fixed
+    curve constants, so they are built once per process and shared by every
+    context."""
     g = _point_from_label(_BASE_LABELS[side])
-    return _doubling_table(g), _miller_lines(g)
+    return g, _miller_lines(g)
+
+
+@functools.cache
+def _gt_generator():
+    """e(g_L, g_R), a curve constant: one Miller loop per process."""
+    return _multi_pairing([tuple(_base_table(side)[0] for side in Side)])
+
+
+@functools.cache
+def _windows(side: Side | None):
+    """The window table of g_side, or of e(g_L, g_R) for None, at its first power."""
+    if side is None:
+        return _window_table(_gt_generator(), _fp2_sqr, lambda ps: [_fp2_mul(*p) for p in ps])
+    # affine G rows: each column one batched inversion, [d-1]b != -b as d < q
+    return _window_table((*_base_table(side)[0], 1), _jac_double, _affine_adds, _to_affine)
 
 
 class CurveContext(PairingContext):
@@ -395,7 +435,7 @@ class CurveContext(PairingContext):
 
     def __init__(self):
         super().__init__(CURVE_Q)
-        self._tables = {side: _base_table(side)[0] for side in Side}
+        self._generators = {side: _base_table(side)[0] for side in Side}
 
     def param_header(self) -> dict:
         return {
@@ -408,7 +448,7 @@ class CurveContext(PairingContext):
     # -- backend hooks --------------------------------------------------------
 
     def _g_generator_data(self, side: Side):
-        return self._tables[side][0]
+        return self._generators[side]
 
     def _g_identity_data(self):
         return None
@@ -420,12 +460,15 @@ class CurveContext(PairingContext):
         return None if a is None else (a[0], -a[1] % _P)
 
     def _g_exp(self, a, k: int):
-        for table in self._tables.values():
-            if a == table[0]:
-                return _table_mul(table, k)
+        for side, g in self._generators.items():
+            if a == g:
+                T = functools.reduce(_jac_add_affine, _window_digits(_windows(side), k), None)
+                return None if T is None else _to_affine([T])[0]
         return _pt_mul(a, k)
 
     def _pair_product(self, pairs):
+        if pairs == [tuple(self._generators.values())]:
+            return _gt_generator()
         return _multi_pairing(pairs)
 
     def _g_prepare(self, a):
@@ -448,6 +491,8 @@ class CurveContext(PairingContext):
         return a[0], -a[1] % _P
 
     def _gt_exp(self, a, k: int):
+        if a == _gt_generator():
+            return functools.reduce(_fp2_mul, _window_digits(_windows(None), k), _ONE)
         return _unitary_pow(a, k)  # GT elements have norm 1
 
     def _g_to_bytes(self, a) -> bytes:

@@ -286,6 +286,13 @@ def walked(tmp_path_factory):
     return root
 
 
+def unsent(root: Path) -> None:
+    """Mark the tree's session unused, as ``issue`` leaves it, so that a
+    ``search`` goes on to read its other files."""
+    path = root / "usr" / "session.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "used": False}))
+
+
 SEARCH = ("search", "--home", "usr", "--server", "srv", "--consent", "consent.json",
           "--out", "r.json")
 DECRYPT = ("decrypt", "--home", "usr", "--server", "srv", "--consent", "consent.json",
@@ -360,6 +367,8 @@ def test_bad_input_files_exit_1_with_one_error_line(
     shutil.copytree(walked, root)
     monkeypatch.chdir(root)
     path = root / target
+    if argv[0] == "search":
+        unsent(root)
     before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
     if fault == "kept":
         pass
@@ -420,6 +429,26 @@ def test_malformed_arguments_exit_2(walked, tmp_path, monkeypatch, capsys, argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and ": error: " in err.splitlines()[-1], err
+
+
+def test_search_refuses_a_session_that_already_searched(walked, tmp_path, monkeypatch, capsys):
+    """A second ``search`` under the walkthrough's session would send the same
+    blinding and credentials again, so the server could link the two
+    requests: it exits 1 with one ``error:`` line that names ``issue``, before
+    the store is opened or a request written."""
+    root = tmp_path / "tree"
+    shutil.copytree(walked, root)
+    monkeypatch.chdir(root)
+    opened = []
+    monkeypatch.setattr(cli, "_open_server", lambda *args: opened.append(args))
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run(*SEARCH) == EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "issue" in err, err
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+    assert [p.name for p in (root / "usr" / "outbox").iterdir()] == ["request-0001.json"]
+    assert opened == []
 
 
 def test_session_file_loads_without_preparing_a_point(walked, monkeypatch):
@@ -530,6 +559,7 @@ def test_old_format_files_open_search_and_decrypt(walked, tmp_path, monkeypatch,
     shutil.copytree(walked, root)
     for name in OLD_FORMAT_SHA256:
         shutil.copyfile(OLD_FORMAT / name, root / name)
+    unsent(root)
     monkeypatch.chdir(root)
     checked = Counter()
 
@@ -576,6 +606,8 @@ def test_commands_on_mutated_files_exit_cleanly_or_with_one_error_line(
     target = data.draw(st.sampled_from(sorted(FUZZED)), label="file")
     root = tmp_path_factory.mktemp("fuzz") / "tree"
     shutil.copytree(walked, root)
+    if FUZZED[target] is SEARCH:
+        unsent(root)
     obj = json.loads((root / target).read_text())
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         paths = list(key_paths(obj))

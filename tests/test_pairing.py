@@ -1,6 +1,7 @@
 """Bilinear-group interface: worked vectors, group laws, serialization."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,8 +9,9 @@ from curve_points import ORDER, affine_mul, malformed_encodings, raw_point, smal
 from exponent_oracle import brute_inverse
 from hash_pins import pin_hash
 from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
-from triseal.pairing import GroupElement, HashDomain, OracleContext, Side, curve
+from triseal.pairing import GroupElement, HashDomain, OracleContext, PairingContext, Side, curve
 from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_add, _pt_mul, _point_from_label
+from triseal.pairing.curve import _unitary_pow
 
 
 def test_pair_exponent_vector(oracle101):
@@ -389,6 +391,114 @@ def test_curve_generators_have_order_q(curve_ctx):
     assert (ctx.g_right ** ctx.order).is_identity
     assert not ctx.g_left.is_identity and not ctx.g_right.is_identity
     assert ctx.g_left != ctx.g_right.ctx.group_identity(Side.LEFT)
+
+
+def test_window_powers_equal_the_ladders(curve_ctx):
+    """A power of either generator over its window table equals the ladder's,
+    and a power of e(g_L, g_R) over its table equals the Lucas ladder's, for
+    exponents at digit edges, with a zero digit or a full one, up to q - 1."""
+    ctx = curve_ctx
+    rng = random.Random(1992)
+    scalars = [0, 1, 15, 16, 17, 255, 256, 2**156, CURVE_Q - 1]
+    scalars += [rng.randrange(CURVE_Q) for _ in range(8)]
+    gt = ctx.gt_generator.data
+    for k in scalars:
+        for g in (ctx.g_left, ctx.g_right):
+            assert (g**k).data == _pt_mul(g.data, k), (g.side, k)
+        assert (ctx.gt_generator**k).data == _unitary_pow(gt, k), k
+    assert curve._windows.cache_info().currsize == 3
+    assert all(len(row) == 15 for side in (*Side, None) for row in curve._windows(side))
+
+
+def test_generator_pairing_is_the_kept_constant(curve_ctx, monkeypatch):
+    """e(g_L, g_R) is computed once per process and equals a fresh Miller loop
+    over the two generators; ``pair`` of them, prepared or not, returns it."""
+    ctx = curve_ctx
+    gt = ctx.gt_generator
+    assert gt.data is curve._gt_generator()
+    assert gt.data == curve._multi_pairing([(ctx.g_left.data, ctx.g_right.data)])
+    loops = []
+    monkeypatch.setattr(curve, "_multi_pairing", loops.append)
+    assert ctx.pair(ctx.prepare(ctx.g_left), ctx.g_right) == gt and loops == []
+
+
+def test_publish_and_policy_rotation_miller_loops(curve_ctx, monkeypatch):
+    """One publish (2 keywords, 2 attributes) still calls ``pair`` 7 times but
+    runs 4 Miller-loop products: its 3 e(g_L, g_R) are the kept constant.  A
+    policy rotation calls ``pair`` 5 times and runs only the 2 of its gate."""
+    from triseal.actors import Authority, Owner
+    from triseal.server import EscrowServer
+    from triseal.sse import server_setup
+
+    ctx = curve_ctx
+    rng = random.Random(30)
+    publics = {a: Authority.create(ctx, a, rng).public() for a in ("A1", "A2")}
+    owner = Owner.create(ctx, "counted-owner", rng)
+    pks = server_setup(ctx, 2, rng)
+    server = EscrowServer(ctx, pks)
+    ctx.gt_generator  # the one Miller loop of the process's constant, if not run yet
+    counts = Counter()
+    pair, loops = PairingContext.pair, curve._multi_pairing
+    monkeypatch.setattr(PairingContext, "pair", lambda *a: counts.update(["pair"]) or pair(*a))
+    monkeypatch.setattr(curve, "_multi_pairing", lambda p: counts.update(["loops"]) or loops(p))
+    record = owner.publish(bytes(256), ["k1", "k2"], ["A1", "A2"], 1, publics)
+    assert counts == {"pair": 7, "loops": 4}
+    rid = server.store_record(record)
+    counts.clear()
+    rotation = owner.update_request(
+        rid, [1], pks, policy=["A1", "A2"], plaintext=b"v2", authorities=publics
+    )
+    assert server.reencrypt(rotation) == rid
+    assert counts == {"pair": 5, "loops": 2}
+
+
+_SEARCH_ONLY = """
+import json, sys
+from triseal.pairing import curve
+from triseal.server import EscrowServer, search_request_from_wire
+
+server = EscrowServer.open(sys.argv[1])
+with open(sys.argv[2]) as fh:
+    found = server.search(search_request_from_wire(server.ctx, json.load(fh)))
+print(len(found.matches), curve._windows.cache_info().currsize)
+"""
+
+
+def test_a_search_process_builds_no_window_table(curve_ctx, tmp_path):
+    """The window tables are built at a generator's first power, not with the
+    context: a fresh process that opens a curve store and answers a search,
+    which raises no generator, builds none."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from triseal.actors import Authority, Owner, User
+    from triseal.server import EscrowServer, search_request_to_wire
+    from triseal.sse import server_setup
+
+    ctx = curve_ctx
+    rng = random.Random(31)
+    authority = Authority.create(ctx, "A1", rng)
+    owner = Owner.create(ctx, "lazy-owner", rng)
+    pks = server_setup(ctx, 1, rng)
+    server = EscrowServer(ctx, pks, store_path=tmp_path / "store.log")
+    server.store_record(owner.publish(b"lazy", ["k"], ["A1"], 1, {"A1": authority.public()}))
+    server.close()
+    user = User(ctx, "lazy-user", rng)
+    session = user.new_session()
+    user.collect(session, authority)
+    request = user.build_search_request(session, owner.consent("k", [1], pks))
+    (tmp_path / "request.json").write_text(json.dumps(search_request_to_wire(ctx, request)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-c", _SEARCH_ONLY, tmp_path / "store.log", tmp_path / "request.json"]
+    done = subprocess.run(
+        argv,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["1", "0"]
 
 
 def test_param_header_round_trip(oracle101, oracle_big, curve_ctx):

@@ -39,6 +39,12 @@ as a one-off caller runs them: those walks and the check.
 the record's kept subset term, as a search runs it on a candidate after the
 first search over the subset; ``subset_term_ms`` is that term's cold cost,
 paid once per record and subset.
+``g_exp_generator_ms`` and ``gt_exp_generator_ms`` raise g_L and e(g_L, g_R)
+to a fixed 160-bit exponent over their window tables, and ``gt_generator_ms``
+is ``ctx.gt_generator``, a ``pair`` call answered from the kept constant;
+``generator_tables_ms`` builds the three window tables cold, as the first
+power of each base in a process does.  ``publish_ms`` is one
+``Owner.publish`` of 256 bytes under 2 keywords and 2 attributes.
 """
 
 from __future__ import annotations
@@ -152,6 +158,12 @@ def primitives():
         "pt_mul_h_ms": lambda: curve._pt_mul(raw, curve.CURVE_H),
         "pt_mul_160_ms": lambda: curve._pt_mul(h.data, K160),
         "g_exp_generator_ms": lambda: ctx.g_left**K160,
+        "gt_generator_ms": lambda: ctx.gt_generator,
+        "gt_exp_generator_ms": lambda: ctx.gt_generator**K160,
+        "generator_tables_ms": lambda: (
+            curve._windows.cache_clear(), [curve._windows(side) for side in (*Side, None)]
+        ),
+        "publish_ms": lambda: owner.publish(bytes(256), ["k1", "k2"], ["A1", "A2"], 1, publics),
         "element_from_bytes_ms": lambda: ctx.element_from_bytes(h_raw, Side.LEFT),
         "gt_from_bytes_ms": lambda: ctx.gt_from_bytes(gt_raw),
         "hash_to_group_ms": lambda: ctx.hash_to_group(
