@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadAttribute, IncompletePolicy, InvalidBlinding
-from .pairing import GroupElement, GtElement, PairingContext, Side
+from .pairing import GroupElement, GtElement, PairingContext
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ class PreparedPolicy:
 
 
 def prepare_policy(ctx: PairingContext, elems: AccessPolicyElements) -> PreparedPolicy:
-    """``elems`` with its k + 1 RIGHT points prepared: what a server keeps per record."""
-    modifiers = math.prod(elems.plcy_modifiers, start=ctx.group_identity(Side.RIGHT))
+    """``elems`` with its k + 1 owner-installed points prepared: what a server keeps per record."""
+    modifiers = math.prod(elems.plcy_modifiers, start=ctx.group_identity())
     return PreparedPolicy(
         attrs=elems.attrs,
         transferors=tuple(map(ctx.prepare, elems.ac_transferors)),

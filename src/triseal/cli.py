@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import string
 import sys
 from pathlib import Path
 
@@ -65,10 +66,10 @@ def _rng(seed: int | None) -> random.Random:
 
 
 def _seed(text: str) -> int:
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a hex seed") from None
+    # hex digits only: a sign, 0x, _ or blanks would alias seeds (Random(-1) is Random(1))
+    if not text or text.strip(string.hexdigits):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a hex seed")
+    return int(text, 16)
 
 
 def _positive(text: str) -> int:
@@ -143,11 +144,9 @@ def _authority_from_wire(ctx: PairingContext, state) -> Authority:
     )
 
 
-_AA_PUBLIC = wire.Form(
-    AuthorityPublic, attribute_id=wire.NAME, apk=wire.G_RIGHT, apk_dtk=wire.G_RIGHT
-)
+_AA_PUBLIC = wire.Form(AuthorityPublic, attribute_id=wire.NAME, apk=wire.G, apk_dtk=wire.G)
 _CONSENT = wire.Form(
-    ConsentGrant, search_token=wire.TOKEN, owner_decrypt_token=wire.G_LEFT, subset=wire.INDICES
+    ConsentGrant, search_token=wire.TOKEN, owner_decrypt_token=wire.G, subset=wire.INDICES
 )
 _DECRYPT_CONSENT = wire.Form(  # decrypt pairs the owner's token alone, checked by its lines
     lambda **f: ConsentGrant(None, **f), owner_decrypt_token=wire.PREPARED, subset=wire.INDICES
@@ -167,12 +166,10 @@ def _load_user(home: str, ctx: PairingContext) -> str:
 # check alone.  decrypt reads only the points it pairs, each checked once, by its lines
 _SESSION = wire.Form(
     UserSession,
-    blinded=wire.blinded(wire.G_LEFT),
-    blinded_r=wire.blinded(wire.G_LEFT),
-    credentials=wire.keyed(
-        wire.Form(abe.AttributeCredential, attribute_id=wire.NAME, credential=wire.G_LEFT)
-    ),
-    decrypt_tokens=wire.keyed(wire.G_LEFT),
+    blinded=wire.BLINDED,
+    blinded_r=wire.BLINDED,
+    credentials=wire.keyed(wire.CREDENTIAL),
+    decrypt_tokens=wire.keyed(wire.G),
 )
 _DECRYPT_SESSION = wire.Form(
     lambda **f: UserSession(None, **f),

@@ -5,11 +5,6 @@ class ProtocolError(Exception):
     """Base class for all triseal errors."""
 
 
-class SideMismatch(ProtocolError):
-    """Group operation mixed LEFT and RIGHT elements, or a pairing got its
-    arguments on the wrong sides."""
-
-
 class BackendMismatch(ProtocolError):
     """Elements from two different pairing contexts were combined."""
 

@@ -3,7 +3,6 @@ from .base import (
     GtElement,
     HashDomain,
     PairingContext,
-    Side,
     WIRE_FORMAT,
     context_from_header,
     make_context,
@@ -16,7 +15,6 @@ __all__ = [
     "GtElement",
     "HashDomain",
     "PairingContext",
-    "Side",
     "WIRE_FORMAT",
     "context_from_header",
     "make_context",

@@ -9,11 +9,9 @@ Two interchangeable backends implement this interface:
   with the modified Tate pairing, the parameter class used by essentially
   all deployed pairing-based access-control code.
 
-The group interface is dual-sided (LEFT / RIGHT) so the protocol formulas
-stay valid on asymmetric curves: hash outputs and user-submitted tokens are
-LEFT, owner-installed transferors and modifiers are RIGHT, and ``pair``
-always takes (LEFT, RIGHT).  Both shipped backends are symmetric, so the
-side is a tag enforced at the API level rather than a structural property.
+G is one cyclic group of prime order q, with two fixed generators g_left and
+g_right and a symmetric pairing e(x, y) = e(y, x): every point has one codec
+and pairs in either argument.
 
 Invariant: every decoded element is order-checked before use, unless its
 bytes come from a store frame whose tag verifies under this server's key
@@ -42,7 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from ..errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
+from ..errors import BackendMismatch, InvalidElement, NonInvertible
 
 WIRE_FORMAT = 1
 _TRUSTED = contextvars.ContextVar("trusted_frame", default=False)
@@ -57,11 +55,6 @@ def _trusted_decode(trusted: bool, decode: Callable, *args) -> Any:
     return run(decode, *args)
 
 
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class HashDomain(enum.Enum):
     """Domain-separation tags for hash-to-group."""
 
@@ -72,23 +65,18 @@ class HashDomain(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Opaque member of the source group, tagged with its side."""
+    """Opaque member of the source group."""
 
     ctx: "PairingContext" = field(repr=False)
-    side: Side
     data: Any
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return (
-            self.ctx.fingerprint == other.ctx.fingerprint
-            and self.side is other.side
-            and self.data == other.data
-        )
+        return self.ctx.fingerprint == other.ctx.fingerprint and self.data == other.data
 
     def __hash__(self) -> int:
-        return hash((self.ctx.fingerprint, self.side, self.data))
+        return hash((self.ctx.fingerprint, self.data))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.ctx.group_mul(self, other)
@@ -150,11 +138,11 @@ class PairingContext(ABC):
 
     @property
     def g_left(self) -> GroupElement:
-        return GroupElement(self, Side.LEFT, self._g_generator_data(Side.LEFT))
+        return GroupElement(self, self._g_generator_data(False))
 
     @property
     def g_right(self) -> GroupElement:
-        return GroupElement(self, Side.RIGHT, self._g_generator_data(Side.RIGHT))
+        return GroupElement(self, self._g_generator_data(True))
 
     @property
     def gt_generator(self) -> GtElement:
@@ -162,8 +150,8 @@ class PairingContext(ABC):
         call, which the curve backend answers from a constant kept per process."""
         return self.pair(self.g_left, self.g_right)
 
-    def group_identity(self, side: Side) -> GroupElement:
-        return GroupElement(self, side, self._g_identity_data())
+    def group_identity(self) -> GroupElement:
+        return GroupElement(self, self._g_identity_data())
 
     def gt_identity(self) -> GtElement:
         return GtElement(self, self._gt_identity_data())
@@ -194,50 +182,43 @@ class PairingContext(ABC):
     def group_mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
         self._check(b)
-        if a.side is not b.side:
-            raise SideMismatch(f"cannot multiply {a.side.value} by {b.side.value}")
-        return GroupElement(self, a.side, self._g_mul(a.data, b.data))
+        return GroupElement(self, self._g_mul(a.data, b.data))
 
     def group_exp(self, a: GroupElement, exponent: int) -> GroupElement:
         self._check(a)
-        return GroupElement(self, a.side, self._g_exp(a.data, exponent % self.order))
+        return GroupElement(self, self._g_exp(a.data, exponent % self.order))
 
     def group_inverse(self, a: GroupElement) -> GroupElement:
         self._check(a)
-        return GroupElement(self, a.side, self._g_inv(a.data))
+        return GroupElement(self, self._g_inv(a.data))
 
     def pair(self, x: GroupElement, y: GroupElement) -> GtElement:
-        """Bilinear map; strictly e(LEFT, RIGHT)."""
+        """Symmetric bilinear map: e(x, y) = e(y, x)."""
         return self.pairing_product([(x, y)])
 
     def pairing_product(self, pairs: Iterable[tuple[GroupElement, GroupElement]]) -> GtElement:
-        """prod_i e(x_i, y_i) over (LEFT, RIGHT) pairs, the GT identity if
-        empty.  Equals multiplying ``pair`` results, but the curve backend
-        runs one Miller loop over the lines each pair carries (x_i's, else
-        y_i's; x_i's walked if neither is prepared) and one final exp; write
-        e(a, b) / e(c, d) as e(a, b) * e(c, d^-1)."""
+        """prod_i e(x_i, y_i), the GT identity if empty.  Equals multiplying
+        ``pair`` results, but the curve backend runs one Miller loop over the
+        lines each pair carries (x_i's, else y_i's; x_i's walked if neither is
+        prepared) and one final exp; write e(a, b) / e(c, d) as e(a, b) * e(c, d^-1)."""
         data = []
         for x, y in pairs:
             self._check(x)
             self._check(y)
-            if x.side is not Side.LEFT or y.side is not Side.RIGHT:
-                raise SideMismatch(
-                    f"a pairing needs (LEFT, RIGHT), got ({x.side.value}, {y.side.value})"
-                )
             data.append((x.data, y.data))
         return GtElement(self, self._pair_product(data))
 
     def prepare(self, x: GroupElement) -> GroupElement:
-        """``x`` carrying what makes it cheap in a pairing, on either side (the curve's
-        Miller lines); idempotent.  InvalidElement outside the order-q subgroup."""
+        """``x`` carrying what makes it cheap in a pairing, in either argument (the
+        curve's Miller lines); idempotent.  InvalidElement outside the order-q subgroup."""
         self._check(x)
-        return GroupElement(self, x.side, self._g_prepare(x.data))
+        return GroupElement(self, self._g_prepare(x.data))
 
     def hash_to_group(self, domain: HashDomain, data: bytes | str) -> GroupElement:
-        """Deterministic hash onto the LEFT group; domains are independent."""
+        """Deterministic hash onto G; domains are independent."""
         if isinstance(data, str):
             data = data.encode("utf-8")
-        return GroupElement(self, Side.LEFT, self._hash(domain, data))
+        return GroupElement(self, self._hash(domain, data))
 
     # -- target-group operations ---------------------------------------------
 
@@ -265,12 +246,12 @@ class PairingContext(ABC):
         self._check(e)
         return self._g_to_bytes(e.data)
 
-    def element_from_bytes(self, raw: bytes, side: Side) -> GroupElement:
-        return GroupElement(self, side, self._g_from_bytes(raw, not _TRUSTED.get()))
+    def element_from_bytes(self, raw: bytes) -> GroupElement:
+        return GroupElement(self, self._g_from_bytes(raw, not _TRUSTED.get()))
 
     def prepared_from_bytes(self, raw: bytes) -> GroupElement:
-        """A LEFT request element, decoded with no [q]P and checked by ``prepare``."""
-        return self.prepare(GroupElement(self, Side.LEFT, self._g_from_bytes(raw, False)))
+        """A request element, decoded with no [q]P and checked by ``prepare``."""
+        return self.prepare(GroupElement(self, self._g_from_bytes(raw, False)))
 
     @functools.lru_cache(maxsize=KEPT_POINTS)  # one table per process
     def kept(self, raw: bytes) -> GroupElement:
@@ -299,7 +280,7 @@ class PairingContext(ABC):
     # -- backend hooks -------------------------------------------------------
 
     @abstractmethod
-    def _g_generator_data(self, side: Side) -> Any: ...
+    def _g_generator_data(self, right: bool) -> Any: ...  # g_right's if ``right``, else g_left's
 
     @abstractmethod
     def _g_identity_data(self) -> Any: ...

@@ -17,17 +17,17 @@ carried by a point that ``prepare`` returns (fixed-argument precomputation,
 Scott); that walk ends at [q]P, so it is also P's subgroup check.  The two
 generators' lines are kept for good, and so is e(g_L, g_R), computed at its
 first use: ``pair`` of the two generators still runs, but answers with the
-constant instead of a Miller loop.  Every point of G, LEFT or RIGHT, lies in
-the one cyclic order-q subgroup, so the pairing is symmetric,
-e(P, Q) = e(Q, P): a pair whose RIGHT point is a generator, or carries lines
-while its LEFT point does not, runs over the RIGHT point's lines at phi(P)
-(Costello-Stebila).  So the argument that lasts is the one prepared, on
-either side.  A product of pairings squares one F_{p^2} accumulator per
-digit, multiplies in each pair's line, and shares one final exponentiation
-(Granger-Smart); a single pairing is the one-pair product.  After the
-(p - 1) step of the final exponentiation the value has norm 1, and the
-(p + 1)/q step runs as a Lucas ladder over F_p (Scott-Barreto).  F_{p^2} is
-realised as F_p[i] / (i^2 + 1), elements stored as (a, b) for a + b*i.
+constant instead of a Miller loop.  Every point of G lies in the one cyclic
+order-q subgroup, so the pairing is symmetric, e(P, Q) = e(Q, P): a pair whose
+second point is a generator, or carries lines while its first does not, runs
+over the second point's lines at phi(P) (Costello-Stebila).  So the argument
+that lasts is the one prepared, in either position.  A product of pairings
+squares one F_{p^2} accumulator per digit, multiplies in each pair's line, and
+shares one final exponentiation (Granger-Smart); a single pairing is the
+one-pair product.  After the (p - 1) step of the final exponentiation the
+value has norm 1, and the (p + 1)/q step runs as a Lucas ladder over F_p
+(Scott-Barreto).  F_{p^2} is realised as F_p[i] / (i^2 + 1), elements stored
+as (a, b) for a + b*i.
 
 Parameters: q is the first prime above a fixed 160-bit hash seed, and
 p = 4k*q - 1 is the first 512-bit prime found scanning k upward from a
@@ -53,7 +53,7 @@ import functools
 import hashlib
 
 from ..errors import InvalidElement
-from .base import WIRE_FORMAT, HashDomain, PairingContext, Side
+from .base import WIRE_FORMAT, HashDomain, PairingContext
 
 
 def _inv(a, m):
@@ -338,8 +338,8 @@ class _Lined(tuple):
 def _prepared(p_pt, q_pt):
     """(lines, x, y) for e(P, Q): one argument's lines, the other's point.  P and
     Q lie in the one order-q subgroup, so e(P, Q) = e(Q, P): a generator's kept
-    lines serve on either side, and so do Q's where P carries none."""
-    for g, lines in map(_base_table, Side):
+    lines serve in either position, and so do Q's where P carries none."""
+    for g, lines in map(_base_table, (False, True)):
         if p_pt == g:
             return (lines, *q_pt)
         if q_pt == g:
@@ -401,31 +401,31 @@ def _point_from_label(label: bytes):
     raise RuntimeError("hash-to-curve failed to find a point")  # pragma: no cover
 
 
-_BASE_LABELS = {Side.LEFT: b"triseal/v1/base/left", Side.RIGHT: b"triseal/v1/base/right"}
+_BASE_LABELS = (b"triseal/v1/base/left", b"triseal/v1/base/right")  # g_left, g_right
 
 
 @functools.cache
-def _base_table(side: Side):
-    """(generator, Miller lines) on ``side``.  Both depend only on the fixed
-    curve constants, so they are built once per process and shared by every
-    context."""
-    g = _point_from_label(_BASE_LABELS[side])
+def _base_table(right: bool):
+    """(generator, Miller lines) of g_right if ``right``, else of g_left.  Both
+    depend only on the fixed curve constants, so they are built once per
+    process and shared by every context."""
+    g = _point_from_label(_BASE_LABELS[right])
     return g, _miller_lines(g)
 
 
 @functools.cache
 def _gt_generator():
     """e(g_L, g_R), a curve constant: one Miller loop per process."""
-    return _multi_pairing([tuple(_base_table(side)[0] for side in Side)])
+    return _multi_pairing([(_base_table(False)[0], _base_table(True)[0])])
 
 
 @functools.cache
-def _windows(side: Side | None):
-    """The window table of g_side, or of e(g_L, g_R) for None, at its first power."""
-    if side is None:
+def _windows(right: bool | None):
+    """Window table of g_right, g_left or e(g_L, g_R) (True, False, None), at first power."""
+    if right is None:
         return _window_table(_gt_generator(), _fp2_sqr, lambda ps: [_fp2_mul(*p) for p in ps])
     # affine G rows: each column one batched inversion, [d-1]b != -b as d < q
-    return _window_table((*_base_table(side)[0], 1), _jac_double, _affine_adds, _to_affine)
+    return _window_table((*_base_table(right)[0], 1), _jac_double, _affine_adds, _to_affine)
 
 
 class CurveContext(PairingContext):
@@ -435,7 +435,7 @@ class CurveContext(PairingContext):
 
     def __init__(self):
         super().__init__(CURVE_Q)
-        self._generators = {side: _base_table(side)[0] for side in Side}
+        self._generators = {right: _base_table(right)[0] for right in (False, True)}
 
     def param_header(self) -> dict:
         return {
@@ -447,8 +447,8 @@ class CurveContext(PairingContext):
 
     # -- backend hooks --------------------------------------------------------
 
-    def _g_generator_data(self, side: Side):
-        return self._generators[side]
+    def _g_generator_data(self, right: bool):
+        return self._generators[right]
 
     def _g_identity_data(self):
         return None
@@ -460,9 +460,9 @@ class CurveContext(PairingContext):
         return None if a is None else (a[0], -a[1] % _P)
 
     def _g_exp(self, a, k: int):
-        for side, g in self._generators.items():
+        for right, g in self._generators.items():
             if a == g:
-                T = functools.reduce(_jac_add_affine, _window_digits(_windows(side), k), None)
+                T = functools.reduce(_jac_add_affine, _window_digits(_windows(right), k), None)
                 return None if T is None else _to_affine([T])[0]
         return _pt_mul(a, k)
 

@@ -3,8 +3,10 @@
 An element of G is represented by its exponent e, standing for g^e; an
 element of GT by the exponent relative to e(g, g).  Pairing is then just
 exponent multiplication mod q, which makes every protocol equation directly
-checkable by integer arithmetic.  Deliberately insecure; intended for
-worked vectors, property suites, and cross-backend comparison runs.
+checkable by integer arithmetic.  Both generators, g_left and g_right, are
+exponent 1, so here they compare equal; the curve's are two distinct points.
+Deliberately insecure; intended for worked vectors, property suites, and
+cross-backend comparison runs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import InvalidElement
-from .base import WIRE_FORMAT, HashDomain, PairingContext, Side
+from .base import WIRE_FORMAT, HashDomain, PairingContext
 
 # Default order for property suites: 2^127 - 1 (prime), far above the
 # collision-avoidance floor; worked vectors override with q = 101.
@@ -60,7 +62,7 @@ class OracleContext(PairingContext):
 
     # -- backend hooks ---------------------------------------------------------
 
-    def _g_generator_data(self, side: Side) -> int:
+    def _g_generator_data(self, right: bool) -> int:
         return 1
 
     def _g_identity_data(self) -> int:

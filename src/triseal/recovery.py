@@ -39,7 +39,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .abe import BlindedIdentity, aa_setup, encode_policy, sign_blinded
 from .errors import IncompleteTokens, NonceReuse
-from .pairing import GroupElement, GtElement, PairingContext, Side
+from .pairing import GroupElement, GtElement, PairingContext
 from .sse import SetPublicKeys, subset_product
 
 
@@ -166,8 +166,8 @@ def recover_key(
     missing = [a for a in elems.attrs if a not in tokens.aa_tokens]
     if missing:
         raise IncompleteTokens(f"no decryption token for: {', '.join(missing)}")
-    # one pairing product, each division inverting its RIGHT point: e(U, (prod_i M_i)^-1)
-    modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity(Side.RIGHT))
+    # one pairing product, each division inverting its record's point: e(U, (prod_i M_i)^-1)
+    modifiers = math.prod(elems.dtk_aa_modifiers, start=ctx.group_identity())
     pairs = [
         (tokens.owner_token, elems.dtk_transferor),
         (subset_product(ctx, pks, tokens.subset), ctx.group_inverse(elems.dtk_owner_modifier)),

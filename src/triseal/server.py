@@ -40,7 +40,7 @@ only its parent reads it; the context goes by persistent id) and
 ``os._exit``s, flushing no shared buffer; a failed child's shard is redone
 here.  Without ``os.fork`` or beside other threads (a child would inherit
 their held locks) the work is serial.  The store file is an append-only log: a
-header frame (``params``, the LEFT set keys), then one bare record per frame;
+header frame (``params``, the set keys), then one bare record per frame;
 the last frame per id wins.  A frame is a 4-byte payload length, a 32-byte
 HMAC-SHA256 tag and the payload, canonical JSON (after LevelDB's log format),
 keyed by 32 bytes in ``<log>.key`` (mode 0600, never in the log).
@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-import io
 import json
 import logging
 import os
@@ -584,7 +583,7 @@ class EscrowServer:
 def _forked(ctx: PairingContext, items: list, work: Callable[[list], list]) -> list:
     """``work(items)`` over a shard per usable core, dealt round-robin: a query's
     hits are often adjacent, and a tagged frame's decode work is nearly uniform.
-    A forked child's shard is redone here if it fails or sends a wrong-length result."""
+    A forked child's shard is redone here if it fails or sends a cut or wrong-length result."""
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     forkable = hasattr(os, "fork") and threading.active_count() == 1
@@ -614,11 +613,13 @@ def _forked(ctx: PairingContext, items: list, work: Callable[[list], list]) -> l
             children[k] = pid, os.fdopen(r, "rb")
         done[0] = work(shards[0])
         for k in list(children):
-            with children[k][1] as pipe:
-                unpickler = pickle.Unpickler(io.BytesIO(pipe.read()))
-            unpickler.persistent_load = lambda _: ctx
-            if os.waitpid(children.pop(k)[0], 0)[1] == 0:
-                done[k] = unpickler.load()
+            with children[k][1] as pipe:  # unpickled as it arrives, never held as bytes
+                unpickler = pickle.Unpickler(pipe)
+                unpickler.persistent_load = lambda _: ctx
+                with suppress(EOFError, pickle.UnpicklingError):  # cut short: redone below
+                    done[k] = unpickler.load()
+            if os.waitpid(children.pop(k)[0], 0)[1] != 0:
+                done.pop(k, None)
     finally:
         for pid, pipe in children.values():
             pipe.close()

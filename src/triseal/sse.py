@@ -42,9 +42,9 @@ def new_sse_key(ctx: PairingContext, rng: random.Random) -> OwnerSseKey:
 
 @dataclass(frozen=True)
 class SetPublicKeys:
-    """Server-published per-data-set public keys pk_i = g^(a_i), i = 1..n, LEFT
-    only: every equation pairs a product of them, in a token or a subset term,
-    with a record's RIGHT material.  The exponents a_i are discarded after setup.
+    """Server-published per-data-set public keys pk_i = g^(a_i), i = 1..n, under
+    g_left: every equation pairs a product of them, in a token or a subset term,
+    with a record's owner-installed points.  The exponents a_i are discarded after setup.
     """
 
     left: tuple[GroupElement, ...]
@@ -64,7 +64,7 @@ class SetPublicKeys:
         return normalized
 
     def left_product(self, subset: Iterable[int]) -> GroupElement:
-        """prod_{i in S} pk_i in the LEFT group for a checked, non-empty S."""
+        """prod_{i in S} pk_i for a checked, non-empty S."""
         subset = tuple(subset)
         product = self.left[subset[0] - 1]
         for i in subset[1:]:
@@ -162,7 +162,7 @@ def consent_search_token(
 
 def subset_product(ctx: PairingContext, pks: SetPublicKeys, subset: Iterable[int]):
     """prod_{i in S} pk_i for a checked S, prepared and kept across requests
-    (``ctx.kept``): the left point a subset term pairs with the inverted keyword
+    (``ctx.kept``): the user-side point a subset term pairs with the inverted keyword
     modifier, and a key recovery with the inverted owner modifier."""
     return ctx.kept(ctx.element_to_bytes(pks.left_product(pks.check_subset(subset))))
 
@@ -170,7 +170,7 @@ def subset_product(ctx: PairingContext, pks: SetPublicKeys, subset: Iterable[int
 def subset_term(ctx: PairingContext, elems: SseRecordElements, product: GroupElement) -> GtElement:
     """e(prod_{i in S} pk_i, (g^r)^-1): the half of the match fixed by the record's
     layer 1 and the declared subset, which a server keeps across requests.  The
-    division inverts the RIGHT point, so the kept ``product`` stays prepared."""
+    division inverts the owner-installed point, so the kept ``product`` stays prepared."""
     return ctx.pair(product, ctx.group_inverse(elems.kw_modifier))
 
 

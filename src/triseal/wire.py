@@ -8,13 +8,13 @@ no other module builds or reads one.  Canonical bytes (sorted keys, compact
 separators) make equality checks and record ids stable.
 
 Each element-bearing wire form is declared once, as a :class:`Form`: the one
-statement of its wire shape, walked by one encoder and one decoder.  The LEFT
-slots of a request that a server pairs over their own lines are decoded with
-no [q]P and checked by their Miller-line preparation: an update's ``rtk``
-(``PREPARED``), and the search token, which repeats across requests, through
-the table of kept points (``KEPT``).  A search request's credentials and
+statement of its wire shape, walked by one encoder and one decoder.  Every
+point has one text (``G``).  The slots of a request that a server pairs over
+their own lines are decoded with no [q]P and checked by their Miller-line
+preparation: an update's ``rtk`` (``PREPARED``), and the search token, which
+repeats across requests, through the table of kept points (``KEPT``).  A search request's credentials and
 blinding pair over the record's lines, so they decode as any point, with the
-[q]P check alone (``G_LEFT``).
+[q]P check alone (``G``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 from .abe import AccessPolicyElements, AttributeCredential, BlindedIdentity
 from .errors import BackendMismatch, BadRecord
 from .pairing import WIRE_FORMAT as WIRE_FORMAT_VERSION
-from .pairing import PairingContext, Side, context_from_header
+from .pairing import PairingContext, context_from_header
 from .payload import payload_from_bytes
 from .recovery import KeyRecoveryElements
 from .sse import SearchToken, SetPublicKeys, SseRecordElements
@@ -146,14 +146,13 @@ FLAG = INDEX._replace(decode=lambda ctx, value: _typed(value, bool))
 SCALAR = Shape(lambda ctx, x: format(x, "x"), lambda ctx, s: _scalar(ctx, _typed(s, str)))
 INDICES, NAMES = listed(INDEX), listed(NAME)
 ATTRS = listed(NAME, nonempty=True, aligned=True)  # sorted, by Form.decode
-G_LEFT = Shape(
+G = Shape(
     lambda ctx, e: b64e(ctx.element_to_bytes(e)),
-    lambda ctx, s: ctx.element_from_bytes(b64d(s), Side.LEFT),
-)  # the other G shapes write the same text
-G_RIGHT = G_LEFT._replace(decode=lambda ctx, s: ctx.element_from_bytes(b64d(s), Side.RIGHT))
-ALIGNED_RIGHT = listed(G_RIGHT, aligned=True)
-PREPARED = G_LEFT._replace(decode=lambda ctx, s: ctx.prepared_from_bytes(b64d(s)))
-KEPT = G_LEFT._replace(decode=lambda ctx, s: ctx.kept(b64d(s)))
+    lambda ctx, s: ctx.element_from_bytes(b64d(s)),
+)
+ALIGNED = listed(G, aligned=True)
+PREPARED = G._replace(decode=lambda ctx, s: ctx.prepared_from_bytes(b64d(s)))
+KEPT = G._replace(decode=lambda ctx, s: ctx.kept(b64d(s)))
 GT = Shape(lambda ctx, e: b64e(ctx.gt_to_bytes(e)), lambda ctx, s: ctx.gt_from_bytes(b64d(s)))
 PAYLOAD = Shape(lambda ctx, ct: b64e(ct.to_bytes()), lambda ctx, s: payload_from_bytes(b64d(s)))
 
@@ -190,28 +189,28 @@ class Form:
 
 SSE = Form(  # layer 1
     SseRecordElements,
-    stk_transferor=G_RIGHT,
-    kw_modifier=G_RIGHT,
+    stk_transferor=G,
+    kw_modifier=G,
     tagged_keywords=listed(GT, nonempty=True),
     update_keyword=GT,
 )
 TOKEN = Form(SearchToken, token=KEPT, subset=INDICES)
-PKS = Form(SetPublicKeys, left=listed(G_LEFT))
+PKS = Form(SetPublicKeys, left=listed(G))
 ABE = Form(  # layer 2
     AccessPolicyElements,
     attrs=ATTRS,
-    ac_transferors=ALIGNED_RIGHT,
-    plcy_modifiers=ALIGNED_RIGHT,
+    ac_transferors=ALIGNED,
+    plcy_modifiers=ALIGNED,
     plcy=GT,
 )
-CREDENTIAL = Form(AttributeCredential, attribute_id=NAME, credential=G_LEFT)
-BLINDED = blinded(G_LEFT)
+CREDENTIAL = Form(AttributeCredential, attribute_id=NAME, credential=G)
+BLINDED = blinded(G)
 RECOVERY = Form(  # layer 3
     KeyRecoveryElements,
     attrs=ATTRS,
-    dtk_transferor=G_RIGHT,
-    dtk_owner_modifier=G_RIGHT,
-    dtk_aa_transferors=ALIGNED_RIGHT,
-    dtk_aa_modifiers=ALIGNED_RIGHT,
+    dtk_transferor=G,
+    dtk_owner_modifier=G,
+    dtk_aa_transferors=ALIGNED,
+    dtk_aa_modifiers=ALIGNED,
     wrapped_key=GT,
 )

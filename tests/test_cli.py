@@ -413,6 +413,12 @@ BAD_ARGUMENTS = {
     "update-file-without-policy": (*UPDATE, "--keywords", "k", "--file", "data.txt"),
     "seed-not-hex": ("setup-aa", "--home", "aa3", "--server", "srv", "--attr", "A",
                      "--seed", "zz"),
+    "seed-negative": ("setup-aa", "--home", "aa3", "--server", "srv", "--attr", "A",
+                      "--seed", "-1"),
+    "seed-prefixed": ("setup-aa", "--home", "aa3", "--server", "srv", "--attr", "A",
+                      "--seed", "0xa1"),
+    "seed-underscore": ("setup-aa", "--home", "aa3", "--server", "srv", "--attr", "A",
+                        "--seed", "a_1"),
 }
 
 
@@ -515,7 +521,7 @@ def test_curve_decrypt_checks_each_point_it_reads_once(tmp_path, monkeypatch):
 
 
 def test_walkthrough_files_hold_no_dead_fields(walked):
-    """Store frames hold the bare record, the set keys are LEFT only, and a
+    """Store frames hold the bare record, the set keys their ``left`` list only, and a
     response's stats carry no count that equals another by construction."""
     with closing(_read_frames(walked / "srv" / "store.log")) as frames:
         header, *records = [json.loads(data) for _, data in frames]
@@ -535,7 +541,7 @@ def test_walkthrough_files_hold_no_dead_fields(walked):
 
 
 # the files an oracle walkthrough wrote before store frames lost their copy of
-# ``params``, the set keys their RIGHT half and the stats ``sse_checked``
+# ``params``, the set keys their ``right`` list and the stats ``sse_checked``
 OLD_FORMAT = Path(__file__).resolve().parent / "data" / "walkthrough_6f27e28"
 OLD_FORMAT_SHA256 = {  # as recorded in WALKTHROUGH_SHA256 at 6f27e28
     "results.json": "bd169ce914db78ddd6e711d57a10beb2d36cab2923b950dd6e287902a767ec0d",

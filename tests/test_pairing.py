@@ -8,8 +8,8 @@ import pytest
 from curve_points import ORDER, affine_mul, malformed_encodings, raw_point, small_order_points
 from exponent_oracle import brute_inverse
 from hash_pins import pin_hash
-from triseal.errors import BackendMismatch, InvalidElement, NonInvertible, SideMismatch
-from triseal.pairing import GroupElement, HashDomain, OracleContext, PairingContext, Side, curve
+from triseal.errors import BackendMismatch, InvalidElement, NonInvertible
+from triseal.pairing import GroupElement, HashDomain, OracleContext, PairingContext, curve
 from triseal.pairing.curve import CURVE_H, CURVE_P, CURVE_Q, _pt_add, _pt_mul, _point_from_label
 from triseal.pairing.curve import _unitary_pow
 
@@ -28,13 +28,24 @@ def test_pair_zero_exponent_gives_identity(oracle101):
 
 
 def test_oracle_pairing_symmetric_emulation(oracle101):
+    """e(x, y) = e(y, x) with neither point, either or both prepared; e(x, x)
+    is not the identity for x != O; a product that mixes both argument orders
+    equals the product of its pairs."""
     ctx = oracle101
     rng = random.Random(5)
-    for _ in range(50):
+    pairs = []
+    for i in range(50):
         u, v = rng.randrange(101), rng.randrange(101)
-        assert ctx.pair(ctx.g_left**u, ctx.g_right**v) == ctx.pair(
-            ctx.g_left**v, ctx.g_right**u
-        )
+        x, y = ctx.g_left**u, ctx.g_right**v
+        assert ctx.pair(x, y) == ctx.pair(ctx.g_left**v, ctx.g_right**u)
+        x, y = (ctx.prepare(x) if i & 1 else x), (ctx.prepare(y) if i & 2 else y)
+        assert ctx.pair(y, x) == ctx.pair(x, y)
+        assert ctx.pair(x, x).is_identity == x.is_identity
+        pairs.append((y, x) if i % 3 else (x, y))
+    expected = ctx.gt_identity()
+    for x, y in pairs:
+        expected = expected * ctx.pair(x, y)
+    assert ctx.pairing_product(pairs) == expected
 
 
 def test_scalar_inverse_vectors(oracle101):
@@ -90,7 +101,6 @@ def test_hash_determinism_and_domains(oracle_big):
     a = ctx.hash_to_group(HashDomain.KEYWORD, b"bp")
     b = ctx.hash_to_group(HashDomain.KEYWORD, b"bp")
     assert a == b
-    assert a.side is Side.LEFT
     assert ctx.hash_to_group(HashDomain.KEYWORD, b"bp") != ctx.hash_to_group(
         HashDomain.GID, b"bp"
     )
@@ -110,16 +120,6 @@ def test_hash_injection_hook(oracle101):
         ctx.hash_to_group(HashDomain.KEYWORD, b"hr").data
         == plain.hash_to_group(HashDomain.KEYWORD, b"hr").data
     )
-
-
-def test_side_mismatch_errors(oracle101):
-    ctx = oracle101
-    with pytest.raises(SideMismatch):
-        ctx.group_mul(ctx.g_left, ctx.g_right)
-    with pytest.raises(SideMismatch):
-        ctx.pair(ctx.g_right, ctx.g_left)
-    with pytest.raises(SideMismatch):
-        ctx.pair(ctx.g_left, ctx.g_left)
 
 
 def test_backend_mismatch(oracle101, oracle_big):
@@ -144,9 +144,9 @@ def test_pairing_product_equals_product_of_pairs(backend, oracle_big, curve_ctx)
         assert ctx.pairing_product(pairs) == expected
     assert ctx.pairing_product([]) == ctx.gt_identity()
     x, y = ctx.g_left**5, ctx.g_right**7
-    assert ctx.pairing_product([(ctx.group_identity(Side.LEFT), y)]).is_identity
-    assert ctx.pairing_product([(x, ctx.group_identity(Side.RIGHT))]).is_identity
-    assert ctx.group_inverse(ctx.group_identity(Side.LEFT)).is_identity
+    assert ctx.pairing_product([(ctx.group_identity(), y)]).is_identity
+    assert ctx.pairing_product([(x, ctx.group_identity())]).is_identity
+    assert ctx.group_inverse(ctx.group_identity()).is_identity
     assert ctx.pair(ctx.group_inverse(x), y) == ctx.gt_identity() / ctx.pair(x, y)
     assert ctx.pairing_product([(x, y), (ctx.group_inverse(x), y)]).is_identity
 
@@ -155,10 +155,7 @@ def test_pairing_product_equals_product_of_pairs(backend, oracle_big, curve_ctx)
 def test_pairing_product_checks_sides_and_context(backend, oracle_big, curve_ctx):
     ctx = oracle_big if backend == "oracle" else curve_ctx
     x, y = ctx.g_left, ctx.g_right
-    with pytest.raises(SideMismatch):
-        ctx.pairing_product([(x, y), (y, x)])
-    with pytest.raises(SideMismatch):
-        ctx.pairing_product([(x, x)])
+    assert ctx.pairing_product([(x, y), (y, x)]) == ctx.pair(x, y) ** 2  # either order
     foreign = OracleContext(101)
     with pytest.raises(BackendMismatch):
         ctx.pairing_product([(x, y), (foreign.g_left, y)])
@@ -173,7 +170,7 @@ def test_oracle_requires_prime_order(oracle101):
         with pytest.raises(ValueError):
             OracleContext(order)
     with pytest.raises(InvalidElement):
-        oracle101.element_from_bytes(bytes([101]), Side.LEFT)  # 101 = q is no exponent
+        oracle101.element_from_bytes(bytes([101]))  # 101 = q is no exponent
 
 
 @pytest.mark.parametrize("backend", ["oracle", "curve"])
@@ -211,11 +208,11 @@ def test_non_degeneracy(backend, oracle_big, curve_ctx):
 def test_serialization_round_trip(backend, oracle_big, curve_ctx):
     ctx = oracle_big if backend == "oracle" else curve_ctx
     rng = random.Random(13)
-    for side in (Side.LEFT, Side.RIGHT):
-        e = (ctx.g_left if side is Side.LEFT else ctx.g_right) ** rng.randrange(1, ctx.order)
-        assert ctx.element_from_bytes(ctx.element_to_bytes(e), side) == e
-        ident = ctx.group_identity(side)
-        assert ctx.element_from_bytes(ctx.element_to_bytes(ident), side) == ident
+    for g in (ctx.g_left, ctx.g_right):
+        e = g ** rng.randrange(1, ctx.order)
+        assert ctx.element_from_bytes(ctx.element_to_bytes(e)) == e
+    ident = ctx.group_identity()
+    assert ctx.element_from_bytes(ctx.element_to_bytes(ident)) == ident
     z = ctx.pair(ctx.g_left ** rng.randrange(1, ctx.order), ctx.g_right)
     assert ctx.gt_from_bytes(ctx.gt_to_bytes(z)) == z
 
@@ -237,7 +234,7 @@ def test_curve_rejects_malformed_points(curve_ctx):
     ctx = curve_ctx
     for raw in malformed_encodings(ctx.element_to_bytes(ctx.g_left)).values():
         with pytest.raises(InvalidElement):
-            ctx.element_from_bytes(raw, Side.LEFT)
+            ctx.element_from_bytes(raw)
     one, past = (1).to_bytes(64, "big"), CURVE_P.to_bytes(64, "big")
     for raw in (bytes(128), one + bytes(63), one + bytes(65), past + bytes(64), one + past):
         with pytest.raises(InvalidElement):
@@ -272,12 +269,11 @@ def test_curve_rejects_out_of_subgroup_point(curve_ctx):
     assert _pt_mul((x, y), ctx.order) is not None  # not killed by q: outside subgroup
     encoded = bytes([2 + (y & 1)]) + x.to_bytes(64, "big")
     with pytest.raises(InvalidElement):
-        ctx.element_from_bytes(encoded, Side.LEFT)
+        ctx.element_from_bytes(encoded)
     # (0, 0) under either tag and points of order 4, 1151 and h*q
     for raw in small_order_points().values():
-        for side in Side:
-            with pytest.raises(InvalidElement, match="order-q subgroup"):
-                ctx.element_from_bytes(raw, side)
+        with pytest.raises(InvalidElement, match="order-q subgroup"):
+            ctx.element_from_bytes(raw)
 
 
 def test_curve_point_sum_with_infinity_is_the_point(curve_ctx):
@@ -316,7 +312,7 @@ def test_prepare_is_the_subgroup_check(curve_ctx):
     ctx = curve_ctx
 
     def prepared(pt):
-        return ctx.prepare(GroupElement(ctx, Side.LEFT, pt))
+        return ctx.prepare(GroupElement(ctx, pt))
 
     for raw in small_order_points().values():
         with pytest.raises(InvalidElement, match="order-q subgroup"):
@@ -326,13 +322,12 @@ def test_prepare_is_the_subgroup_check(curve_ctx):
             prepared(raw_point(b"prepare-raw-%d" % i))
     right = ctx.g_right ** 12345
     for point in (ctx.hash_to_group(HashDomain.KEYWORD, b"prepare"), ctx.g_left, ctx.g_right):
-        left = GroupElement(ctx, Side.LEFT, point.data)
-        p = ctx.prepare(left)
-        assert p == left and hash(p) == hash(left) and p.data.lines
-        assert ctx.element_to_bytes(p) == ctx.element_to_bytes(left)
+        p = ctx.prepare(point)
+        assert p == point and hash(p) == hash(point) and p.data.lines
+        assert ctx.element_to_bytes(p) == ctx.element_to_bytes(point)
         assert ctx.prepare(p).data is p.data
-        assert ctx.pair(p, right) == ctx.pairing_product([(left, right)])
-    assert ctx.prepare(ctx.group_identity(Side.LEFT)).is_identity
+        assert ctx.pair(p, right) == ctx.pairing_product([(point, right)])
+    assert ctx.prepare(ctx.group_identity()).is_identity
     rng = random.Random(2010)
     agreed = {True: 0, False: 0}
     for i in range(5):
@@ -355,7 +350,8 @@ def test_prepare_is_the_subgroup_check(curve_ctx):
 def test_lines_on_either_side_give_the_same_pairing(curve_ctx, monkeypatch):
     """e(P, Q) = e(Q, P) on G, so a pair runs over P's lines, or over Q's where
     P carries none, and gives the same GT bytes: with neither point, either or
-    both prepared, and in a product that mixes both sides."""
+    both prepared, in either argument order, and in a product that mixes both
+    orders.  e(P, P) is not the identity for P != O."""
     ctx = curve_ctx
     rng = random.Random(2007)
     pairs = [
@@ -376,6 +372,11 @@ def test_lines_on_either_side_give_the_same_pairing(curve_ctx, monkeypatch):
             assert gt([chosen]) == expected
         assert curve._prepared(x.data, py.data)[0] is py.data.lines
         assert curve._prepared(px.data, py.data)[0] is px.data.lines
+        for chosen in ((x, y), (px, y), (x, py), (px, py)):
+            assert gt([chosen[::-1]]) == expected
+        for a, pa in ((x, px), (y, py)):
+            assert len({gt([(b, c)]) for b in (a, pa) for c in (a, pa)}) == 1
+            assert not ctx.pair(a, a).is_identity
         walked.clear()
     mixed = [
         (px, y) if i % 2 else (x, py) for i, ((x, y), (px, py)) in enumerate(zip(pairs, lined))
@@ -383,6 +384,11 @@ def test_lines_on_either_side_give_the_same_pairing(curve_ctx, monkeypatch):
     assert gt(mixed) == gt(pairs) and len(walked) == len(pairs)
     walked.clear()
     assert gt(mixed) == gt(lined) and walked == []
+    swapped = [(y, x) if i % 2 else (x, y) for i, (x, y) in enumerate(mixed)]
+    product = ctx.gt_identity()
+    for x, y in swapped:
+        product = product * ctx.pair(x, y)
+    assert gt(swapped) == ctx.gt_to_bytes(product) == gt(pairs)
 
 
 def test_curve_generators_have_order_q(curve_ctx):
@@ -390,7 +396,7 @@ def test_curve_generators_have_order_q(curve_ctx):
     assert (ctx.g_left ** ctx.order).is_identity
     assert (ctx.g_right ** ctx.order).is_identity
     assert not ctx.g_left.is_identity and not ctx.g_right.is_identity
-    assert ctx.g_left != ctx.g_right.ctx.group_identity(Side.LEFT)
+    assert ctx.g_left != ctx.group_identity() and ctx.g_left != ctx.g_right
 
 
 def test_window_powers_equal_the_ladders(curve_ctx):
@@ -404,10 +410,10 @@ def test_window_powers_equal_the_ladders(curve_ctx):
     gt = ctx.gt_generator.data
     for k in scalars:
         for g in (ctx.g_left, ctx.g_right):
-            assert (g**k).data == _pt_mul(g.data, k), (g.side, k)
+            assert (g**k).data == _pt_mul(g.data, k), (g.data, k)
         assert (ctx.gt_generator**k).data == _unitary_pow(gt, k), k
     assert curve._windows.cache_info().currsize == 3
-    assert all(len(row) == 15 for side in (*Side, None) for row in curve._windows(side))
+    assert all(len(row) == 15 for base in (False, True, None) for row in curve._windows(base))
 
 
 def test_generator_pairing_is_the_kept_constant(curve_ctx, monkeypatch):
@@ -582,7 +588,7 @@ def test_curve_known_answers(curve_ctx):
     # e(h, g^2) * e(h^-1, g) as one product gives the pinned bytes of e(h, g)
     ratio = ctx.pairing_product([(h, ctx.g_right**2), (ctx.group_inverse(h), ctx.g_right)])
     assert digest(ctx.gt_to_bytes(ratio)) == _KAT_KEYWORD_PAIR[1]
-    one = ctx.pair(ctx.group_identity(Side.LEFT), ctx.g_right)
+    one = ctx.pair(ctx.group_identity(), ctx.g_right)
     assert ctx.gt_to_bytes(one) == (1).to_bytes(64, "big") + bytes(64)
     for k, (left, right) in _KAT_G_EXP.items():
         assert digest(ctx.element_to_bytes(ctx.g_left**k)) == left

@@ -2,11 +2,14 @@
 
 import functools
 import hmac
+import io
 import itertools
 import json
 import logging
 import os
+import pickle
 import random
+import signal
 import stat
 import sys
 import threading
@@ -27,7 +30,7 @@ from triseal import abe, sse, wire
 from triseal import server as server_mod
 from triseal.actors import Authority, Owner, User
 from triseal.errors import BadRecord, InvalidBlinding, InvalidElement, ProtocolError, UpdateRejected
-from triseal.pairing import GroupElement, OracleContext, PairingContext, Side
+from triseal.pairing import GroupElement, OracleContext, PairingContext
 from triseal.pairing import curve
 from triseal.pairing.base import KEPT_POINTS, _trusted_decode
 from triseal.recovery import DecryptionTokenSet, KeyRecoveryElements
@@ -363,6 +366,63 @@ def test_failed_open_child_shard_is_redone(curve_store, monkeypatch):
     assert forks == {"fork": 1}
     assert revived.record_ids() == w.server.record_ids()
     assert all(revived.fetch(rid) == w.server.fetch(rid) for rid in revived.record_ids())
+
+
+_PICKLER = pickle.Pickler
+
+
+class _CutPickler:
+    """Sends the first half of a forked child's pickled result down its pipe,
+    flushes it and SIGKILLs the child: a result that ends early."""
+
+    def __init__(self, file, protocol):
+        self.file, self.protocol = file, protocol
+
+    def dump(self, obj):
+        buf = io.BytesIO()
+        pickler = _PICKLER(buf, self.protocol)
+        pickler.persistent_id = self.persistent_id
+        pickler.dump(obj)
+        raw = buf.getvalue()
+        self.file.write(raw[: len(raw) // 2])
+        self.file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("op", ["search", "open"])
+def test_child_killed_mid_result_is_redone(curve_world, curve_store, monkeypatch, op):
+    """A child SIGKILLed after part of its result reached the pipe leaves the
+    parent a pickle that ends early: its shard is redone here, the result
+    equals the serial one and no child is left."""
+    if op == "search":
+        w = curve_world
+        _, _, req = w.request("bp", [1, 2, 3])
+        with cores(1):
+            serial = w.server.search(req)
+        holder, name, run = EscrowServer, "_check", lambda: w.server.search(req)
+    else:
+        w, path = curve_store
+        with cores(1), closing(EscrowServer.open(path)) as opened:
+            serial = [record_bytes(w.ctx, opened.fetch(rid)) for rid in opened.record_ids()]
+
+        def run():
+            with closing(EscrowServer.open(path)) as revived:
+                return [record_bytes(w.ctx, revived.fetch(rid)) for rid in revived.record_ids()]
+
+        holder, name = server_mod, "record_from_wire"
+    test_pid, calls, original = os.getpid(), Counter(), getattr(holder, name)
+
+    def counted(*args):
+        if os.getpid() == test_pid:
+            calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(holder, name, counted)
+    monkeypatch.setattr(pickle, "Pickler", _CutPickler)
+    with cores(2):
+        assert run() == serial
+    _assert_no_child_left()
+    assert calls[name] == (2 if op == "search" else 3)  # the parent's shard and the redone one
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -813,7 +873,7 @@ def test_request_credentials_and_blinding_take_the_order_check_at_decode(curve_w
             (("credentials", 0, "credential"), req.credentials[0].credential),
             (("blinded",), req.blinded.element),
         ):
-            bad = GroupElement(w.ctx, Side.LEFT, curve._pt_add(honest.data, small))
+            bad = GroupElement(w.ctx, curve._pt_add(honest.data, small))
             assert bad != honest and w.ctx.pair(bad, lined) == w.ctx.pair(honest, lined)
             raw = wire.b64e(w.ctx.element_to_bytes(bad))
             with pytest.raises(InvalidElement, match="order-q subgroup"):
@@ -855,7 +915,7 @@ def test_out_of_subgroup_token_is_refused_on_every_request_and_never_kept(
     walked = _walked_points(monkeypatch)
     for raw in points.values():
         bad = _replaced(search, ("token", "token"), wire.b64e(raw))
-        point = GroupElement(w.ctx, Side.LEFT, w.ctx._g_from_bytes(raw, False))
+        point = GroupElement(w.ctx, w.ctx._g_from_bytes(raw, False))
         in_process = replace(req, token=replace(req.token, token=point))
         for _ in range(2):
             with pytest.raises(ProtocolError, match="order-q subgroup"):
@@ -1917,7 +1977,7 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     the table of subset terms, only e(prod pk_i, kw_modifier^-1) of a stored
     record's public layer 1 and the public set keys; the table of prepared
     policies, only a stored record's current layer 2, held, and that layer's
-    own RIGHT points and ``plcy``; the table of layers 3, only the canonical
+    own owner-installed points and ``plcy``; the table of layers 3, only the canonical
     bytes of a layer that crossed the wire in a response, each mapped to its
     own decode."""
     path = tmp_path / "store.log"
@@ -1967,7 +2027,7 @@ def test_server_state_and_logs_leak_nothing(tmp_path, monkeypatch, caplog):
     assert PairingContext.kept.cache_info().currsize == len(entered)
     for ctx, raw, point in entered:
         assert ctx is w.ctx and type(raw) is bytes and type(point) is GroupElement
-        assert point.side is Side.LEFT and ctx.element_to_bytes(point) == raw
+        assert ctx.element_to_bytes(point) == raw
         assert all(secret not in raw for secret in secrets)
     w.server.close()
     stored = path.read_bytes()

@@ -79,7 +79,7 @@ def primitives():
     from triseal import wire
     from triseal.abe import AccessPolicyElements, abe_verify, prepare_policy
     from triseal.actors import Authority, Owner, User
-    from triseal.pairing import CurveContext, HashDomain, Side, curve
+    from triseal.pairing import CurveContext, HashDomain, curve
     from triseal.server import USER_RECOVERY, EscrowServer, _layer_from_wire, kept_recovery
     from triseal.server import record_from_wire, record_to_wire, search_request_from_wire
     from triseal.server import search_request_to_wire
@@ -161,10 +161,10 @@ def primitives():
         "gt_generator_ms": lambda: ctx.gt_generator,
         "gt_exp_generator_ms": lambda: ctx.gt_generator**K160,
         "generator_tables_ms": lambda: (
-            curve._windows.cache_clear(), [curve._windows(side) for side in (*Side, None)]
+            curve._windows.cache_clear(), [curve._windows(base) for base in (False, True, None)]
         ),
         "publish_ms": lambda: owner.publish(bytes(256), ["k1", "k2"], ["A1", "A2"], 1, publics),
-        "element_from_bytes_ms": lambda: ctx.element_from_bytes(h_raw, Side.LEFT),
+        "element_from_bytes_ms": lambda: ctx.element_from_bytes(h_raw),
         "gt_from_bytes_ms": lambda: ctx.gt_from_bytes(gt_raw),
         "hash_to_group_ms": lambda: ctx.hash_to_group(
             HashDomain.KEYWORD, b"bench-%d" % next(labels)
